@@ -74,6 +74,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             fifo_timestamps(np.array([1]), np.array([100]), 0)
 
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_non_positive_capacity_rejected(self, capacity):
+        # Same contract as EgressQueue(capacity_units=...).
+        with pytest.raises(ValueError, match="non-positive capacity"):
+            fifo_timestamps(np.array([1]), np.array([100]), GBPS, capacity)
+        with pytest.raises(ValueError, match="non-positive capacity"):
+            EgressQueue(capacity_units=capacity)
+
     def test_tail_drop(self):
         result = fifo_timestamps(
             np.array([0, 0, 0, 0]), np.array([1500] * 4), 10 * GBPS, capacity_pkts=2
@@ -129,6 +137,96 @@ class TestEquivalence:
         assert_equivalent(arrivals, sizes, rate_gbps * GBPS, capacity)
 
 
+def poisson_trace(seed, n, load, rate_bps=10 * GBPS):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(64, 1501, n)
+    mean_tx_ns = sizes.mean() * 8e9 / rate_bps
+    arrivals = np.cumsum(rng.exponential(mean_tx_ns / load, n).astype(np.int64))
+    return arrivals, sizes
+
+
+class TestBlockBoundaries:
+    """Seeded traces deep and long enough to cross many block boundaries.
+
+    The scan takes arrivals in generation blocks while the queue is long
+    and in speculative unbounded blocks while it is short; the property
+    test above (<= 120 packets, capacity <= 30) never leaves the first
+    block at depth.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, n, load, capacity",
+        [(11, 3000, 1.5, 50), (12, 5000, 1.2, 500), (13, 2000, 3.0, 120)],
+    )
+    def test_saturated_consecutive_blocks(self, seed, n, load, capacity):
+        arrivals, sizes = poisson_trace(seed, n, load)
+        result = fifo_timestamps(arrivals, sizes, 10 * GBPS, capacity)
+        assert result.drops > n // 20  # the buffer stayed full for a while
+        assert_equivalent(arrivals, sizes, 10 * GBPS, capacity)
+
+    def test_non_ps_divisible_rate(self):
+        arrivals, sizes = poisson_trace(14, 2500, 1.4, rate_bps=7_777_777_777)
+        assert_equivalent(arrivals, sizes, 7_777_777_777, capacity=200)
+
+    def test_drains_to_empty_and_refills(self):
+        # Five overloaded bursts, each followed by silence long enough to
+        # empty the queue: both regimes hand over to the other every time.
+        bursts, burst_sizes, start = [], [], 0
+        for seed in range(5):
+            arrivals, sizes = poisson_trace(20 + seed, 600, 2.0)
+            bursts.append(start + arrivals)
+            burst_sizes.append(sizes)
+            start = int(bursts[-1][-1]) + 400_000
+        arrivals, sizes = np.concatenate(bursts), np.concatenate(burst_sizes)
+        result = fifo_timestamps(arrivals, sizes, 10 * GBPS, capacity_pkts=100)
+        assert result.drops > 0
+        assert np.count_nonzero(result.enq_qdepth == 0) >= 5
+        assert_equivalent(arrivals, sizes, 10 * GBPS, capacity=100)
+
+    def test_simultaneous_arrivals_across_block_edges(self):
+        # Groups of 40 packets sharing a timestamp against a 50-packet
+        # buffer: a speculative block's first overflow, and every block
+        # edge, falls inside a group.
+        rng = np.random.default_rng(30)
+        arrivals = np.repeat(np.cumsum(rng.integers(5_000, 40_000, 60)), 40)
+        sizes = rng.integers(64, 1501, len(arrivals))
+        result = fifo_timestamps(arrivals, sizes, 10 * GBPS, capacity_pkts=50)
+        assert 0 < result.drops < len(arrivals) // 2
+        assert_equivalent(arrivals, sizes, 10 * GBPS, capacity=50)
+
+    def test_arrival_at_last_pending_dequeue_time(self):
+        # 1250 B at 10 Gbps is exactly 1000 ns on the wire, and arrivals
+        # sit on the same 1000 ns grid, so arrivals land exactly on the
+        # dequeue time of the last queued packet.  Such a packet is still
+        # in the queue (strict <) and bounds the generation block.
+        rng = np.random.default_rng(31)
+        arrivals = np.sort(rng.integers(0, 1500, 2500)) * 1000
+        sizes = np.full(len(arrivals), 1250)
+        result = fifo_timestamps(arrivals, sizes, 10 * GBPS, capacity_pkts=60)
+        on_last = result.enq_timestamp[1:] == result.deq_timestamp[:-1]
+        assert on_last.any() and result.drops > 0
+        assert np.all(result.enq_qdepth[1:][on_last] >= 1)
+        assert_equivalent(arrivals, sizes, 10 * GBPS, capacity=60)
+
+    def test_python_iterations_scale_with_blocks_not_packets(self, monkeypatch):
+        n, capacity = 200_000, 2_000
+        arrivals, sizes = poisson_trace(32, n, 1.5)
+        calls = 0
+        real = np.searchsorted
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        result = fifo_timestamps(arrivals, sizes, 10 * GBPS, capacity)
+        assert result.drops > n // 10
+        # Three lookups a block, ~capacity * load arrivals a saturated
+        # block: a few hundred calls, where a per-packet loop makes 200 k.
+        assert calls < n // 100
+
+
 class TestConservation:
     def test_fifo_order_preserved(self):
         rng = np.random.default_rng(4)
@@ -147,6 +245,6 @@ class TestConservation:
         result = fifo_timestamps(arrivals, sizes, 10 * GBPS)
         for i in range(len(result.kept)):
             t = result.enq_timestamp[i]
-            enqueued = np.sum(result.enq_timestamp[: i]) * 0 + i  # i packets before
+            enqueued = i  # i packets before
             departed = int(np.sum(result.deq_timestamp[:i] < t))
             assert result.enq_qdepth[i] == enqueued - departed

@@ -20,7 +20,10 @@ registry attached and prints the per-stage timing breakdown from the
 * ``encode``   — snapshot-store encode (``add_tw``/``add_qm``).
 
 ``generate`` and ``fifo`` are harness stages, timed against their own
-wall; the ingest stages are reported as percentages of the *drive* wall
+wall and reported as shares of the generate + fifo + drive total (the
+part of the pipeline in front of the store), so the table itself says
+which of the three is first in the way.  The ingest stages are reported
+as percentages of the *drive* wall
 (records → finished port, the same span the Mpps bench times), with the
 unattributed remainder (event-stream merge, batch slicing, poll
 bookkeeping) as ``other`` — so the drive section always accounts for
@@ -87,18 +90,16 @@ def profile_run(
         WorkloadConfig(load=load, duration_ns=int(duration_ms * 1e6)),
         seed=seed,
     ).generate()
-    metrics.histogram("pq_ingest_stage_generate_ns").observe(
-        perf_counter_ns() - t0
-    )
+    generate_ns = perf_counter_ns() - t0
+    metrics.histogram("pq_ingest_stage_generate_ns").observe(generate_ns)
 
     t0 = perf_counter_ns()
     if engine in ("fused", "sharded"):
         records, _ = run_trace_through_fifo_batch(trace)
     else:
         records, _ = run_trace_through_fifo(trace)
-    metrics.histogram("pq_ingest_stage_fifo_ns").observe(
-        perf_counter_ns() - t0
-    )
+    fifo_ns = perf_counter_ns() - t0
+    metrics.histogram("pq_ingest_stage_fifo_ns").observe(fifo_ns)
 
     # Mirror simulate_workload: measured mean inter-departure time as d.
     if len(records) >= 2:
@@ -131,6 +132,7 @@ def profile_run(
         }
     )
     packets = len(records)
+    pipeline_ns = generate_ns + fifo_ns + drive_ns
     return {
         "engine": engine,
         "workload": workload,
@@ -138,6 +140,12 @@ def profile_run(
         "packets": packets,
         "drive_ms": drive_ns / 1e6,
         "mpps": packets / (drive_ns / 1e9) / 1e6 if drive_ns else 0.0,
+        "pipeline_ms": pipeline_ns / 1e6,
+        "pipeline_share_pct": {
+            "generate": 100.0 * generate_ns / pipeline_ns,
+            "fifo": 100.0 * fifo_ns / pipeline_ns,
+            "drive": 100.0 * drive_ns / pipeline_ns,
+        },
         "stages": stages,
     }
 
@@ -148,6 +156,11 @@ def render(result: Dict[str, object]) -> str:
         f"config=[{result['config']}]",
         f"{result['packets']:,} packets driven in {result['drive_ms']:.1f} ms "
         f"({result['mpps']:.3f} Mpps ingest)",
+        f"generate + fifo + drive = {result['pipeline_ms']:.1f} ms: "
+        + ", ".join(
+            f"{stage} {pct:.1f}%"
+            for stage, pct in result["pipeline_share_pct"].items()  # type: ignore[union-attr]
+        ),
         "",
         f"{'stage':<24} {'calls':>8} {'total ms':>10} {'mean us':>10} "
         f"{'% drive':>8}",
