@@ -15,6 +15,7 @@ import pytest
 from common import (
     WORKLOADS,
     all_victim_indices,
+    assert_plan_matches_scalar,
     fmt,
     get_run,
     get_victims,
@@ -37,16 +38,11 @@ def run_fig9(workload: str):
     for band, indices in victims.items():
         if not indices:
             continue
-        # AQ victims go through the batched columnar plan; spot-check one
-        # band's subsample against the scalar reference loop (identical
-        # per-victim scores, not just close).
+        # AQ victims go through the compiled plan; spot-check one band's
+        # subsample against the scalar specification (identical
+        # estimates, not just close).
         if not spot_checked:
-            spot = list(indices)[:5]
-            assert evaluate_async_queries(
-                clean.pq, clean.taxonomy, clean.records, spot, batch=True
-            ) == evaluate_async_queries(
-                clean.pq, clean.taxonomy, clean.records, spot, batch=False
-            )
+            assert_plan_matches_scalar(clean, list(indices)[:5])
             spot_checked = True
         aq = summarize_scores(
             evaluate_async_queries(clean.pq, clean.taxonomy, clean.records, indices)

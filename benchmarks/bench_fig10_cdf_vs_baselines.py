@@ -11,7 +11,13 @@ occupancy; HashPipe and FlowRadar nearly overlap.
 """
 
 
-from common import fmt, get_run, get_victims, print_table
+from common import (
+    assert_plan_matches_scalar,
+    fmt,
+    get_run,
+    get_victims,
+    print_table,
+)
 from repro.experiments.evaluation import evaluate_async_queries, evaluate_baseline
 from repro.metrics.accuracy import cdf_points
 
@@ -48,15 +54,10 @@ def run_fig10():
         )
         if not indices:
             continue
-        # PrintQueue scores come from the batched columnar plan; assert a
-        # subsample matches the scalar loop exactly before trusting it.
+        # PrintQueue scores come from the compiled plan; assert a subsample
+        # matches the scalar specification exactly before trusting it.
         if not spot_checked:
-            spot = indices[:5]
-            assert evaluate_async_queries(
-                run.pq, run.taxonomy, run.records, spot, batch=True
-            ) == evaluate_async_queries(
-                run.pq, run.taxonomy, run.records, spot, batch=False
-            )
+            assert_plan_matches_scalar(run, indices[:5])
             spot_checked = True
         out[band_name] = {
             "PrintQueue": evaluate_async_queries(

@@ -4,8 +4,10 @@
   ~100 queries/second; this bench measures ours on comparable state.
 * Batch query speedup: 1000 victims answered by one
   ``pq.query(intervals=...)`` call over the compiled columnar plan vs
-  the one-query-at-a-time scalar loop; results asserted identical and
-  the speedup recorded in ``benchmarks/BENCH_query.json``.
+  the scalar specification (``AnalysisProgram.query_time_windows``, one
+  per-cell walk per victim); results asserted identical and the speedup
+  recorded in ``benchmarks/BENCH_query.json`` together with the plan's
+  one-query-at-a-time rate (``pq.query(interval=...)``).
 * Data-plane update rate: per-packet cost of the Algorithm-1 pipeline.
 * On-demand read rejection: with the PCIe read-cost model enabled,
   closely spaced data-plane triggers are rejected while the special
@@ -15,11 +17,13 @@
 
 import json
 import os
+import platform
 import random
 import time
 
+import numpy as np
 
-from common import SCALE, get_run, print_table
+from common import SCALE, get_run, print_table, scalar_reference
 from repro.core.analysis import AnalysisProgram
 from repro.core.config import PrintQueueConfig
 from repro.core.queries import QueryInterval
@@ -71,7 +75,7 @@ def _invalidate_plan(analysis):
 
 
 def test_query_batch_speedup():
-    """1000-victim batch vs the scalar loop: identical results, >=5x."""
+    """1000-victim batch vs the scalar specification: identical, >=5x."""
     run, _ = get_run("uw")
     records = run.records
     rng = random.Random(13)
@@ -87,9 +91,17 @@ def test_query_batch_speedup():
     scalar_estimates = None
     for _ in range(rounds):
         start = time.perf_counter()
-        estimates = [run.pq.query(interval=iv).estimate for iv in intervals]
+        estimates = scalar_reference(run.pq, intervals)
         scalar_s = min(scalar_s, time.perf_counter() - start)
         scalar_estimates = estimates
+
+    # The plan asked one interval at a time (warm, as an operator's
+    # follow-up questions are): recorded, not part of the floor.
+    single_s = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        single_estimates = [run.pq.query(interval=iv).estimate for iv in intervals]
+        single_s = min(single_s, time.perf_counter() - start)
 
     batch_s = float("inf")
     batch_estimates = None
@@ -102,12 +114,18 @@ def test_query_batch_speedup():
         batch_s = min(batch_s, time.perf_counter() - start)
         batch_estimates = result.estimates
 
-    for i, (s, b) in enumerate(zip(scalar_estimates, batch_estimates)):
-        assert s.as_dict() == b.as_dict(), f"batch result diverged at victim {i}"
+    for i, (s, b, one) in enumerate(
+        zip(scalar_estimates, batch_estimates, single_estimates)
+    ):
+        assert list(s.items()) == list(b.items()), f"batch diverged at victim {i}"
+        assert list(s.items()) == list(one.items()), f"single diverged at victim {i}"
 
     speedup = scalar_s / batch_s
     record = {
         "scale": SCALE,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "victims": BATCH_VICTIMS,
         "snapshots": len(run.pq.analysis.tw_snapshots),
         "scalar_s": round(scalar_s, 6),
@@ -115,13 +133,15 @@ def test_query_batch_speedup():
         "speedup": round(speedup, 2),
         "scalar_qps": round(BATCH_VICTIMS / scalar_s, 1),
         "batch_qps": round(BATCH_VICTIMS / batch_s, 1),
+        "single_s": round(single_s, 6),
+        "single_qps": round(BATCH_VICTIMS / single_s, 1),
     }
     with open(BENCH_QUERY_PATH, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print_table(
-        "Micro: columnar batch query engine vs scalar loop",
-        ["victims", "snapshots", "scalar", "batch", "speedup"],
+        "Micro: compiled plan (cold batch / warm singles) vs scalar walk",
+        ["victims", "snapshots", "scalar", "batch", "speedup", "singles"],
         [
             (
                 BATCH_VICTIMS,
@@ -129,6 +149,7 @@ def test_query_batch_speedup():
                 f"{scalar_s:.3f}s",
                 f"{batch_s:.3f}s",
                 f"{speedup:.2f}x",
+                f"{single_s:.3f}s",
             )
         ],
     )

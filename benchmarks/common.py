@@ -21,6 +21,7 @@ from repro.baselines.hashpipe import HashPipe
 from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.config import PrintQueueConfig
 from repro.engine import CellResult, ParallelSweep, ResultCache, SweepCell
+from repro.experiments.evaluation import victim_interval
 from repro.experiments.runner import ExperimentRun, simulate_workload
 from repro.experiments.sampling import sample_victims_by_band
 from repro.obs.metrics import Metrics
@@ -145,6 +146,31 @@ def all_victim_indices(victims: Dict) -> Set[int]:
     for indices in victims.values():
         out.update(indices)
     return out
+
+
+def scalar_reference(pq, intervals: Sequence) -> List:
+    """The executable specification's answers for ``intervals``.
+
+    ``pq.query`` is the compiled plan whether it is asked one interval or
+    many, so a "vs scalar" comparison has to call the per-cell walk
+    (``AnalysisProgram.query_time_windows``) over the periodic snapshots
+    itself — this is what ties the paper figures to Algorithms 2-3.
+    """
+    analysis = pq.analysis
+    periodic = [s for s in analysis.tw_snapshots if s.source == "periodic"]
+    return [
+        analysis.query_time_windows(interval, snapshots=periodic)
+        for interval in intervals
+    ]
+
+
+def assert_plan_matches_scalar(run: ExperimentRun, indices: Sequence[int]) -> None:
+    """Spot-check: the plan's answers for these victims equal the scalar
+    walk's, flow for flow and in the same iteration order."""
+    intervals = [victim_interval(run.records[i]) for i in indices]
+    planned = run.pq.query(intervals=intervals).estimates
+    for i, (s, b) in enumerate(zip(scalar_reference(run.pq, intervals), planned)):
+        assert list(s.items()) == list(b.items()), f"plan diverged at victim {i}"
 
 
 #: JSON results written next to the benches; EXPERIMENTS.md references it.

@@ -454,7 +454,6 @@ class AnalysisProgram:
         *,
         snapshots: Optional[Sequence[TimeWindowSnapshot]] = None,
         source: Optional[str] = None,
-        latency_observer: Optional[Callable[[int], None]] = None,
     ) -> List[FlowEstimate]:
         """Batched, columnar equivalent of :meth:`query_time_windows`.
 
@@ -468,8 +467,6 @@ class AnalysisProgram:
         ``snapshots`` queries an explicit snapshot set (compiled ad hoc,
         bypassing the plan cache); otherwise the cached plan over the
         store is used, restricted to ``source`` when given.
-        ``latency_observer`` receives each victim's wall-clock
-        nanoseconds (the per-victim latency histogram hook).
         """
         from repro.engine.queryplan import CompiledQueryPlan
 
@@ -489,9 +486,7 @@ class AnalysisProgram:
             )
         else:
             plan = self.compiled_plan(source=source)
-        return plan.query_batch(
-            intervals, self.fractional_cells, latency_observer
-        )
+        return plan.query_batch(intervals, self.fractional_cells)
 
     def _accumulate_snapshot(
         self,

@@ -519,12 +519,11 @@ class PrintQueuePort:
           trigger (a previous read still draining) returns a result with
           ``accepted=False`` and an empty estimate.
         * **Batched time-window queries** — pass ``intervals=`` (a
-          sequence of ``QueryInterval``) for the multi-victim columnar
-          path: one compiled snapshot plan answers every victim,
-          amortising sorting/compilation/coefficient lookup across the
-          batch.  Returns a :class:`BatchQueryResult` whose per-victim
-          estimates are numerically identical to ``mode="async"`` single
-          queries.  Only ``mode="async"`` is supported (an on-demand read
+          sequence of ``QueryInterval``): the compiled snapshot plan that
+          answers a single ``mode="async"`` query answers every victim
+          in one columnar pass.  Returns a :class:`BatchQueryResult`
+          whose per-victim estimates are identical to the single
+          queries'.  Only ``mode="async"`` is supported (an on-demand read
           mutates register banks, so batching it makes no sense).
         * **Queue-monitor queries** — pass ``at_ns=`` without an interval
           for the original culprits standing at that instant; ``classes=``
@@ -534,8 +533,9 @@ class PrintQueuePort:
         With a :class:`~repro.obs.metrics.Metrics` registry attached the
         call also records its latency (``pq_query_latency_ns``) and tallies
         per kind/mode plus data-plane rejections; batch calls additionally
-        record ``pq_batch_queries_total``, the ``pq_batch_size`` histogram,
-        and a per-victim ``pq_query_victim_latency_ns`` histogram.
+        record ``pq_batch_queries_total`` and the ``pq_batch_size``
+        histogram (the per-victim mean is the batch's
+        ``pq_query_latency_ns`` over its size).
         Argument errors raise before any tally is recorded.
         """
         m = self.metrics
@@ -753,22 +753,18 @@ class PrintQueuePort:
 
     def _async_query(self, interval: QueryInterval) -> FlowEstimate:
         """Asynchronous (control-plane) query over the periodic snapshots."""
-        periodic = [
-            s for s in self.analysis.tw_snapshots if s.source == "periodic"
-        ]
-        return self.analysis.query_time_windows(interval, snapshots=periodic)
+        analysis = self.analysis
+        analysis.queries_executed += 1
+        return analysis.compiled_plan(source="periodic").query(
+            interval, analysis.fractional_cells
+        )
 
     def _async_query_batch(
         self, intervals: List[QueryInterval]
     ) -> List[FlowEstimate]:
-        """Batched asynchronous queries via the compiled columnar plan."""
-        observer = None
-        if self.metrics is not None:
-            observer = self.metrics.histogram(
-                "pq_query_victim_latency_ns"
-            ).observe
+        """Batched asynchronous queries: the same plan, one columnar pass."""
         return self.analysis.query_time_windows_batch(
-            intervals, source="periodic", latency_observer=observer
+            intervals, source="periodic"
         )
 
     def _original_culprits(self, time_ns: int) -> FlowEstimate:

@@ -1,12 +1,12 @@
-"""Columnar compiled snapshots and the batched multi-victim query engine.
+"""Columnar compiled snapshots and the one production query kernel.
 
-The scalar reference path (:meth:`AnalysisProgram.query_time_windows`)
-walks every retained ``(tts, flow)`` cell of every covering window in a
-per-cell Python loop.  That is faithful to Algorithms 2-3 and easy to
-audit, but Fig. 10-style evaluations issue thousands of victim queries
-against the *same* snapshot store, so the per-query Python overhead —
-re-deriving coverage, bisecting tuple lists, one ``dict`` update per
-cell — dominates wall-clock.
+Every asynchronous time-window query — one interval or a batch — is
+answered here.  The scalar walk
+(:meth:`AnalysisProgram.query_time_windows`) visits every retained
+``(tts, flow)`` cell of every covering window in a per-cell Python loop;
+it is faithful to Algorithms 2-3, easy to audit, called by no production
+path, and kept as the executable specification this module is tested
+against.
 
 This module compiles each :class:`~repro.core.analysis.TimeWindowSnapshot`
 **once** into a columnar form and answers interval queries with array
@@ -18,33 +18,40 @@ kernels:
   The compiled form is cached on the snapshot object itself — snapshots
   are immutable once stored, so one compilation serves every future plan.
 * :class:`CompiledQueryPlan` merges the per-snapshot flow tables into one
-  global interning, and answers a query by slicing each covering window
-  with ``np.searchsorted`` and accumulating per-flow weights with
-  ``np.add.at`` into a dense accumulator over the interned flow universe.
+  global interning and chains every snapshot's windows newest first.
+  ``query_batch`` walks all victims down that chain in lock step (one
+  ``np.searchsorted`` pair per window), expands the hit ranges once, and
+  sums them with a single in-order ``np.bincount`` over
+  ``victim * F + flow`` slots, a bounded number of cells per pass.
 
 **Equivalence argument.**  The plan performs *the same* piece-splitting
 walk as the scalar path (newest snapshot first; within a snapshot,
 window 0 first with each deeper window's coverage clamped below the
 previous one; every time point attributed to exactly one window), with
 the coverage chain precomputed at compile time from the same integer
-arithmetic.  Per covered piece, ``searchsorted`` selects exactly the
-cells the scalar ``bisect`` loop visits, in the same TTS order, and
-``np.add.at`` performs the *unbuffered, in-order* ``acc[i] += w``
-additions — each individual addition is the same IEEE-754 double
-operation, on the same operands, in the same order as the scalar
-``FlowEstimate.add`` calls.  The result dict is materialised in
-*first-touch* order (the order the scalar walk inserts flows), so even
-metrics that sum dict values in iteration order see the identical
-floating-point reduction.  Results are therefore bit-identical, not
-merely close; ``tests/test_queryplan.py`` asserts exact equality with
-fractional cells both on and off.
+arithmetic.  The lock-step walk keeps each victim's pieces adjacent and
+replaces a split piece by its left then its right remainder — the order
+the scalar walk appends leftovers in — so a victim's hit ranges come out
+in the order the scalar walk reaches them.  Per hit range,
+``searchsorted`` selects exactly the cells the scalar ``bisect`` loop
+visits, in the same TTS order.  ``np.bincount`` with weights is a
+sequential ``out[slot[i]] += weight[i]`` over a zeroed array, so every
+(victim, flow) slot receives the same IEEE-754 double additions, on the
+same operands, from 0.0, in the same order as the scalar
+``FlowEstimate.add`` calls — fractional cells included.  The result dict
+is materialised in *first-touch* order (the order the scalar walk
+inserts flows): the first position touching each slot is a
+``np.minimum.at`` over positions, which numpy defines for repeated
+indices, and only the touched slots — not the cells — are sorted by it.
+Results are therefore bit-identical, not merely close;
+``tests/test_queryplan.py`` asserts exact equality of contents and
+iteration order with fractional cells both on and off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,15 +249,33 @@ def compile_snapshot(
     return compiled
 
 
+#: Most cells one accumulation pass expands, and the most ``victims x
+#: flows`` accumulator slots it allocates: a batch is cut into passes at
+#: victim boundaries, so scratch stays a few MB however many victims are
+#: asked about.  A victim that alone exceeds the budget gets its own pass.
+_CELL_BUDGET = 1 << 17
+
+
+class _Segments(NamedTuple):
+    """Hit ranges of a walk: segment ``j`` is cells ``[a[j], b[j])`` of
+    window ``win[j]``, claimed for victim ``vid[j]`` over ``[lo[j], hi[j])``."""
+
+    vid: np.ndarray
+    win: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 class CompiledQueryPlan:
     """A set of compiled snapshots sharing one global flow interning.
 
     Build once per snapshot-store version, then answer any number of
-    interval queries against it.  The plan owns a dense ``float64``
-    accumulator over the interned flow universe; a query touches only the
-    slots its cells index and zeroes exactly those afterwards, so
-    repeated queries pay no per-query allocation proportional to the
-    universe size.  Not thread-safe (one accumulator).
+    interval queries against it.  The windows of every snapshot form one
+    newest-first chain; their cell columns are concatenated so a hit
+    range anywhere in the chain is a slice of one array.  Queries hold no
+    state on the plan besides :attr:`queries_answered`.
     """
 
     def __init__(
@@ -260,11 +285,25 @@ class CompiledQueryPlan:
     ) -> None:
         #: global interned flow table: index -> flow key
         self.flows = flows
-        #: per-snapshot compiled windows, newest snapshot first
-        self._snapshots = snapshots
-        self._acc = np.zeros(len(flows))
-        self.num_cells = sum(
-            len(w.tts) for windows in snapshots for w in windows
+        self._flow_objects = np.empty(len(flows), dtype=object)
+        self._flow_objects[:] = flows
+        self._num_snapshots = len(snapshots)
+        #: the (snapshot, window) chain in the scalar walk's visiting order
+        self._windows = [w for windows in snapshots for w in windows]
+        sizes = [len(w.tts) for w in self._windows]
+        self.num_cells = sum(sizes)
+        #: offset of each window's cells in the concatenated columns
+        self._base = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        self._flow_idx = np.concatenate(
+            [w.flow_idx for w in self._windows] + [np.empty(0, dtype=np.intp)]
+        )
+        self._tts = np.concatenate(
+            [w.tts for w in self._windows] + [np.empty(0, dtype=np.int64)]
+        )
+        self._shift = np.array([w.shift for w in self._windows], dtype=np.int64)
+        self._coefficient = np.array([w.coefficient for w in self._windows])
+        self._inv_coefficient = np.array(
+            [w.inv_coefficient for w in self._windows]
         )
         #: total victims answered through this plan
         self.queries_answered = 0
@@ -318,7 +357,7 @@ class CompiledQueryPlan:
         return cls(global_flows, plan_snapshots)
 
     def __len__(self) -> int:
-        return len(self._snapshots)
+        return self._num_snapshots
 
     # -- query execution ---------------------------------------------------
 
@@ -326,106 +365,202 @@ class CompiledQueryPlan:
         self, interval: QueryInterval, fractional_cells: bool = False
     ) -> FlowEstimate:
         """One interval query; identical contents to the scalar path."""
-        self.queries_answered += 1
-        acc = self._acc
-        touched: List[np.ndarray] = []
-        remaining: List[Tuple[int, int]] = [
-            (interval.start_ns, interval.end_ns)
-        ]
-        for windows in self._snapshots:
-            if not remaining:
-                break
-            remaining = self._accumulate(
-                windows, remaining, acc, touched, fractional_cells
-            )
-        if not touched:
-            return FlowEstimate()
-        # First-touch order, not sorted order: the scalar path inserts
-        # each flow into its dict the first time a cell touches it, and
-        # downstream metrics sum dict values in insertion order — to stay
-        # bit-identical end to end the result dict must iterate the same.
-        cat = np.concatenate(touched)
-        uniq, first_pos = np.unique(cat, return_index=True)
-        idx = uniq[np.argsort(first_pos, kind="stable")]
-        values = acc[idx]
-        acc[idx] = 0.0
-        flows = self.flows
-        return FlowEstimate(
-            {flows[i]: v for i, v in zip(idx.tolist(), values.tolist())}
-        )
+        return self.query_batch([interval], fractional_cells)[0]
 
     def query_batch(
         self,
         intervals: Sequence[QueryInterval],
         fractional_cells: bool = False,
-        latency_observer: Optional[Callable[[int], None]] = None,
     ) -> List[FlowEstimate]:
         """Answer many victims against the same compiled state.
 
-        ``latency_observer`` (e.g. a ``Histogram.observe``) receives each
-        victim's wall-clock nanoseconds; when absent, no clocks are read.
+        One lock-step walk finds every victim's hit ranges; they are then
+        accumulated in passes of at most ``_CELL_BUDGET`` cells, each pass
+        a whole number of victims.
         """
-        if latency_observer is None:
-            return [self.query(iv, fractional_cells) for iv in intervals]
+        n = len(intervals)
+        self.queries_answered += n
+        if n == 0:
+            return []
+        if n == 1:
+            # One victim is one pass over its own few pieces: walking
+            # them as Python ints skips the per-window array overhead.
+            return self._accumulate(
+                self._walk_one(intervals[0]), 0, 1, fractional_cells
+            )
+        segments = self._walk(
+            np.fromiter((iv.start_ns for iv in intervals), np.int64, n),
+            np.fromiter((iv.end_ns for iv in intervals), np.int64, n),
+        )
+        # The walk emits segments window by window; grouping them by
+        # victim (stably, so each victim keeps the walk's order) makes
+        # every pass a contiguous slice.
+        by_victim = np.argsort(segments.vid, kind="stable")
+        segments = _Segments(*(column[by_victim] for column in segments))
+        first_segment = np.searchsorted(segments.vid, np.arange(n + 1))
+        cells_before = np.concatenate(
+            ([0], np.cumsum(segments.b - segments.a))
+        )[first_segment]
+        max_rows = max(1, _CELL_BUDGET // max(1, len(self.flows)))
         out: List[FlowEstimate] = []
-        for iv in intervals:
-            start = perf_counter_ns()
-            out.append(self.query(iv, fractional_cells))
-            latency_observer(perf_counter_ns() - start)
+        v0 = 0
+        while v0 < n:
+            v1 = int(
+                np.searchsorted(
+                    cells_before, cells_before[v0] + _CELL_BUDGET, side="right"
+                )
+            ) - 1
+            v1 = min(max(v1, v0 + 1), v0 + max_rows, n)
+            s0, s1 = int(first_segment[v0]), int(first_segment[v1])
+            out.extend(
+                self._accumulate(
+                    _Segments(*(column[s0:s1] for column in segments)),
+                    v0,
+                    v1 - v0,
+                    fractional_cells,
+                )
+            )
+            v0 = v1
         return out
 
-    def _accumulate(
-        self,
-        windows: List[CompiledWindow],
-        pieces: List[Tuple[int, int]],
-        acc: np.ndarray,
-        touched: List[np.ndarray],
-        fractional_cells: bool,
-    ) -> List[Tuple[int, int]]:
-        """One snapshot's contribution; returns the uncovered pieces.
+    def _walk(self, start: np.ndarray, end: np.ndarray) -> _Segments:
+        """Split every victim's interval down the window chain at once.
+
+        The array form of ``AnalysisProgram._accumulate_snapshot``: the
+        pieces of all victims still uncovered sit in ``vid/start/end``,
+        each victim's pieces adjacent and in the scalar walk's order.  A
+        window claims ``[lo, hi)`` of every piece it overlaps and leaves
+        ``[start, lo)`` then ``[hi, end)`` in that piece's place, which
+        is the order the scalar walk appends its leftovers in.
+        """
+        vid = np.arange(len(start), dtype=np.intp)
+        found: List[Tuple[np.ndarray, ...]] = []
+        for win, w in enumerate(self._windows):
+            lo = np.maximum(start, w.cov_start)
+            hi = np.minimum(end, w.cov_end)
+            hit = hi > lo
+            claimed = np.flatnonzero(hit)
+            if not len(claimed):
+                continue
+            lo_hit, hi_hit = lo[claimed], hi[claimed]
+            # Cells overlapping [lo, hi): first whose end exceeds lo
+            # through last whose start precedes hi - the same range the
+            # scalar bisect loop visits, in the same TTS order.
+            a = np.searchsorted(w.tts, lo_hit >> w.shift, side="left")
+            b = np.searchsorted(w.tts, (hi_hit - 1) >> w.shift, side="right")
+            some = np.flatnonzero(b > a)
+            if len(some):
+                found.append(
+                    (
+                        vid[claimed[some]],
+                        np.full(len(some), win, dtype=np.intp),
+                        a[some],
+                        b[some],
+                        lo_hit[some],
+                        hi_hit[some],
+                    )
+                )
+            # Two slots per piece, (start, lo-or-end) and (hi, end); a
+            # piece the window missed keeps the first slot whole.
+            keep = np.column_stack((~hit | (start < lo), hit & (hi < end))).ravel()
+            start = np.column_stack((start, hi)).ravel()[keep]
+            end = np.column_stack((np.where(hit, lo, end), end)).ravel()[keep]
+            vid = np.repeat(vid, 2)[keep]
+            if not len(vid):
+                break
+        if not found:
+            return _Segments(*np.empty((6, 0), dtype=np.intp))
+        return _Segments(*(np.concatenate(column) for column in zip(*found)))
+
+    def _walk_one(self, interval: QueryInterval) -> _Segments:
+        """:meth:`_walk` for a single victim, on Python ints.
 
         Mirrors ``AnalysisProgram._accumulate_snapshot`` piece for piece;
         the coverage clamps were already applied at compile time.
         """
-        leftovers = pieces
-        for w in windows:
-            cov_start = w.cov_start
-            cov_end = w.cov_end
-            shift = w.shift
-            tts = w.tts
-            new_leftovers: List[Tuple[int, int]] = []
-            for piece_start, piece_end in leftovers:
+        pieces = [(interval.start_ns, interval.end_ns)]
+        found: List[Tuple[int, ...]] = []
+        for win, w in enumerate(self._windows):
+            cov_start, cov_end, shift, tts = w.cov_start, w.cov_end, w.shift, w.tts
+            leftovers: List[Tuple[int, int]] = []
+            for piece_start, piece_end in pieces:
                 lo = max(piece_start, cov_start)
                 hi = min(piece_end, cov_end)
                 if hi <= lo:
-                    new_leftovers.append((piece_start, piece_end))
+                    leftovers.append((piece_start, piece_end))
                     continue
-                # Cells overlapping [lo, hi): first whose end exceeds lo
-                # through last whose start precedes hi — the same range
-                # the scalar bisect loop visits, in the same TTS order.
-                a = int(np.searchsorted(tts, lo >> shift, side="left"))
-                b = int(np.searchsorted(tts, (hi - 1) >> shift, side="right"))
+                a = int(tts.searchsorted(lo >> shift, side="left"))
+                b = int(tts.searchsorted((hi - 1) >> shift, side="right"))
                 if b > a:
-                    idx = w.flow_idx[a:b]
-                    if fractional_cells:
-                        span = 1 << shift
-                        cell_start = tts[a:b] << shift
-                        overlap = np.minimum(
-                            cell_start + span, hi
-                        ) - np.maximum(cell_start, lo)
-                        # Two divisions, exactly as the scalar path:
-                        # (overlap / span) first, then / coefficient.
-                        np.add.at(
-                            acc, idx, (overlap / span) / w.coefficient
-                        )
-                    else:
-                        np.add.at(acc, idx, w.inv_coefficient)
-                    touched.append(idx)
+                    found.append((0, win, a, b, lo, hi))
                 if piece_start < lo:
-                    new_leftovers.append((piece_start, lo))
+                    leftovers.append((piece_start, lo))
                 if hi < piece_end:
-                    new_leftovers.append((hi, piece_end))
-            leftovers = new_leftovers
-            if not leftovers:
+                    leftovers.append((hi, piece_end))
+            pieces = leftovers
+            if not pieces:
                 break
-        return leftovers
+        return _Segments(*np.array(found, dtype=np.int64).reshape(-1, 6).T)
+
+    def _accumulate(
+        self,
+        segments: _Segments,
+        first_victim: int,
+        rows: int,
+        fractional_cells: bool,
+    ) -> List[FlowEstimate]:
+        """Expand the segments of ``rows`` consecutive victims and sum them.
+
+        Cells are laid out victim by victim in the scalar walk's order, so
+        the in-order ``bincount`` below performs, for every (victim, flow)
+        slot, the additions ``FlowEstimate.add`` would, from 0.0, in the
+        same order.
+        """
+        lengths = segments.b - segments.a
+        total = int(lengths.sum())
+        if total == 0:
+            return [FlowEstimate() for _ in range(rows)]
+        num_flows = len(self.flows)
+        position = np.arange(total)
+        win = segments.win
+        cell = (
+            np.repeat(
+                self._base[win] + segments.a - (np.cumsum(lengths) - lengths),
+                lengths,
+            )
+            + position
+        )
+        slot = (
+            np.repeat((segments.vid - first_victim) * num_flows, lengths)
+            + self._flow_idx[cell]
+        )
+        if fractional_cells:
+            shift = np.repeat(self._shift[win], lengths)
+            span = np.left_shift(1, shift)
+            cell_start = self._tts[cell] << shift
+            overlap = np.minimum(
+                cell_start + span, np.repeat(segments.hi, lengths)
+            ) - np.maximum(cell_start, np.repeat(segments.lo, lengths))
+            # Two divisions, exactly as the scalar path:
+            # (overlap / span) first, then / coefficient.
+            weight = (overlap / span) / np.repeat(self._coefficient[win], lengths)
+        else:
+            weight = np.repeat(self._inv_coefficient[win], lengths)
+        sums = np.bincount(slot, weights=weight, minlength=rows * num_flows)
+        # First-touch order, not sorted order: the scalar path inserts
+        # each flow into its dict the first time a cell touches it, and
+        # downstream metrics sum dict values in insertion order.  The
+        # minimum over positions is well defined under repeated indices
+        # (a fancy assignment is not).
+        first_touch = np.full(rows * num_flows, total, dtype=np.intp)
+        np.minimum.at(first_touch, slot, position)
+        touched = np.flatnonzero(first_touch < total)
+        touched = touched[np.argsort(first_touch[touched])]
+        row, flow = np.divmod(touched, num_flows)
+        flows = self._flow_objects[flow].tolist()
+        values = sums[touched].tolist()
+        bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
+        return [
+            FlowEstimate(dict(zip(flows[s:e], values[s:e])))
+            for s, e in zip(bounds, bounds[1:])
+        ]

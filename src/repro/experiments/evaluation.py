@@ -40,10 +40,11 @@ def evaluate_async_queries(
     """Score asynchronous (periodic-snapshot) queries for the victims.
 
     ``batch=True`` (the default) answers all victims in one
-    ``pq.query(intervals=...)`` call over the compiled columnar plan;
-    ``batch=False`` keeps the original one-query-per-victim scalar loop.
-    The two paths return identical estimates, so scores are unchanged —
-    only the snapshot sort/compile/coefficient work is amortised.
+    ``pq.query(intervals=...)`` call; ``batch=False`` asks
+    ``pq.query(interval=...)`` once per victim.  Both are the compiled
+    columnar plan and return identical estimates; the scalar
+    specification to compare either against is
+    ``AnalysisProgram.query_time_windows``.
     """
     indices = list(victim_indices)
     if not indices:

@@ -12,11 +12,12 @@ requests arrive over a local JSON-lines socket.  The request path:
 Degradation stages change *how* a query is answered, never whether the
 answer is honest:
 
-* ``NORMAL`` — the full unified ``pq.query`` path;
-* ``BATCH_ONLY`` — the compiled columnar batch plan (numerically
-  identical estimates, cheapest per-query path; queue-monitor walks and
-  on-demand data-plane reads are shed with a typed rejection);
-* ``REDUCED`` — the batch plan over only the newest K periodic
+* ``NORMAL`` and ``BATCH_ONLY`` — ``pq.query(interval=...)``, which is
+  the compiled columnar plan over every periodic snapshot.  The two
+  rungs answer identically; ``BATCH_ONLY`` only announces, in the wire
+  ``stage`` field, that the ladder has left ``NORMAL``.  (The serving
+  tier answers async interval queries only, whatever the stage.)
+* ``REDUCED`` — the same plan over only the newest K periodic
   snapshots; the truncated history is reported per answer as a
   :class:`~repro.faults.CoverageReport` and the answer is flagged
   ``degraded`` — never a silent wrong answer.
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import PrintQueueConfig
-from repro.core.printqueue import BatchQueryResult, PrintQueuePort
+from repro.core.printqueue import PrintQueuePort, QueryResult
 from repro.core.queries import QueryInterval
 from repro.errors import (
     QueryError,
@@ -248,7 +249,19 @@ class DiagnosisService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Past the StreamReader limit the framing is lost:
+                    # answer once, typed, and drop the connection.
+                    error = QueryError(f"request line too long: {exc}")
+                    writer.write(
+                        protocol.encode(
+                            {"ok": False, "error": protocol.error_payload(error)}
+                        )
+                    )
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 response = await self._handle_line(line)
@@ -348,17 +361,13 @@ class DiagnosisService:
                 "the service answers async (snapshot) queries only",
                 stage=stage.name,
             )
-        if stage == Stage.NORMAL:
-            result = self.pq.query(interval=interval)
-            estimate, degraded, coverage = result.estimate, result.degraded, result.coverage
-        elif stage == Stage.BATCH_ONLY:
-            batch = self.pq.query(intervals=[interval])
-            assert isinstance(batch, BatchQueryResult)
-            one = batch[0]
-            estimate, degraded, coverage = one.estimate, one.degraded, one.coverage
-        else:  # Stage.REDUCED
+        if stage == Stage.REDUCED:
             estimate, coverage = self._reduced_answer(interval)
             degraded = True
+        else:  # NORMAL and BATCH_ONLY: one kernel, the compiled plan
+            result = self.pq.query(interval=interval)
+            assert isinstance(result, QueryResult)
+            estimate, degraded, coverage = result.estimate, result.degraded, result.coverage
         response: Dict[str, Any] = {
             "stage": stage.name,
             "degraded": bool(degraded),

@@ -33,7 +33,9 @@ class FlowKey:
     """An immutable 5-tuple flow identity.
 
     Addresses are stored as 32-bit integers; use :meth:`from_strings` for
-    the dotted-quad convenience constructor.
+    the dotted-quad convenience constructor.  Keys live in dicts on every
+    hot path (interning, result dicts), so the 5-tuple hash is computed
+    once at construction; it never travels in a pickle.
     """
 
     src_ip: int
@@ -41,6 +43,7 @@ class FlowKey:
     src_port: int
     dst_port: int
     proto: int = PROTO_TCP
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("src_ip", "dst_ip"):
@@ -53,6 +56,13 @@ class FlowKey:
                 raise ValueError(f"{name} out of range: {value}")
         if not 0 <= self.proto <= 0xFF:
             raise ValueError(f"proto out of range: {self.proto}")
+        object.__setattr__(self, "_hash", hash(self.sort_key()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, int, int, int, int]]:
+        return (type(self), self.sort_key())
 
     @classmethod
     def from_strings(

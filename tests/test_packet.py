@@ -1,5 +1,9 @@
 """Unit tests for FlowKey and Packet."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.switch.packet import PROTO_TCP, PROTO_UDP, FlowKey, Packet
@@ -58,6 +62,32 @@ class TestFlowKey:
         b = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)
         assert a == b
         assert len({a, b}) == 1
+
+    def test_cached_hash_follows_the_five_tuple(self):
+        a = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)
+        b = FlowKey(a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.proto)
+        assert hash(a) == hash(b) == hash(a.sort_key())
+        assert hash(a.reversed().reversed()) == hash(a)
+        assert hash(dataclasses.replace(a, src_port=5001)) == hash(
+            FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5001, 80)
+        )
+        # The cache is not part of the value: repr and == ignore it.
+        assert "_hash" not in repr(a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.src_port = 1
+
+    def test_pickle_and_copy_round_trip(self):
+        key = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80, PROTO_UDP)
+        for clone in (
+            pickle.loads(pickle.dumps(key)),
+            copy.copy(key),
+            copy.deepcopy(key),
+        ):
+            assert clone == key and hash(clone) == hash(key)
+            assert {key: 1}[clone] == 1
+            assert clone.sort_key() == key.sort_key()
+        # The hash is recomputed on load, never shipped.
+        assert b"_hash" not in pickle.dumps(key)
 
     def test_reversed(self):
         key = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)

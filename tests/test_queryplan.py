@@ -6,18 +6,33 @@ reference walk — every test here asserts exact equality of the resulting
 approximate closeness, with fractional cells both on and off.
 """
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BatchQueryResult, QueryError, QueryInterval, QueryResult
-from repro.core.analysis import AnalysisProgram, newest_first
+from repro.core.analysis import AnalysisProgram, TimeWindowSnapshot, newest_first
 from repro.core.config import PrintQueueConfig
+from repro.core.filtering import FilteredWindow
+from repro.core.printqueue import PrintQueuePort
 from repro.core.queries import FlowEstimate
-from repro.engine.queryplan import PlanBuildStats, compile_snapshot
+from repro.engine import queryplan
+from repro.engine.queryplan import (
+    CompiledQueryPlan,
+    PlanBuildStats,
+    compile_snapshot,
+)
 from repro.experiments.runner import simulate_workload
+from repro.faults import FaultPlan, RetryPolicy
+from repro.store import MmapStore, replay_analysis
 from repro.switch.packet import FlowKey
+
+from tests.test_faults import CFG as FAULT_CFG
+from tests.test_faults import _drive as drive_faulted
 
 CONFIG = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
 
@@ -277,3 +292,280 @@ def test_top_ties_break_on_numeric_flow_key():
     est = FlowEstimate({high: 3.0, low: 3.0})
     assert est.top(2) == [(low, 3.0), (high, 3.0)]
     assert low.sort_key() < high.sort_key()
+
+
+# ---------------------------------------------------------------------------
+# the columnar kernel against the scalar specification: contents AND
+# iteration order, fractional cells on and off, single and batch entry
+
+SMALL = PrintQueueConfig(m0=2, k=5, alpha=1, T=3)  # windows span 128/256/512 ns
+
+
+def polled_analysis(seed, polls, packets=(0, 120), gap=(1, 40), idle=(1, 300)):
+    """An analysis with ``polls`` periodic snapshots of a random stream.
+
+    Long polls (many packets, wide gaps) outrun the ~900 ns the three
+    windows cover and leave holes between snapshots; short ones make
+    ``valid_from_ns`` clamp the coverage instead.
+    """
+    rng = random.Random(seed)
+    analysis = AnalysisProgram(SMALL, d_ns=6.0)
+    t = 0
+    for _ in range(polls):
+        for _ in range(rng.randint(*packets)):
+            t += rng.randint(*gap)
+            analysis.on_dequeue(FLOWS[rng.randrange(len(FLOWS))], t)
+        t += rng.randint(*idle)
+        analysis.periodic_poll(t)
+    return analysis, t
+
+
+def random_intervals(rng, end, count):
+    out = []
+    for _ in range(count):
+        a = rng.randrange(0, end)
+        out.append(QueryInterval(a, rng.randrange(a + 1, end + 200)))
+    return out
+
+
+def items(estimates):
+    return [list(e.items()) for e in estimates]
+
+
+def assert_plan_is_oracle(analysis, intervals, snapshots=None):
+    """Batch entry, single entry and the scalar walk agree exactly."""
+    old = analysis.fractional_cells
+    try:
+        for fractional in (False, True):
+            analysis.fractional_cells = fractional
+            oracle = items(
+                analysis.query_time_windows(iv, snapshots=snapshots)
+                for iv in intervals
+            )
+            batch = analysis.query_time_windows_batch(intervals, snapshots=snapshots)
+            assert items(batch) == oracle
+            if snapshots is None:
+                plan = analysis.compiled_plan()
+            else:
+                plan = CompiledQueryPlan.build(
+                    list(newest_first(snapshots)),
+                    analysis.config.k,
+                    analysis.coefficients,
+                    analysis.apply_coefficients,
+                )
+            assert items(plan.query(iv, fractional) for iv in intervals) == oracle
+    finally:
+        analysis.fractional_cells = old
+
+
+def most_leftover_pieces(analysis, interval, snapshots):
+    """The most uncovered pieces the scalar walk carries between snapshots."""
+    pieces = [(interval.start_ns, interval.end_ns)]
+    most = 1
+    for snapshot in newest_first(snapshots):
+        pieces = analysis._accumulate_snapshot(snapshot, pieces, FlowEstimate())
+        most = max(most, len(pieces))
+    return most
+
+
+def test_hole_between_snapshots_leaves_several_pieces():
+    analysis, end = polled_analysis(seed=5, polls=5, packets=(80, 120))
+    # Dropping a middle snapshot opens a hole the older ones cannot fill.
+    snapshots = [s for i, s in enumerate(analysis.tw_snapshots) if i != 2]
+    wide = QueryInterval(0, end + 100)  # wider than all coverage
+    assert most_leftover_pieces(analysis, wide, snapshots) >= 3
+    rng = random.Random(5)
+    assert_plan_is_oracle(
+        analysis, [wide] + random_intervals(rng, end, 25), snapshots
+    )
+
+
+def test_valid_from_clamps_split_the_same_pieces():
+    # Polls far shorter than the windows' span: every snapshot's nominal
+    # coverage reaches back past its valid_from_ns and must be clamped.
+    analysis, end = polled_analysis(
+        seed=9, polls=6, packets=(5, 20), gap=(1, 6), idle=(1, 10)
+    )
+    k = analysis.config.k
+    assert any(
+        fw.coverage_ns(k) is not None and fw.coverage_ns(k)[0] < s.valid_from_ns
+        for s in analysis.tw_snapshots
+        for fw in s.windows
+    )
+    rng = random.Random(9)
+    intervals = [QueryInterval(0, end + 50)] + random_intervals(rng, end, 30)
+    assert_plan_is_oracle(analysis, intervals)
+
+
+def hand_built_snapshot():
+    """Window 0 covers [872, 1000) but retained nothing; 1 and 2 hold cells."""
+    f = FLOWS
+    return TimeWindowSnapshot(
+        read_time_ns=1000,
+        windows=[
+            FilteredWindow(0, 2, cells=[], reference_tts=249),
+            FilteredWindow(
+                1, 3, cells=[(80, f[0]), (90, f[1]), (100, f[0])], reference_tts=108
+            ),
+            FilteredWindow(2, 4, cells=[(10, f[2]), (20, f[3])], reference_tts=37),
+        ],
+    )
+
+
+def test_empty_windows_and_uncovered_victims_inside_a_batch():
+    analysis = AnalysisProgram(SMALL, d_ns=6.0)
+    snapshots = [hand_built_snapshot()]
+    whole = QueryInterval(90, 1200)
+    intervals = [
+        QueryInterval(880, 990),  # only the zero-cell window
+        QueryInterval(600, 900),  # zero-cell window, then hits below it
+        QueryInterval(0, 50),  # before any coverage
+        whole,
+        QueryInterval(2000, 3000),  # after any coverage
+        whole,  # the same interval twice in one batch
+        QueryInterval(150, 340),
+    ]
+    assert_plan_is_oracle(analysis, intervals, snapshots)
+    batch = analysis.query_time_windows_batch(intervals, snapshots=snapshots)
+    assert [len(e) for e in batch] == [0, 2, 0, 4, 0, 4, 2]
+    assert batch[3] is not batch[5]
+
+
+@pytest.mark.parametrize("budget", [32, 64])  # victims hold 28-42 cells
+def test_batch_is_cut_at_victim_boundaries_by_the_cell_budget(
+    run, victim_intervals, monkeypatch, budget
+):
+    monkeypatch.setattr(queryplan, "_CELL_BUDGET", budget)
+    passes = []
+    accumulate = CompiledQueryPlan._accumulate
+
+    def spy(self, segments, first_victim, rows, fractional_cells):
+        cells = int((segments.b - segments.a).sum())
+        passes.append((first_victim, rows, cells))
+        return accumulate(self, segments, first_victim, rows, fractional_cells)
+
+    monkeypatch.setattr(CompiledQueryPlan, "_accumulate", spy)
+    analysis = run.pq.analysis
+    # Victims nobody covers cost no cells: they ride along in a pass.
+    intervals = victim_intervals[:20] + [QueryInterval(1, 2)] * 3
+    batch = analysis.query_time_windows_batch(intervals)
+    assert items(batch) == items(scalar_estimates(analysis, intervals))
+    # Consecutive passes tile the batch, whole victims each.
+    assert [p[0] for p in passes] == [
+        sum(p[1] for p in passes[:i]) for i in range(len(passes))
+    ]
+    assert sum(p[1] for p in passes) == len(intervals)
+    # One victim alone may exceed the budget; several together never do.
+    assert all(cells <= budget for _, rows, cells in passes if rows > 1)
+    if budget == 32:
+        assert any(rows == 1 and cells > budget for _, rows, cells in passes)
+    else:
+        assert sum(rows > 1 and cells > 0 for _, rows, cells in passes) > 1
+
+
+def test_single_and_batch_calls_interleave_on_one_plan(run, victim_intervals):
+    analysis = run.pq.analysis
+    intervals = victim_intervals[:12]
+    oracle = items(scalar_estimates(analysis, intervals))
+    plan = analysis.compiled_plan()
+    answered = plan.queries_answered
+    assert list(plan.query(intervals[3]).items()) == oracle[3]
+    assert items(plan.query_batch(intervals)) == oracle
+    assert list(plan.query(intervals[7]).items()) == oracle[7]
+    assert items(plan.query_batch(intervals[::-1])) == oracle[::-1]
+    assert items(plan.query_batch(intervals[:1])) == oracle[:1]
+    assert plan.query_batch([]) == []
+    assert plan.queries_answered == answered + 2 + 2 * len(intervals) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_plans_and_batches_match_scalar(data):
+    """Property: any batch over any multi-snapshot plan, any budget."""
+    seed = data.draw(st.integers(0, 2**16))
+    polls = data.draw(st.integers(1, 5))
+    dense = data.draw(st.booleans())
+    analysis, end = polled_analysis(
+        seed,
+        polls,
+        packets=(0, 30) if dense else (0, 120),
+        gap=(1, 6) if dense else (1, 40),
+        idle=(1, 10) if dense else (1, 300),
+    )
+    kept = data.draw(
+        st.lists(st.booleans(), min_size=polls, max_size=polls).filter(any)
+    )
+    snapshots = [s for s, keep in zip(analysis.tw_snapshots, kept) if keep]
+    rng = random.Random(seed)
+    intervals = random_intervals(rng, end, data.draw(st.integers(1, 12)))
+    intervals += intervals[: data.draw(st.integers(0, 2))]  # repeats
+    budget = data.draw(st.sampled_from([1, 7, 64, 1 << 17]))
+    with mock.patch.object(queryplan, "_CELL_BUDGET", budget):
+        assert_plan_is_oracle(analysis, intervals, snapshots)
+
+
+# ---------------------------------------------------------------------------
+# the front door: query(interval=) == query(intervals=)[0] == the scalar walk
+
+
+def assert_port_answers_are_oracle(pq, intervals):
+    analysis = pq.analysis
+    periodic = [s for s in analysis.tw_snapshots if s.source == "periodic"]
+    executed = analysis.queries_executed
+    for iv in intervals:
+        oracle = analysis.query_time_windows(iv, snapshots=periodic)
+        single = pq.query(interval=iv).estimate
+        batch = pq.query(intervals=[iv])[0].estimate
+        assert list(single.items()) == list(oracle.items())
+        assert list(batch.items()) == list(oracle.items())
+    assert analysis.queries_executed == executed + 3 * len(intervals)
+
+
+def test_front_door_on_a_fused_ingest_port():
+    fused = simulate_workload(
+        "ws", duration_ns=1_500_000, load=1.3, config=CONFIG, seed=21, engine="fused"
+    )
+    victims = sorted(fused.records, key=lambda r: r.queuing_delay, reverse=True)
+    intervals = [
+        QueryInterval.for_victim(v.enq_timestamp, v.deq_timestamp)
+        for v in victims[:10]
+    ]
+    assert_port_answers_are_oracle(fused.pq, intervals)
+
+
+def test_front_door_on_a_port_with_quarantined_snapshots():
+    pq = PrintQueuePort(
+        FAULT_CFG,
+        model_dp_read_cost=False,
+        faults=FaultPlan(name="all-torn", torn_read_rate=1.0),
+        retry_policy=RetryPolicy(max_attempts=2),
+    )
+    end = drive_faulted(pq)
+    assert pq._poller.log.quarantined_cells > 0
+    rng = random.Random(3)
+    assert_port_answers_are_oracle(pq, random_intervals(rng, end, 15))
+
+
+def test_plan_on_an_mmap_replay(tmp_path):
+    path = tmp_path / "run.pqstore"
+    store = MmapStore(path)
+    live = simulate_workload(
+        "ws",
+        duration_ns=1_500_000,
+        load=1.3,
+        config=CONFIG,
+        seed=21,
+        engine="fused",
+        store=store,
+    )
+    store.close()
+    replayed = replay_analysis(path, backend="mmap")
+    victims = sorted(live.records, key=lambda r: r.queuing_delay, reverse=True)
+    intervals = [
+        QueryInterval.for_victim(v.enq_timestamp, v.deq_timestamp)
+        for v in victims[:10]
+    ]
+    assert_plan_is_oracle(replayed, intervals)
+    assert items(replayed.query_time_windows_batch(intervals)) == items(
+        scalar_estimates(live.pq.analysis, intervals)
+    )

@@ -1,6 +1,7 @@
 """Tests for the always-on diagnosis service (repro.service)."""
 
 import asyncio
+import socket
 import time
 
 import pytest
@@ -486,6 +487,22 @@ class TestServiceEndToEnd:
             with ServiceClient(host, port) as client:
                 with pytest.raises(QueryError):
                     client.request("explode")
+
+    def test_over_limit_line_is_typed_error_and_service_survives(self):
+        # readline() raises ValueError past the 64 KiB StreamReader limit;
+        # that must surface as a typed payload, not a dead handler task.
+        with ServiceHarness(config=_service_config()) as harness:
+            host, port = harness.service.address
+            with socket.create_connection((host, port), timeout=30.0) as sock:
+                sock.sendall(b"x" * (70 * 1024) + b"\n")
+                with sock.makefile("rb") as replies:
+                    response = protocol.decode(replies.readline())
+                    assert replies.readline() == b""  # connection dropped
+            assert response["ok"] is False
+            assert response["error"]["type"] == "QueryError"
+            assert "too long" in response["error"]["message"]
+            with ServiceClient(host, port) as client:
+                assert client.ping() is True
 
     def test_slo_section_populated_after_queries(self):
         with ServiceHarness(config=_service_config()) as harness:
