@@ -4,7 +4,7 @@
 Every bench writes its tables to ``benchmarks/results.json`` (via
 ``common.print_table``); this script turns the accumulated store into
 markdown for pasting into EXPERIMENTS.md or a report.  The two tracked
-throughput records — ``BENCH_ingest.json`` (ingest-tier Mpps) and
+throughput records — ``BENCH_ingest.json`` (ingest Mpps) and
 ``BENCH_query.json`` (batch query QPS) — are appended as their own
 sections when present.
 
@@ -19,55 +19,52 @@ from repro.experiments.reporting import ResultStore, render_markdown
 
 
 def render_bench_ingest(path: Path) -> str:
-    """Markdown table for the tracked ingest-tier Mpps record."""
+    """Markdown table for the tracked ingest Mpps record."""
     record = json.loads(path.read_text())
     lines = [
-        "## Tracked: ingest tiers (BENCH_ingest.json)",
+        "## Tracked: ingest throughput (BENCH_ingest.json)",
         "",
         f"{record['packets']:,} packets at REPRO_SCALE={record['scale']}; "
         "Mpps = dequeued packets / best-of-N wall-clock seconds / 1e6.",
         "",
-        "| config | scalar Mpps | batched Mpps | fused Mpps "
-        "| batched/scalar | fused/batched | fused/scalar |",
-        "|---|---|---|---|---|---|---|",
+        "| config | scalar (oracle) Mpps | fused (production) Mpps | fused/scalar |",
+        "|---|---|---|---|",
     ]
     for name, cfg in sorted(record["configs"].items()):
         lines.append(
-            f"| {name} | {cfg['scalar_mpps']:.3f} | {cfg['batched_mpps']:.3f} "
-            f"| {cfg['fused_mpps']:.3f} | {cfg['batched_speedup']:.2f}x "
-            f"| {cfg['fused_speedup']:.2f}x | {cfg['fused_total_speedup']:.2f}x |"
+            f"| {name} | {cfg['scalar_mpps']:.3f} | {cfg['fused_mpps']:.3f} "
+            f"| {cfg['fused_speedup']:.2f}x |"
         )
-    sharded = record.get("sharded")
-    if sharded:
-        lines.extend(render_shard_scaling(sharded, record.get("cores")))
+    sweep = record.get("shard_sweep")
+    if sweep:
+        lines.extend(render_shard_scaling(sweep, record.get("cores")))
     return "\n".join(lines)
 
 
-def render_shard_scaling(sharded: dict, cores) -> list:
-    """Markdown for the sharded tier's shard-count scaling curve.
+def render_shard_scaling(sweep: dict, cores) -> list:
+    """Markdown for the shard driver's shard-count scaling curve.
 
     Aggregate Mpps per shard count plus parallel efficiency (rate over
-    the 1-shard rate scaled by shard count).  The effective core count
-    the sweep ran on is printed with the curve: scaling beyond the core
-    count measures pool overhead, not the engine.
+    the single-process rate scaled by shard count).  The effective core
+    count the sweep ran on is printed with the curve: scaling beyond the
+    core count measures pool overhead, not the engine.
     """
-    fused_ref = sharded.get("fused_reference_mpps")
-    floor_state = "armed" if sharded.get("floor_armed") else "not armed"
+    reference = sweep["single_process_mpps"]
+    floor_state = "armed" if sweep.get("floor_armed") else "not armed"
     lines = [
         "",
-        f"### Shard-count scaling ({sharded['config']}, {cores} cores)",
+        f"### Shard-count scaling ({sweep['config']}, {cores} cores)",
         "",
-        f"Fused single-process reference: {fused_ref:.3f} Mpps; "
-        f"sharded(4) floor {sharded['floor']:.1f}x fused ({floor_state}).",
+        f"Single-process reference: {reference:.3f} Mpps; "
+        f"4-shard floor {sweep['floor']:.1f}x single-process ({floor_state}).",
         "",
-        "| shards | aggregate Mpps | vs fused | efficiency |",
+        "| shards | aggregate Mpps | vs single-process | efficiency |",
         "|---|---|---|---|",
     ]
-    for num in sorted(sharded["shards"], key=int):
-        point = sharded["shards"][num]
-        ratio = point["mpps"] / fused_ref if fused_ref else 0.0
+    for num in sorted(sweep["shards"], key=int):
+        point = sweep["shards"][num]
         lines.append(
-            f"| {num} | {point['mpps']:.3f} | {ratio:.2f}x "
+            f"| {num} | {point['mpps']:.3f} | {point['mpps'] / reference:.2f}x "
             f"| {point['efficiency_pct']:.1f}% |"
         )
     return lines

@@ -39,7 +39,6 @@ from repro.core import (
 )
 from repro.engine import (
     CompiledQueryPlan,
-    FusedIngestPipeline,
     IngestPipeline,
     ParallelSweep,
     SweepCell,
@@ -92,7 +91,6 @@ __all__ = [
     "fault_profile",
     "fault_profile_names",
     "CompiledQueryPlan",
-    "FusedIngestPipeline",
     "IngestPipeline",
     "Metrics",
     "ParallelSweep",

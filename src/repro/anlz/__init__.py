@@ -2,7 +2,7 @@
 
 An AST-based engine enforcing the invariants the test suite can only
 sample: data-plane determinism (PQ001), Algorithm-1 register-width
-discipline (PQ002), scalar==batched counter parity (PQ003), the typed
+discipline (PQ002), scalar==production counter parity (PQ003), the typed
 error taxonomy (PQ004), the keyword-only public API surface (PQ005),
 and the cross-file concurrency family (PQ101–PQ105): event-loop
 liveness, obs lock discipline, pool picklability, shared-memory

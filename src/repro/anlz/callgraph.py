@@ -18,8 +18,8 @@ the shapes the codebase actually uses —
   ``obj``'s class is known from a parameter annotation, a local
   ``obj = ClassName(...)`` assignment, an annotated ``self.attr``, or a
   project function's return annotation (single-inheritance MRO walk);
-* ``functools.partial(f, ...)`` — the edge goes to ``f`` (the sharded
-  engine submits partials of module-level workers);
+* ``functools.partial(f, ...)`` — the edge goes to ``f`` (the shard
+  driver submits partials of module-level workers);
 * function *references* passed as call arguments (``pool.submit(f, …)``).
 
 Anything the resolver cannot see (duck-typed ``object`` parameters,

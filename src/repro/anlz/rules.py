@@ -10,7 +10,7 @@ PQ001     determinism            data-plane packages draw no wall clock and no
 PQ002     register-width         shifts/masks derive from declared width
                                  constants, never bare magic numbers (Alg. 1,
                                  §4.1 cycle-ID arithmetic)
-PQ003     engine-parity          scalar and batched paths increment the same
+PQ003     engine-parity          scalar and pipeline paths increment the same
                                  counter vocabulary (DESIGN §9 equivalence)
 PQ004     error-taxonomy         ``faults/``/``engine/``/``store/`` raise the
                                  typed errors in ``errors.py``, not builtin
@@ -192,7 +192,7 @@ class _AliasTracker(ast.NodeVisitor):
 class DeterminismRule(FileRule):
     """PQ001: no wall clock, no unseeded RNG, in the data-plane packages.
 
-    The scalar/batched and faults-on/off equivalence guarantees (DESIGN
+    The scalar/pipeline and faults-on/off equivalence guarantees (DESIGN
     §9/§11) hold only if ``core/``, ``engine/`` and ``switch/`` are
     deterministic functions of the event stream: time comes from packet
     timestamps or an injected clock, randomness from a seeded generator
@@ -326,7 +326,7 @@ class RegisterWidthRule(FileRule):
 #: Counter namespaces owned by the shared data-plane structures.  The
 #: obs collector (repro/obs/report.py) derives these from structure
 #: attributes; direct increments in core/ or engine/ would double-count
-#: on one path only and break scalar==batched observability.
+#: on one path only and break scalar==pipeline observability.
 STRUCTURE_COUNTER_PREFIXES = (
     "pq_tw_",
     "pq_qm_",
@@ -437,7 +437,7 @@ def _parity_exemptions(modules: Sequence[SourceModule]) -> Set[str]:
 
 
 class EngineParityRule(ProjectRule):
-    """PQ003: scalar and batched paths share one counter vocabulary.
+    """PQ003: scalar and pipeline paths share one counter vocabulary.
 
     The equivalence suites assert ``RunReport.deterministic_view()`` is
     identical between ingest engines; this rule makes the property hold
@@ -460,7 +460,7 @@ class EngineParityRule(ProjectRule):
 
     code = "PQ003"
     name = "engine-parity"
-    summary = "scalar==batched counter vocabulary holds by construction"
+    summary = "scalar==pipeline counter vocabulary holds by construction"
 
     def check_project(
         self, modules: Sequence[SourceModule], index: ProjectIndex
@@ -1019,7 +1019,7 @@ class PoolPicklabilityRule(ProjectRule):
     pool (or worse, only under the spawn start method CI doesn't run).
     The rule checks each submit site statically: the callable must be a
     module-level function (directly, or through a ``functools.partial``
-    — the sharded engine's idiom), never a lambda or a local closure;
+    — the shard driver's idiom), never a lambda or a local closure;
     and each argument whose project class is known from the index is
     scanned transitively for fields built from lock/socket factories or
     project generator functions.  A class that defines ``__getstate__``
@@ -1158,8 +1158,8 @@ class PoolPicklabilityRule(ProjectRule):
 class SharedMemoryLifecycleRule(ProjectRule):
     """PQ104: every ``SharedMemory`` has ``close()`` (and ``unlink()``) on all paths.
 
-    A leaked ``/dev/shm`` segment outlives the process — the sharded
-    engine's record transport would bleed host memory run over run, and
+    A leaked ``/dev/shm`` segment outlives the process — the shard
+    driver's record transport would bleed host memory run over run, and
     a created-but-never-unlinked segment collides on name reuse.  The
     rule finds each ``shared_memory.SharedMemory(...)`` call and
     requires one of the shapes the tree uses: the call is a ``with``

@@ -492,7 +492,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         duration_ns=int(args.duration_ms * 1e6),
         load=args.load,
         seed=args.seed,
-        engine=args.engine,
         faults=_resolve_faults(args),
         pq_config=_config_from(args),
         port=args.port,
@@ -597,12 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--victims", type=int, default=1)
     run.add_argument(
         "--engine",
-        choices=["batched", "fused", "scalar", "sharded"],
-        default="batched",
-        help="ingest engine: vectorised batches, the fused record-array "
-        "kernel, the scalar reference, or the sharded multi-process "
-        "driver (falls back to in-process fused when pools are "
-        "unavailable)",
+        choices=["fused", "scalar"],
+        default="fused",
+        help="ingest engine: the production record-array pipeline or the "
+        "scalar reference (byte-identical diagnoses)",
     )
     run.add_argument(
         "--metrics-out",
@@ -658,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=1)
     stats.add_argument(
         "--engine",
-        choices=["batched", "fused", "scalar", "sharded"],
-        default="batched",
+        choices=["fused", "scalar"],
+        default="fused",
         help="ingest engine (reports are counter-identical across engines)",
     )
     stats.add_argument(
@@ -736,12 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="length of the live workload the ingest task replays")
     serve.add_argument("--load", type=float, default=1.2)
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument(
-        "--engine",
-        choices=["batched", "fused"],
-        default="fused",
-        help="ingest engine driven by the live ingest task",
-    )
     serve.add_argument(
         "--port",
         type=int,

@@ -43,6 +43,7 @@ from repro.store import (
     build_meta,
 )
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowColumn, FlowTable
 from repro.units import PCIE_REGISTER_READS_PER_SEC, NS_PER_SEC
 
 if TYPE_CHECKING:
@@ -124,11 +125,15 @@ class AnalysisProgram:
     ) -> None:
         self.config = config
         self.coefficients = coefficients(config, d_ns)
+        #: the port's one flow-interning table: every bank's registers
+        #: hold indices into it, so a flow has one index port-wide (and
+        #: the sharing survives a pickle round trip with the port).
+        self.flow_table = FlowTable()
         # partial() rather than a lambda so whole experiment runs stay
         # picklable (the engine's process-pool sweep ships them between
         # workers).
         self.tw_banks: BankedStructure[TimeWindowSet] = BankedStructure(
-            partial(TimeWindowSet, config)
+            partial(TimeWindowSet, config, self.flow_table)
         )
         self.queue_monitor = QueueMonitor(config.qm_levels, config.qm_granularity)
         if store is None:
@@ -221,14 +226,16 @@ class AnalysisProgram:
         self.tw_banks.active.update(flow, deq_timestamp_ns)
 
     def on_dequeue_batch(
-        self, flows: Sequence[FlowKey], deq_timestamps_ns: "np.ndarray"
+        self, flows: FlowColumn, deq_timestamps_ns: "np.ndarray"
     ) -> None:
-        """Array-at-a-time egress update (the batched ingest engine).
+        """Array-at-a-time egress update (the ingest pipeline).
 
-        The caller guarantees no poll boundary falls inside the batch, so
-        all packets land in the same active bank.
+        ``flows`` must index this port's :attr:`flow_table`
+        (:meth:`PrintQueuePort.process_batch` checks it).  The caller
+        guarantees no poll boundary falls inside the batch, so all
+        packets land in the same active bank.
         """
-        self.tw_banks.active.absorb_batch(flows, deq_timestamps_ns)
+        self.tw_banks.active.absorb_indexed(flows.idx, deq_timestamps_ns)
 
     # -- checkpointing (Section 6.2) --------------------------------------
 

@@ -58,10 +58,10 @@ class FilteredWindow:
       ``int64`` TTS array and the aligned flow-object list (the compiled
       query plan and the store encoder consume these).
     * ``flow_idx`` / ``flow_table`` — fully index-based: an ``int``
-      column into a shared flow table.  This is what the fused ingest
-      tier (:mod:`repro.engine.fused`) and zero-copy PQSTORE1 decodes
-      produce; the compiled plan interns it vectorised without touching
-      per-cell objects.
+      column into a shared flow table.  This is what
+      :func:`filter_windows` (the registers are index arrays) and
+      zero-copy PQSTORE1 decodes produce; the compiled plan interns it
+      vectorised without touching per-cell objects.
 
     Construction accepts any of the three (``cells`` alone, columnar
     ``tts_array`` + ``cell_flows``, or ``tts_array`` + ``flow_idx`` +
@@ -237,13 +237,11 @@ def filter_windows(
         window = windows[i]
         ref_index = tts & mask
         ref_cycle = tts >> k
-        cycle_ids = window.cycle_ids
         # Collect the previous cycle's tail first so the survivors come
         # out sorted by TTS (older entries have strictly smaller TTS).
-        # The per-cell scans are vectorised; only survivors touch Python
-        # — and none at all for array-backed (fused) windows, whose flow
-        # identity travels onward as an index column.
-        cyc = np.asarray(cycle_ids, dtype=np.int64)
+        # The per-cell scans are vectorised and flow identity travels
+        # onward as an index column: no Python runs per cell.
+        cyc = window.cycle_ids
         if stats is not None:
             stats.cells_scanned += int(np.count_nonzero(cyc != EMPTY))
         prev_cycle = ref_cycle - 1
@@ -263,38 +261,15 @@ def filter_windows(
         )
         if stats is not None:
             stats.cells_retained += len(tts_array)
-        window_fidx = getattr(window, "flow_idx", None)
-        if window_fidx is not None:
-            # Fused windows: gather the surviving flow indices in two
-            # fancy-indexed reads; objects are never touched here.  The
-            # tuple/object views derive lazily if something asks.
-            survivors = np.concatenate((tail, head))
-            fw = FilteredWindow(
-                i,
-                config.shift(i),
-                None,
-                tts,
-                tts_array=tts_array,
-                flow_idx=window_fidx[survivors].astype(np.int64),
-                flow_table=getattr(window, "table"),
-            )
-        else:
-            # Object-backed windows: gather the survivors' flow objects
-            # through one object-array fancy index (pointer copies) in
-            # place of a per-survivor Python lookup loop.
-            flows = window.flows
-            flows_arr = np.empty(len(flows), dtype=object)
-            flows_arr[:] = flows
-            survivors = np.concatenate((tail, head))
-            cell_flows: List[FlowKey] = flows_arr[survivors].tolist()
-            fw = FilteredWindow(
-                i,
-                config.shift(i),
-                None,
-                tts,
-                tts_array=tts_array,
-                cell_flows=cell_flows,
-            )
+        fw = FilteredWindow(
+            i,
+            config.shift(i),
+            None,
+            tts,
+            tts_array=tts_array,
+            flow_idx=window.flow_idx[np.concatenate((tail, head))],
+            flow_table=window.table.flows,
+        )
         out.append(fw)
         # Reference for the next (older, more compressed) window: the most
         # recently passed cell is one full window period back.

@@ -23,7 +23,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -35,7 +34,7 @@ from repro.core.config import PrintQueueConfig
 from repro.core.multiqueue import ClassedQueueMonitor
 from repro.core.queries import FlowEstimate, QueryInterval
 from repro.core.queuemonitor import QueueMonitorSnapshot
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError, QueryError, SimulationError
 from repro.faults.injector import FaultInjector, as_injector
 from repro.faults.plan import FaultPlan, profile
 from repro.faults.resilience import CoverageReport, ResilientPoller, RetryPolicy
@@ -43,6 +42,7 @@ from repro.obs.metrics import Metrics
 from repro.store import RetentionPolicy, SnapshotStore
 from repro.switch.packet import FlowKey, Packet
 from repro.switch.port import EgressPort
+from repro.switch.records import FlowColumn
 
 #: A data-plane trigger policy: given a just-dequeued packet, decide
 #: whether to initiate an on-demand read (Section 6.2's examples are a
@@ -246,7 +246,7 @@ class PrintQueuePort:
     def attach_metrics(self, metrics: Optional[Metrics]) -> None:
         """(Re)bind the observability registry and its timing handles.
 
-        Called at construction, and by the sharded ingest driver when it
+        Called at construction, and by the multi-port shard driver when it
         adopts a worker-process port back into the parent: the worker's
         counters are merged into the parent registry first, then every
         handle re-points here so later queries/samples land in it.
@@ -339,21 +339,27 @@ class PrintQueuePort:
     def process_batch(
         self,
         is_enqueue: "np.ndarray",
-        flows: Sequence[FlowKey],
+        flows: FlowColumn,
         times_ns: "np.ndarray",
         depth_after: "np.ndarray",
     ) -> None:
         """Batched equivalent of ``process_enqueue``/``process_dequeue``.
 
-        The caller (:class:`repro.engine.IngestPipeline`) guarantees that
-        no poll boundary falls strictly inside the batch, so the whole
-        batch lands in the same active bank and the same monitor epoch;
-        polls due at or before the first event fire here, exactly as the
+        ``flows`` is the per-event flow column over this port's flow
+        table (``analysis.flow_table``).  The caller
+        (:class:`repro.engine.IngestPipeline`) guarantees that no poll
+        boundary falls strictly inside the batch, so the whole batch
+        lands in the same active bank and the same monitor epoch; polls
+        due at or before the first event fire here, exactly as the
         scalar path would have fired them.
         """
         n = len(times_ns)
         if n == 0:
             return
+        if flows.table is not self.analysis.flow_table.flows:
+            raise SimulationError(
+                "flow column does not index this port's flow table"
+            )
         self._poll_if_due(int(times_ns[0]))
         timing = self._obs_apply_ns is not None
         if timing:
@@ -369,11 +375,7 @@ class PrintQueuePort:
             if num_deq == n:
                 self.analysis.on_dequeue_batch(flows, times_ns)
             else:
-                try:
-                    deq_flows = flows[deq]
-                except TypeError:
-                    deq_flows = [f for f, d in zip(flows, deq) if d]
-                self.analysis.on_dequeue_batch(deq_flows, times_ns[deq])
+                self.analysis.on_dequeue_batch(flows[deq], times_ns[deq])
             self.packets_seen += num_deq
             if timing:
                 dt = perf_counter_ns() - t1
@@ -387,8 +389,8 @@ class PrintQueuePort:
         """The next instant at which a (qm or full) poll becomes due.
 
         Under fault injection a delayed poll's late fire time also
-        bounds the boundary, so the batched ingest engine re-slices at
-        the catch-up instant exactly as the scalar path fires it.
+        bounds the boundary, so the ingest pipeline re-slices at the
+        catch-up instant exactly as the scalar path fires it.
         """
         boundary = min(self._next_qm_poll_ns, self._next_poll_ns)
         if self._poller is not None:
@@ -463,7 +465,7 @@ class PrintQueuePort:
 
         The sampled values are deterministic functions of the event
         stream up to ``now_ns``, so the timeline is identical between the
-        scalar and batched ingest engines.
+        scalar oracle and the ingest pipeline.
         """
         banks = self.analysis.tw_banks.banks
         monitor = self.analysis.queue_monitor
@@ -622,7 +624,9 @@ class PrintQueuePort:
                 kind="time_windows",
                 mode="async",
                 intervals=batch,
-                estimates=self._async_query_batch(batch),
+                estimates=self.analysis.query_time_windows_batch(
+                    batch, source="periodic"
+                ),
                 coverages=coverages,
             )
         if interval is None:
@@ -636,7 +640,7 @@ class PrintQueuePort:
                 classes = tuple(classes)
                 estimate = self._original_culprits_by_class(at_ns, classes)
             else:
-                estimate = self._original_culprits(at_ns)
+                estimate = self.analysis.original_culprits(at_ns)
                 if self._poller is not None:
                     used = self.analysis.query_queue_monitor(at_ns)
                     coverage = self._poller.log.qm_coverage_for(
@@ -716,7 +720,7 @@ class PrintQueuePort:
             coverage=coverage,
         )
 
-    # -- query implementations (shared by query() and the legacy shims) ------
+    # -- query implementations ------------------------------------------------
 
     def _dp_query_packet(self, packet: Packet) -> Optional[DataPlaneQueryResult]:
         """On-demand read + query for a victim packet, at its dequeue."""
@@ -759,18 +763,6 @@ class PrintQueuePort:
             interval, analysis.fractional_cells
         )
 
-    def _async_query_batch(
-        self, intervals: List[QueryInterval]
-    ) -> List[FlowEstimate]:
-        """Batched asynchronous queries: the same plan, one columnar pass."""
-        return self.analysis.query_time_windows_batch(
-            intervals, source="periodic"
-        )
-
-    def _original_culprits(self, time_ns: int) -> FlowEstimate:
-        """Per-flow original-culprit contributions at ``time_ns``."""
-        return self.analysis.original_culprits(time_ns)
-
     def _original_culprits_by_class(
         self, time_ns: int, classes: Optional[Iterable[int]] = None
     ) -> FlowEstimate:
@@ -788,54 +780,6 @@ class PrintQueuePort:
             self._classed_snapshots, key=lambda ts: abs(ts[0] - time_ns)
         )
         return self.classed_monitor.original_culprits(snapshots, classes)
-
-    # -- retired query surface (raises with the query() replacement) ---------
-    #
-    # These names spent one release as warning shims and are now gone:
-    # each raises a typed QueryError whose message names the exact
-    # replacement keyword arguments (tests pin the messages).
-
-    def data_plane_query(self, packet: Packet) -> Optional[DataPlaneQueryResult]:
-        """Removed: use ``query(interval=..., mode="data_plane")``."""
-        raise QueryError(
-            "PrintQueuePort.data_plane_query(packet) was removed; use "
-            "PrintQueuePort.query(interval=QueryInterval.for_victim(...), "
-            'mode="data_plane") instead'
-        )
-
-    def data_plane_query_interval(
-        self, now_ns: int, interval: QueryInterval
-    ) -> Optional[DataPlaneQueryResult]:
-        """Removed: use ``query(interval=..., mode="data_plane", at_ns=...)``."""
-        raise QueryError(
-            "PrintQueuePort.data_plane_query_interval(now_ns, interval) was "
-            "removed; use PrintQueuePort.query(interval=..., "
-            'mode="data_plane", at_ns=...) instead'
-        )
-
-    def async_query(self, interval: QueryInterval) -> FlowEstimate:
-        """Removed: use ``query(interval=...)``."""
-        raise QueryError(
-            "PrintQueuePort.async_query(interval) was removed; use "
-            "PrintQueuePort.query(interval=...) instead"
-        )
-
-    def original_culprits(self, time_ns: int) -> FlowEstimate:
-        """Removed: use ``query(at_ns=...)``."""
-        raise QueryError(
-            "PrintQueuePort.original_culprits(time_ns) was removed; use "
-            "PrintQueuePort.query(at_ns=...) instead"
-        )
-
-    def original_culprits_by_class(
-        self, time_ns: int, *, classes: Optional[Iterable[int]] = None
-    ) -> FlowEstimate:
-        """Removed: use ``query(at_ns=..., classes=...)``."""
-        raise QueryError(
-            "PrintQueuePort.original_culprits_by_class(time_ns, classes) was "
-            "removed; use PrintQueuePort.query(at_ns=..., classes=...) "
-            "instead"
-        )
 
 
 class PrintQueue:

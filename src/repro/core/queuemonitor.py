@@ -17,38 +17,15 @@ packets whose arrivals raised the queue to each still-standing level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowColumn
 
 #: Sequence number of a never-written half-entry.
 _UNSET = -1
-
-
-def _materialise_flows(
-    flows: Sequence[FlowKey], pos: np.ndarray
-) -> List[FlowKey]:
-    """Resolve ``[flows[p] for p in pos]`` through the fastest path.
-
-    A :class:`~repro.switch.records.FlowColumn` (the fused tier's lazy
-    view) resolves via one object-array gather over its flow table —
-    the surviving flows' :class:`FlowKey` objects already exist there,
-    so no per-survivor construction happens at all.  Other carriers
-    (plain sequences, object ndarrays, lazy views that narrow under
-    array indexing) fall back to narrowing + ``tolist``.
-    """
-    gather = getattr(flows, "gather", None)
-    if gather is not None:
-        return gather(pos).tolist()  # type: ignore[no-any-return]
-    try:
-        sel = flows[pos]  # type: ignore[index]
-    except (TypeError, IndexError):
-        return [flows[int(p)] for p in pos.tolist()]
-    if isinstance(sel, np.ndarray):
-        return sel.tolist()  # type: ignore[no-any-return]
-    return list(sel)
 
 
 @dataclass(frozen=True)
@@ -131,7 +108,7 @@ class QueueMonitor:
         # Registers stay plain Python lists: snapshot() is then a cheap
         # pointer copy (the control plane snapshots every poll, and with
         # 2^16 levels re-boxing int64 arrays per snapshot costs more
-        # than the whole batched write-back saves).  apply_batch only
+        # than the whole batch write-back saves).  apply_batch only
         # ever writes the surviving entries, so the lists are touched
         # ~last-per-level, not per-event.
         self.inc_seq: List[int] = [_UNSET] * levels
@@ -179,7 +156,7 @@ class QueueMonitor:
     def apply_batch(
         self,
         is_enqueue: "np.ndarray",
-        flows: Sequence[FlowKey],
+        flows: FlowColumn,
         depth_after_units: "np.ndarray",
     ) -> None:
         """Vectorised replay of a mixed enqueue/dequeue event stream.
@@ -188,7 +165,8 @@ class QueueMonitor:
         :meth:`on_dequeue` once per event in order: sequence numbers are
         assigned by event position, each half-entry keeps the last event
         that landed on its level, and the stack top follows the final
-        event.
+        event.  ``flows`` is the per-event flow column; only the
+        surviving events' flows are resolved to objects.
         """
         is_enqueue = np.asarray(is_enqueue, dtype=bool)
         depth = np.asarray(depth_after_units, dtype=np.int64)
@@ -212,14 +190,14 @@ class QueueMonitor:
         # write wins — exactly the survivor rule.  The scratch array is
         # bounded by the batch's peak level, not the full register
         # length, and only the surviving events' flows are ever
-        # materialised as objects (one table gather for the fused
-        # tier's FlowColumn — see _materialise_flows).
+        # materialised as objects (one gather over the flow table, whose
+        # FlowKey objects already exist).
         key = (level << 1) | ~is_enqueue
         last = np.full(2 * (peak + 1), -1, dtype=np.int64)
         last[key] = np.arange(n, dtype=np.int64)
         present = np.flatnonzero(last >= 0)
         pos = last[present]
-        surviving = _materialise_flows(flows, pos)
+        surviving = flows.gather(pos).tolist()
         seqs = (base_seq + 1 + pos).tolist()
         is_dec = (present & 1).astype(bool)
         lvls = present >> 1

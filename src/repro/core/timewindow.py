@@ -1,9 +1,12 @@
 """A single time window: a ring-buffer register array of 2^k cells.
 
 Each cell stores at most one packet record — its cycle ID and flow
-identity (the paper's cells hold the flow ID; we carry the
-:class:`~repro.switch.packet.FlowKey` object, which is the simulation
-equivalent of the 5-tuple bits, and account its width in the SRAM model).
+identity.  The registers are two ``int64`` arrays, ``cycle_ids`` and
+``flow_idx``: the paper's cells hold the flow ID bits, ours hold an index
+into the port's :class:`~repro.switch.records.FlowTable` (the simulation
+equivalent of the 5-tuple bits; its width is accounted in the SRAM
+model), so a register read, the Algorithm-3 filter and the store encoder
+are all array operations.
 
 The mapping rule (Section 4.2): the ``k`` least-significant bits of the
 window's trimmed timestamp (TTS) select the cell; the remaining high bits
@@ -18,6 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowTable
 
 #: Sentinel cycle ID for a never-written cell.
 EMPTY = -1
@@ -37,70 +41,71 @@ class CellRecord:
 
 
 class TimeWindow:
-    """One register array of ``2^k`` single-packet cells."""
+    """One register array of ``2^k`` single-packet cells.
 
-    __slots__ = ("k", "mask", "cycle_ids", "flows")
+    ``table`` is the flow-interning table ``flow_idx`` points into — the
+    port's, shared by every window of every bank; a window built without
+    one (tests, :mod:`repro.core.wrapping`) gets its own.
+    """
 
-    def __init__(self, k: int) -> None:
+    __slots__ = ("k", "mask", "cycle_ids", "flow_idx", "table")
+
+    def __init__(self, k: int, table: Optional[FlowTable] = None) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.mask = (1 << k) - 1
-        self.cycle_ids: List[int] = [EMPTY] * (1 << k)
-        self.flows: List[Optional[FlowKey]] = [None] * (1 << k)
+        self.cycle_ids = np.full(1 << k, EMPTY, dtype=np.int64)
+        self.flow_idx = np.full(1 << k, -1, dtype=np.int64)
+        self.table = FlowTable() if table is None else table
 
     def __len__(self) -> int:
         return 1 << self.k
 
     def reset(self) -> None:
         """Clear all cells (used by tests; hardware relies on filtering)."""
-        n = len(self)
-        self.cycle_ids = [EMPTY] * n
-        self.flows = [None] * n
+        self.cycle_ids.fill(EMPTY)
+        self.flow_idx.fill(-1)
 
     def occupancy(self) -> int:
-        """Number of occupied cells.
-
-        Vectorised: the observability layer reads this per window per
-        report, and a Python-level scan of all ``2^k`` cells is the kind
-        of fixed cost that would make metrics expensive to leave on.
-        """
-        return int(
-            np.count_nonzero(np.asarray(self.cycle_ids, dtype=np.int64) != EMPTY)
-        )
+        """Number of occupied cells."""
+        return int(np.count_nonzero(self.cycle_ids != EMPTY))
 
     def insert(self, tts: int, flow: FlowKey) -> "tuple[int, int, Optional[FlowKey]]":
         """Write a record; return ``(index, evicted_cycle_id, evicted_flow)``.
 
-        The caller (the window set) applies the passing rule to the evicted
-        record.  ``evicted_cycle_id`` is :data:`EMPTY` for a fresh cell.
+        The caller applies the passing rule to the evicted record.
+        ``evicted_cycle_id`` is :data:`EMPTY` for a fresh cell.
         """
         index = tts & self.mask
-        cycle_id = tts >> self.k
-        old_cycle = self.cycle_ids[index]
-        old_flow = self.flows[index]
-        self.cycle_ids[index] = cycle_id
-        self.flows[index] = flow
-        return index, old_cycle, old_flow
+        evicted = self.cell(index)
+        self.cycle_ids[index] = tts >> self.k
+        self.flow_idx[index] = self.table.intern(flow)
+        if evicted is None:
+            return index, EMPTY, None
+        return index, evicted.cycle_id, evicted.flow
 
     def cell(self, index: int) -> Optional[CellRecord]:
         """Read one cell, or None if it has never been written."""
-        cycle_id = self.cycle_ids[index]
+        cycle_id = self.cycle_ids.item(index)
         if cycle_id == EMPTY:
             return None
-        flow = self.flows[index]
-        assert flow is not None
-        return CellRecord(index, cycle_id, flow)
+        return CellRecord(
+            index, cycle_id, self.table.flows[self.flow_idx.item(index)]
+        )
 
     def records(self) -> List[CellRecord]:
         """All occupied cells in index order."""
-        out = []
-        for index, cycle_id in enumerate(self.cycle_ids):
-            if cycle_id != EMPTY:
-                flow = self.flows[index]
-                assert flow is not None
-                out.append(CellRecord(index, cycle_id, flow))
-        return out
+        flows = self.table.flows
+        occupied = np.flatnonzero(self.cycle_ids != EMPTY)
+        return [
+            CellRecord(index, cycle_id, flows[fid])
+            for index, cycle_id, fid in zip(
+                occupied.tolist(),
+                self.cycle_ids[occupied].tolist(),
+                self.flow_idx[occupied].tolist(),
+            )
+        ]
 
     def latest_cell(self) -> Optional[CellRecord]:
         """The most recently written cell — max (cycle_id, index).
@@ -110,12 +115,11 @@ class TimeWindow:
         written later, the lexicographic maximum identifies the newest
         record.
         """
-        cyc = np.asarray(self.cycle_ids, dtype=np.int64)
-        best_cycle = int(cyc.max(initial=EMPTY))
+        best_cycle = int(self.cycle_ids.max())
         if best_cycle == EMPTY:
             return None
         # Within the max cycle, the highest index was written last.
-        best_index = int(np.flatnonzero(cyc == best_cycle)[-1])
+        best_index = int(np.flatnonzero(self.cycle_ids == best_cycle)[-1])
         return self.cell(best_index)
 
     def snapshot(self) -> "TimeWindow":
@@ -123,6 +127,7 @@ class TimeWindow:
         copy = TimeWindow.__new__(TimeWindow)
         copy.k = self.k
         copy.mask = self.mask
-        copy.cycle_ids = list(self.cycle_ids)
-        copy.flows = list(self.flows)
+        copy.cycle_ids = self.cycle_ids.copy()
+        copy.flow_idx = self.flow_idx.copy()
+        copy.table = self.table
         return copy

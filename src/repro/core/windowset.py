@@ -6,24 +6,37 @@ evicted record is *passed* to the next window only if the incoming cycle
 ID exceeds the evicted one by exactly one (the passing rule), otherwise it
 is dropped.  Passing recurses through all T windows, shifting the TTS by
 ``alpha`` bits per hop.
+
+Algorithm 1 has exactly two entry points here, on the same array
+registers: :meth:`TimeWindowSet.update` is the per-packet executable
+specification (the scalar oracle), :meth:`TimeWindowSet.absorb_indexed`
+the array-at-a-time kernel every production path runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.config import PrintQueueConfig
 from repro.core.timewindow import EMPTY, TimeWindow
+from repro.errors import SimulationError
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowTable
 
 
 class TimeWindowSet:
-    """T time windows plus the Algorithm-1 update procedure."""
+    """T time windows sharing one flow table, plus Algorithm 1.
+
+    ``table`` is the port's :class:`~repro.switch.records.FlowTable`
+    (every bank of a port shares it, so a flow has one index port-wide);
+    a set built without one gets its own.
+    """
 
     __slots__ = (
         "config",
+        "table",
         "windows",
         "updates",
         "passes",
@@ -33,9 +46,14 @@ class TimeWindowSet:
         "level_drops",
     )
 
-    def __init__(self, config: PrintQueueConfig) -> None:
+    def __init__(
+        self, config: PrintQueueConfig, table: Optional[FlowTable] = None
+    ) -> None:
         self.config = config
-        self.windows: List[TimeWindow] = [TimeWindow(config.k) for _ in range(config.T)]
+        self.table = FlowTable() if table is None else table
+        self.windows: List[TimeWindow] = [
+            TimeWindow(config.k, self.table) for _ in range(config.T)
+        ]
         # Instrumentation counters (used by tests and ablation benches).
         self.updates = 0
         self.passes = 0
@@ -44,7 +62,7 @@ class TimeWindowSet:
         # window i, records evicted from window i that passed onward, and
         # records evicted from window i that were dropped.  Collisions at
         # level i = level_passes[i] + level_drops[i].  Maintained with
-        # identical semantics by update() and absorb_batch().
+        # identical semantics by update() and absorb_indexed().
         self.level_inserts = [0] * config.T
         self.level_passes = [0] * config.T
         self.level_drops = [0] * config.T
@@ -60,22 +78,22 @@ class TimeWindowSet:
         alpha = cfg.alpha
         self.updates += 1
         tts = deq_timestamp_ns >> cfg.m0
+        fid = self.table.intern(flow)
         depth = 0
         for i in range(cfg.T):
             window = self.windows[i]
             index = tts & window.mask
             new_cycle = tts >> k
-            old_cycle = window.cycle_ids[index]
-            old_flow = window.flows[index]
+            old_cycle = window.cycle_ids.item(index)
+            old_fid = window.flow_idx.item(index)
             window.cycle_ids[index] = new_cycle
-            window.flows[index] = flow
+            window.flow_idx[index] = fid
             depth += 1
             self.level_inserts[i] += 1
             if old_cycle != EMPTY and new_cycle - old_cycle == 1:
                 # Pass the evicted record onward: reconstruct its TTS at
                 # this window's granularity and compress by alpha bits.
-                assert old_flow is not None
-                flow = old_flow
+                fid = old_fid
                 tts = ((old_cycle << k) | index) >> alpha
                 self.passes += 1
                 self.level_passes[i] += 1
@@ -86,15 +104,14 @@ class TimeWindowSet:
                 break
         return depth
 
-    def absorb_batch(
-        self,
-        flows: Sequence[FlowKey],
-        deq_timestamps_ns: "np.ndarray",
+    def absorb_indexed(
+        self, flow_idx: "np.ndarray", deq_timestamps_ns: "np.ndarray"
     ) -> int:
         """Vectorised Algorithm 1 over a batch of dequeued packets.
 
-        Exactly equivalent — cell for cell and counter for counter — to
-        calling :meth:`update` once per packet in batch order.  The key
+        ``flow_idx`` holds indices into :attr:`table`.  Exactly
+        equivalent — cell for cell and counter for counter — to calling
+        :meth:`update` once per packet in batch order.  The key
         observation making array-at-a-time replay possible: direct inserts
         only ever hit window 0, and window ``i+1`` only receives records
         *passed* from window ``i``, so the windows can be processed level
@@ -109,7 +126,9 @@ class TimeWindowSet:
         position therefore reproduces the order in which the scalar loop
         would have inserted them into the next window.
 
-        Returns the number of packets absorbed.
+        The pre-batch reads, the eviction stream and the final cell
+        writes are all fancy-indexed array operations: no Python executes
+        per cell or per packet.  Returns the number of packets absorbed.
         """
         cfg = self.config
         k = cfg.k
@@ -118,16 +137,12 @@ class TimeWindowSet:
         n = len(tts)
         if n == 0:
             return 0
-        if len(flows) != n:
-            raise ValueError("flows and deq_timestamps_ns must have equal length")
+        fids = np.asarray(flow_idx, dtype=np.int64)
+        if len(fids) != n:
+            raise SimulationError(
+                "flow_idx and deq_timestamps_ns must have equal length"
+            )
         self.updates += n
-
-        # Flow identity travels through the levels as an int64 source id:
-        # id < n is a batch position, id >= n indexes `evicted` (a record
-        # displaced from some window along the way).  Objects are touched
-        # only at the per-cell writes, never in the array math.
-        src = np.arange(n, dtype=np.int64)
-        evicted: List[FlowKey] = []
 
         passes = 0
         drops = 0
@@ -152,15 +167,13 @@ class TimeWindowSet:
             ends[:-1] = diff
             ends[-1] = m - 1
 
-            # Group heads collide with the pre-batch cell contents.
+            # Group heads collide with the pre-batch cell contents,
+            # gathered in one fancy-indexed read.
             head_index = s_index[starts]
-            cycle_ids = window.cycle_ids
-            wflows = window.flows
-            old_cycles = np.fromiter(
-                (cycle_ids[i] for i in head_index.tolist()),
-                dtype=np.int64,
-                count=len(head_index),
-            )
+            cycle_arr = window.cycle_ids
+            fid_arr = window.flow_idx
+            old_cycles = cycle_arr[head_index]
+            old_fids = fid_arr[head_index]
             occupied = old_cycles != EMPTY
             head_pass = occupied & (s_cycle[starts] - old_cycles == 1)
             head_drop = occupied & ~head_pass
@@ -180,38 +193,34 @@ class TimeWindowSet:
             self.level_drops[level] += level_drop
 
             if level + 1 < cfg.T:
-                # Assemble the pass stream for the next window, ordered by
-                # the evicting write's batch position (= scalar insert
-                # order).  Evicted flows must be read before this window's
-                # final state is written below; they join the source-id
-                # space past the batch ids.
+                # Pass stream for the next window, ordered by the
+                # evicting write's batch position (= scalar insert
+                # order).  Evicted flow indices are read before this
+                # window's final state is scattered below.
                 hp = np.flatnonzero(head_pass)
                 head_ev_pos = perm[starts[hp]]
                 head_ev_tts = (old_cycles[hp] << k) | head_index[hp]
-                head_ev_src = n + len(evicted) + np.arange(len(hp), dtype=np.int64)
-                evicted.extend(wflows[i] for i in head_index[hp].tolist())
+                head_ev_fid = old_fids[hp]
                 mp = np.flatnonzero(mid_pass)
                 mid_ev_pos = perm[mp + 1]
                 mid_ev_tts = (s_cycle[mp] << k) | s_index[mp]
-                mid_ev_src = src[perm[mp]]
+                mid_ev_fid = fids[perm[mp]]
                 ev_pos = np.concatenate([head_ev_pos, mid_ev_pos])
                 ev_tts = np.concatenate([head_ev_tts, mid_ev_tts]) >> alpha
-                ev_src = np.concatenate([head_ev_src, mid_ev_src])
+                ev_fid = np.concatenate([head_ev_fid, mid_ev_fid])
                 order = np.argsort(ev_pos, kind="stable")
             else:
                 order = None
 
-            # The last write of each group is this window's final state.
-            final_cycle = s_cycle[ends].tolist()
-            final_src = src[perm[ends]].tolist()
-            for cell_i, cyc, sid in zip(head_index.tolist(), final_cycle, final_src):
-                cycle_ids[cell_i] = cyc
-                wflows[cell_i] = flows[sid] if sid < n else evicted[sid - n]
+            # The last write of each group is this window's final state:
+            # one fancy-indexed scatter per register array.
+            cycle_arr[head_index] = s_cycle[ends]
+            fid_arr[head_index] = fids[perm[ends]]
 
             if order is None:
                 break
             tts = ev_tts[order]
-            src = ev_src[order]
+            fids = ev_fid[order]
 
         self.passes += passes
         self.drops += drops

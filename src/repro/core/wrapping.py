@@ -27,6 +27,7 @@ from repro.core.config import PrintQueueConfig
 from repro.core.timewindow import EMPTY, TimeWindow
 from repro.errors import ConfigError
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowTable
 
 
 def unwrap(wrapped: int, bits: int, reference: int) -> int:
@@ -71,8 +72,9 @@ class WrappedTimeWindowSet:
             )
         self.config = config
         self.timestamp_bits = timestamp_bits
+        table = FlowTable()
         self.windows: List[TimeWindow] = [
-            TimeWindow(config.k) for _ in range(config.T)
+            TimeWindow(config.k, table) for _ in range(config.T)
         ]
         self.updates = 0
         self.passes = 0
@@ -93,20 +95,20 @@ class WrappedTimeWindowSet:
         self.updates += 1
         wrapped_ts = deq_timestamp_ns & ((1 << self.timestamp_bits) - 1)
         tts = wrapped_ts >> cfg.m0
+        fid = self.windows[0].table.intern(flow)
         depth = 0
         for i in range(cfg.T):
             window = self.windows[i]
             index = tts & window.mask
             new_cycle = tts >> k
-            old_cycle = window.cycle_ids[index]
-            old_flow = window.flows[index]
+            old_cycle = window.cycle_ids.item(index)
+            old_fid = window.flow_idx.item(index)
             window.cycle_ids[index] = new_cycle
-            window.flows[index] = flow
+            window.flow_idx[index] = fid
             depth += 1
             cycle_mod = 1 << self._cycle_bits(i)
             if old_cycle != EMPTY and (new_cycle - old_cycle) % cycle_mod == 1:
-                assert old_flow is not None
-                flow = old_flow
+                fid = old_fid
                 # Reconstruct the evicted wrapped TTS; compress by alpha.
                 tts = ((old_cycle << k) | index) >> alpha
                 self.passes += 1
@@ -130,10 +132,10 @@ class WrappedTimeWindowSet:
         cfg = self.config
         out: List[TimeWindow] = []
         for i, window in enumerate(self.windows):
-            absolute = TimeWindow(cfg.k)
+            absolute = TimeWindow(cfg.k, window.table)
             tts_bits = self._tts_bits(i)
             reference_tts = poll_time_ns >> cfg.shift(i)
-            for index, cycle in enumerate(window.cycle_ids):
+            for index, cycle in enumerate(window.cycle_ids.tolist()):
                 if cycle == EMPTY:
                     continue
                 wrapped_tts = (cycle << cfg.k) | index
@@ -141,7 +143,7 @@ class WrappedTimeWindowSet:
                 if abs_tts < 0:
                     continue
                 absolute.cycle_ids[index] = abs_tts >> cfg.k
-                absolute.flows[index] = window.flows[index]
+                absolute.flow_idx[index] = window.flow_idx[index]
             out.append(absolute)
         return out
 

@@ -1,37 +1,34 @@
-"""The batched ingest engine and the parallel experiment fabric.
+"""The ingest pipeline, the query plan and the parallel experiment fabric.
 
 ``repro.engine`` is the performance layer between the vectorised FIFO
 fast path and PrintQueue's measurement structures:
 
-* :class:`~repro.engine.ingest.IngestPipeline` slices a merged
-  enqueue/dequeue event stream into poll-boundary-aligned batches and
-  drives a :class:`~repro.core.printqueue.PrintQueuePort` through the
-  array-at-a-time ``absorb_batch`` / ``apply_batch`` path — producing
-  bit-identical snapshots and estimates to the scalar reference loop.
-* :class:`~repro.engine.fused.FusedIngestPipeline` is the top tier: it
-  consumes a structured record array
-  (:class:`~repro.switch.records.RecordBatch`) and swaps the port's
-  banks for :class:`~repro.engine.fused.FusedTimeWindowSet`, whose
-  single-pass fused absorb+pass kernel updates every time-window level
-  on integer flow indices — no per-packet Python objects anywhere in
-  the hot loop, still bit-identical to both slower tiers.
+* :class:`~repro.engine.ingest.IngestPipeline` is the one production
+  ingest path: it takes a dequeue log as a structured record array
+  (:class:`~repro.switch.records.RecordBatch`; object logs are converted
+  on entry), slices the merged enqueue/dequeue event stream into
+  poll-boundary-aligned batches and drives a
+  :class:`~repro.core.printqueue.PrintQueuePort` through the
+  array-at-a-time ``absorb_indexed`` / ``apply_batch`` kernels — no
+  per-packet Python objects in the hot loop, and bit-identical
+  snapshots, counters and estimates to the scalar oracle
+  (``drive_printqueue(engine="scalar")``).
 * :class:`~repro.engine.queryplan.CompiledQueryPlan` is the same
   treatment for the query side: snapshots compile once into columnar
   (TTS array + interned flow index) form and batched multi-victim
   queries run as ``searchsorted`` slices with in-order per-flow
   accumulation — numerically identical to the scalar reference walk.
-* :class:`~repro.engine.sharded.ShardedIngestPipeline` drives the
-  fused tier per egress port across a process pool: record arrays ship
-  via shared memory, worker snapshot streams replay into the parent's
-  store, and counters merge back — bit-identical to per-port fused
-  runs, with a graceful in-process fallback.
+* :class:`~repro.engine.sharded.ShardRunner` is the multi-port driver:
+  one pipeline per egress port across a process pool, record arrays
+  shipped via shared memory, worker snapshot streams replayed into the
+  parent's stores and counters merged back — bit-identical to per-port
+  in-process runs, with a graceful in-process fallback.
 * :class:`~repro.engine.parallel.ParallelSweep` fans independent
   (workload, config, port) experiment cells across a process pool with
   per-cell result caching, so figure-style sweeps scale with cores;
   victim scoring inside each cell goes through the batch query API.
 """
 
-from repro.engine.fused import FusedIngestPipeline, FusedTimeWindowSet, FusedWindow
 from repro.engine.ingest import IngestPipeline
 from repro.engine.parallel import (
     CellResult,
@@ -42,7 +39,6 @@ from repro.engine.parallel import (
 )
 from repro.engine.sharded import (
     Shard,
-    ShardedIngestPipeline,
     ShardRunner,
     partition_trace_by_port,
 )
@@ -56,13 +52,9 @@ from repro.engine.queryplan import (
 
 __all__ = [
     "IngestPipeline",
-    "FusedIngestPipeline",
     "Shard",
-    "ShardedIngestPipeline",
     "ShardRunner",
     "partition_trace_by_port",
-    "FusedTimeWindowSet",
-    "FusedWindow",
     "ParallelSweep",
     "ResultCache",
     "SweepCell",

@@ -1,29 +1,32 @@
-"""Poll-boundary-aligned batched ingest (the tentpole fast path).
+"""Poll-boundary-aligned ingest: the one production path.
 
-The scalar reference driver replays a dequeue log one event at a time:
-every enqueue/dequeue crosses the Python call boundary into
+The scalar oracle replays a dequeue log one event at a time: every
+enqueue/dequeue crosses the Python call boundary into
 ``process_enqueue`` / ``process_dequeue``, which dominates wall-clock on
 million-packet traces.  :class:`IngestPipeline` replays the *same* merged
 event stream in slices:
 
-1. merge the enqueue and dequeue sides into one time-ordered stream
+1. take the log as a :class:`~repro.switch.records.RecordBatch` (an
+   object-record log is converted once on entry), so the timestamp
+   columns are array views and flow identity is an index column;
+2. merge the enqueue and dequeue sides into one time-ordered stream
    (vectorised, :func:`repro.switch.fastpath.merge_event_streams`);
-2. cut the stream at every poll boundary (queue-monitor cadence, set
+3. cut the stream at every poll boundary (queue-monitor cadence, set
    period) and at every data-plane trigger, so that within one slice no
    control-plane action can occur;
-3. feed each slice to :meth:`PrintQueuePort.process_batch`, which updates
+4. feed each slice to :meth:`PrintQueuePort.process_batch`, which updates
    the queue monitor via ``apply_batch`` and the active time-window bank
-   via ``absorb_batch`` — both array-at-a-time.
+   via ``absorb_indexed`` — both array-at-a-time.
 
 Because slices never straddle a poll boundary and triggers still fire at
 their exact dequeue instants, the resulting snapshots, counters, and
-query results are bit-identical to the scalar path (the equivalence suite
-asserts this record for record).
+query results are bit-identical to the scalar path (the differential
+suite, ``tests/test_fused_ingest.py``, asserts this record for record).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set
 
 import numpy as np
 
@@ -31,46 +34,25 @@ from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.printqueue import DataPlaneQueryResult, PrintQueuePort
 from repro.core.queries import QueryInterval
 from repro.switch.fastpath import merge_event_streams
+from repro.switch.records import FlowColumn, RecordBatch, as_record_batch
 from repro.switch.telemetry import DequeueRecord
 
 
-class _GatheredFlows:
-    """Lazy ``base[idx[i]]`` view over the per-record flow array.
-
-    The batch kernels only ever look up the handful of flows that survive
-    a batch (per touched cell / level), so materialising a per-event
-    object array would be wasted work.  Boolean/array indexing narrows the
-    view; integer indexing resolves the actual flow.
-    """
-
-    __slots__ = ("base", "idx")
-
-    def __init__(self, base: np.ndarray, idx: np.ndarray) -> None:
-        self.base = base
-        self.idx = idx
-
-    def __len__(self) -> int:
-        return len(self.idx)
-
-    def __getitem__(self, i: "Union[int, slice, np.ndarray]") -> object:
-        if isinstance(i, (np.ndarray, slice)):
-            return _GatheredFlows(self.base, self.idx[i])
-        return self.base[self.idx[i]]
-
-    def __iter__(self) -> "Iterator[object]":
-        return iter(self.base[self.idx].tolist())
-
-
 class IngestPipeline:
-    """Drive one port through the batched ingest path.
+    """Drive one port through the array ingest path.
 
     Parameters
     ----------
     pq:
-        The per-port PrintQueue instance to feed.
+        The per-port PrintQueue instance to feed.  A port that has seen
+        no flow yet adopts the log's flow table as its own; one that
+        already holds traffic has the log's flows interned into its
+        table and the flow column translated once.
     records:
-        The dequeue log, in dequeue order (as produced by
-        :func:`repro.experiments.runner.run_trace_through_fifo`).
+        The dequeue log, in dequeue order: a
+        :class:`~repro.switch.records.RecordBatch` (as produced by
+        :func:`repro.experiments.runner.run_trace_through_fifo_batch`) or
+        any sequence of :class:`DequeueRecord` objects.
     dp_trigger_indices:
         Record positions at whose dequeue instant an on-demand
         read+query fires.
@@ -87,12 +69,16 @@ class IngestPipeline:
         baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
     ) -> None:
         self.pq = pq
-        self.records = records
+        self.batch: RecordBatch = as_record_batch(records)
         self.triggers = set(dp_trigger_indices or ())
         self.baselines = list(baselines or [])
         self.batches_processed = 0
         #: Completed on-demand queries; filled by :meth:`steps`/:meth:`run`.
         self.dp_results: Dict[int, DataPlaneQueryResult] = {}
+        table = pq.analysis.flow_table
+        self._flow_table = table.flows
+        #: batch flow index -> port flow index (None: they coincide).
+        self._flow_remap = table.remap(self.batch.flows)
         # repro.obs: batch-size distribution and batch tally, published
         # into the port's registry when one is attached (apply/absorb
         # timings are recorded inside PrintQueuePort.process_batch).
@@ -103,31 +89,6 @@ class IngestPipeline:
         else:
             self._obs_batch_events = None
             self._obs_batches = None
-
-    def _timestamp_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The (enq_ts, deq_ts) int64 columns of the log.
-
-        The object-record tier gathers them attribute by attribute; the
-        fused tier (:class:`repro.engine.fused.FusedIngestPipeline`)
-        overrides this with zero-copy views of the structured array.
-        """
-        records = self.records
-        enq_ts = np.array([r.enq_timestamp for r in records], dtype=np.int64)
-        deq_ts = np.array([r.deq_timestamp for r in records], dtype=np.int64)
-        return enq_ts, deq_ts
-
-    def _event_flows(self, rec_idx: np.ndarray) -> Sequence:
-        """A lazy per-event flow view for the batch kernels.
-
-        The fused tier overrides this with a table-backed
-        :class:`~repro.switch.records.FlowColumn` carrying int flow
-        indices instead of an object array.
-        """
-        records = self.records
-        n = len(records)
-        flows = np.empty(n, dtype=object)
-        flows[:] = [r.flow for r in records]
-        return _GatheredFlows(flows, rec_idx)
 
     def run(self) -> Dict[int, DataPlaneQueryResult]:
         """Replay the whole log; returns completed on-demand queries."""
@@ -148,7 +109,7 @@ class IngestPipeline:
         unfinished (see the supervisor's fail-stop contract in
         ``repro.service``).
         """
-        records = self.records
+        records = self.batch
         pq = self.pq
         n = len(records)
         dp_results: Dict[int, DataPlaneQueryResult] = {}
@@ -156,14 +117,22 @@ class IngestPipeline:
         if n == 0:
             return
 
-        enq_ts, deq_ts = self._timestamp_arrays()
-
-        stream = merge_event_streams(enq_ts, deq_ts)
+        # Contiguous copies of the structured columns: the merge sorts
+        # and searches them heavily, and a strided field view would pay
+        # the gather on every pass.
+        data = records.data
+        stream = merge_event_streams(
+            np.ascontiguousarray(data["enq_ts"]),
+            np.ascontiguousarray(data["deq_ts"]),
+        )
         times = stream.time_ns
         is_enq = stream.is_enqueue
         rec_idx = stream.record_index
         depth = stream.depth_after
-        ev_flows = self._event_flows(rec_idx)
+        ev_fid = data["flow"][rec_idx].astype(np.int64)
+        if self._flow_remap is not None:
+            ev_fid = self._flow_remap[ev_fid]
+        ev_flows = FlowColumn(self._flow_table, ev_fid)
         num_events = len(times)
 
         # Merged positions at which a data-plane trigger fires (after the

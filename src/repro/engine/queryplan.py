@@ -201,7 +201,7 @@ def compile_snapshot(
         window_fidx = getattr(fw, "flow_idx", None)
         window_table = getattr(fw, "flow_table", None)
         if window_fidx is not None and window_table is not None:
-            # Index-based window (fused ingest / zero-copy PQSTORE1
+            # Index-based window (register filter / zero-copy PQSTORE1
             # decode): intern one dict lookup per *distinct* flow and
             # remap the cell column vectorised — the mmap-backed view
             # feeds the plan without any per-cell object decode.

@@ -1,13 +1,15 @@
-"""The sharded ingest tier: per-egress-port shards across a process pool.
+"""The multi-port driver: per-egress-port shards across a process pool.
 
 PrintQueue's data-plane layout partitions registers per egress port
 (paper §6), which makes ports the natural parallelism axis for offline
 ingest too: each port's dequeue log is an independent stream with its
 own time-window banks, queue monitor, and snapshot store.  This module
-drives one :class:`~repro.engine.fused.FusedIngestPipeline` per shard in
-a worker process and adopts the finished ports back into the parent,
-with results bit-identical to running each shard's fused pipeline
-in-process.
+drives one :class:`~repro.engine.ingest.IngestPipeline` per shard in a
+worker process and adopts the finished ports back into the parent, with
+results bit-identical to running each shard's pipeline in-process.  It
+is a multi-port *correctness* feature — N ports, N independent stores,
+one call — not an ingest tier: a single port gains nothing from the
+process hop.
 
 Transport
 ---------
@@ -46,14 +48,14 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from pickle import PicklingError
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.printqueue import DataPlaneQueryResult, PrintQueuePort
 from repro.errors import ConfigError, PoolTimeoutError
-from repro.engine.fused import FusedIngestPipeline
+from repro.engine.ingest import IngestPipeline
 from repro.engine.parallel import default_pool_timeout_s
 from repro.obs.metrics import Metrics
 from repro.store import format as storefmt
@@ -133,7 +135,7 @@ class _StreamRecorder:
 
 @dataclass
 class Shard:
-    """One egress port's slice of work: a fresh port plus its dequeue log."""
+    """One egress port's slice of work: the port plus its dequeue log."""
 
     pq: PrintQueuePort
     records: Sequence[DequeueRecord]
@@ -181,7 +183,7 @@ def _shard_worker(
     flows: Sequence,
     triggers: Optional[Set[int]],
 ) -> Tuple[PrintQueuePort, Dict[int, DataPlaneQueryResult]]:
-    """Run one shard's fused pipeline against a shared-memory record array."""
+    """Run one shard's pipeline against a shared-memory record array."""
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
         view = np.ndarray(num_records, dtype=PACKET_RECORD_DTYPE, buffer=shm.buf)
@@ -191,7 +193,7 @@ def _shard_worker(
     finally:
         shm.close()
     batch = RecordBatch(data, flows)
-    dp_results = FusedIngestPipeline(
+    dp_results = IngestPipeline(
         pq, batch, dp_trigger_indices=triggers
     ).run()
     return pq, dp_results
@@ -282,7 +284,7 @@ class ShardRunner:
         #: Number of expired bounded waits (each downgrades to in-process).
         self.pool_timeouts = 0
         # Shards already adopted from a worker; the in-process fallback
-        # must not re-drive them (their ports are no longer fresh).
+        # must not re-drive them (their ports already hold the log).
         self._completed: Dict[int, Dict[int, DataPlaneQueryResult]] = {}
 
     def _note_pool_timeout(self) -> None:
@@ -326,7 +328,7 @@ class ShardRunner:
                 results.append(done)
                 continue
             results.append(
-                FusedIngestPipeline(
+                IngestPipeline(
                     shard.pq,
                     shard.records,
                     dp_trigger_indices=shard.dp_trigger_indices,
@@ -416,43 +418,3 @@ class ShardRunner:
                         pass
         self.last_execution = "pool"
         return [r if r is not None else {} for r in results]
-
-
-class ShardedIngestPipeline:
-    """Single-port facade over :class:`ShardRunner` (``engine="sharded"``).
-
-    Signature-compatible with the other ingest pipelines, so
-    :func:`~repro.experiments.runner.drive_printqueue` can dispatch to it:
-    one port, one record log, optional triggers and baselines.  The log
-    ships to one worker process (shared-memory record array) and the
-    finished port is adopted back; outputs are bit-identical to
-    ``engine="fused"`` on the same log.
-    """
-
-    def __init__(
-        self,
-        pq: PrintQueuePort,
-        records: Sequence[DequeueRecord],
-        dp_trigger_indices: Optional[Set[int]] = None,
-        baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
-    ) -> None:
-        self.pq = pq
-        self.batch = as_record_batch(records)
-        self.dp_trigger_indices = dp_trigger_indices
-        self.baselines = list(baselines or [])
-        self.last_execution: Optional[str] = None
-
-    def run(self) -> Dict[int, DataPlaneQueryResult]:
-        runner = ShardRunner(
-            [
-                Shard(
-                    self.pq,
-                    self.batch,
-                    dp_trigger_indices=self.dp_trigger_indices,
-                    baselines=self.baselines,
-                )
-            ]
-        )
-        results = runner.run()
-        self.last_execution = runner.last_execution
-        return results[0] if results else {}

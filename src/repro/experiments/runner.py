@@ -6,12 +6,13 @@ time) are replayed as a merged enqueue/dequeue event stream into
 PrintQueue's per-port pipeline, with periodic polls at every set-period
 boundary and optional data-plane triggers at chosen victims' dequeues.
 
-Replay defaults to the batched ingest engine
-(:class:`~repro.engine.IngestPipeline`), which is bit-identical to the
-scalar reference loop kept here as
-:func:`drive_printqueue_scalar` (the equivalence suite asserts it).  The
-event-driven :class:`~repro.switch.switchsim.Switch` path stays
-available for non-FIFO schedulers and is validated against this one.
+Replay has one production path, ``engine="fused"`` (the default:
+:class:`~repro.engine.IngestPipeline` over a record array), and one
+oracle, ``engine="scalar"`` (the per-event reference loop kept here as
+:func:`drive_printqueue_scalar`); the differential suite asserts they
+are bit-identical.  The event-driven
+:class:`~repro.switch.switchsim.Switch` path stays available for
+non-FIFO schedulers and is validated against this one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.taxonomy import CulpritTaxonomy
 from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
 from repro.store import SnapshotStore
-from repro.switch.fastpath import fifo_record_batch, fifo_timestamps
+from repro.switch.fastpath import fifo_record_batch
 from repro.switch.records import RecordBatch
 from repro.switch.telemetry import DequeueRecord
 from repro.traffic.distributions import distribution_by_name
@@ -74,21 +75,8 @@ def run_trace_through_fifo(
     capacity_pkts: Optional[int] = None,
 ) -> Tuple[List[DequeueRecord], int]:
     """Vectorised FIFO pass; returns dequeue records in dequeue order."""
-    result = fifo_timestamps(trace.arrival_ns, trace.size_bytes, rate_bps, capacity_pkts)
-    flows = trace.flows
-    flow_index = trace.flow_index[result.kept]
-    sizes = trace.size_bytes[result.kept]
-    records = [
-        DequeueRecord(
-            flow=flows[int(flow_index[i])],
-            size_bytes=int(sizes[i]),
-            enq_timestamp=int(result.enq_timestamp[i]),
-            deq_timestamp=int(result.deq_timestamp[i]),
-            enq_qdepth=int(result.enq_qdepth[i]),
-        )
-        for i in range(len(result.kept))
-    ]
-    return records, result.drops
+    batch, drops = fifo_record_batch(trace, rate_bps, capacity_pkts)
+    return batch.to_records(), drops
 
 
 def run_trace_through_fifo_batch(
@@ -100,7 +88,7 @@ def run_trace_through_fifo_batch(
 
     Same simulation as :func:`run_trace_through_fifo`, but the dequeue
     log stays columnar (one structured record array) instead of a list
-    of per-packet objects — the input the fused ingest tier consumes.
+    of per-packet objects — the input the ingest pipeline consumes.
     """
     return fifo_record_batch(trace, rate_bps, capacity_pkts)
 
@@ -110,7 +98,7 @@ def drive_printqueue(
     pq: PrintQueuePort,
     dp_trigger_indices: Optional[Set[int]] = None,
     baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
-    engine: str = "batched",
+    engine: str = "fused",
 ) -> Dict[int, DataPlaneQueryResult]:
     """Replay a dequeue log as a merged enqueue/dequeue event stream.
 
@@ -119,32 +107,17 @@ def drive_printqueue(
     data-plane trigger for exactly those victims.  Baseline estimators,
     if given, are fed every dequeue too.
 
-    ``engine`` selects ``"batched"`` (the default: poll-boundary-aligned
-    array batches via :class:`repro.engine.IngestPipeline`),
-    ``"fused"`` (the record-array single-pass kernel,
-    :class:`repro.engine.FusedIngestPipeline` — ``records`` may be a
-    :class:`~repro.switch.records.RecordBatch` to skip re-packing),
-    ``"sharded"`` (the fused kernel behind the subprocess shard driver,
-    :class:`repro.engine.sharded.ShardedIngestPipeline`), or
-    ``"scalar"`` (the per-event reference loop).  All four produce
-    identical snapshots, query results, and structure counters.
+    ``engine`` selects ``"fused"`` (the default and the production path:
+    poll-boundary-aligned array batches via
+    :class:`repro.engine.IngestPipeline` — ``records`` may be a
+    :class:`~repro.switch.records.RecordBatch` to skip the conversion) or
+    ``"scalar"`` (the per-event reference loop, the oracle).  Both
+    produce identical snapshots, query results, and structure counters.
     """
-    if engine == "batched":
+    if engine == "fused":
         from repro.engine.ingest import IngestPipeline
 
         return IngestPipeline(
-            pq, records, dp_trigger_indices=dp_trigger_indices, baselines=baselines
-        ).run()
-    if engine == "fused":
-        from repro.engine.fused import FusedIngestPipeline
-
-        return FusedIngestPipeline(
-            pq, records, dp_trigger_indices=dp_trigger_indices, baselines=baselines
-        ).run()
-    if engine == "sharded":
-        from repro.engine.sharded import ShardedIngestPipeline
-
-        return ShardedIngestPipeline(
             pq, records, dp_trigger_indices=dp_trigger_indices, baselines=baselines
         ).run()
     if engine != "scalar":
@@ -160,9 +133,9 @@ def drive_printqueue_scalar(
 ) -> Dict[int, DataPlaneQueryResult]:
     """The per-event reference implementation of :func:`drive_printqueue`.
 
-    Kept scalar on purpose: the batched engine's equivalence suite replays
-    the same log through both paths and asserts record-for-record equal
-    snapshots and estimates.
+    Kept scalar on purpose: the differential suite replays the same log
+    through this loop and the ingest pipeline and asserts record-for-record
+    equal snapshots and estimates.
     """
     triggers = dp_trigger_indices or set()
     dp_results: Dict[int, DataPlaneQueryResult] = {}
@@ -172,7 +145,6 @@ def drive_printqueue_scalar(
     # order for a FIFO) and dequeues by deq_timestamp; enqueue wins ties.
     n = len(records)
     enq_order = sorted(range(n), key=lambda i: records[i].enq_timestamp)
-    deq_order = range(n)  # records are already in dequeue order
     e = 0
     d = 0
     depth = 0
@@ -221,7 +193,7 @@ def simulate_workload(
     dp_trigger_indices: Optional[Set[int]] = None,
     baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
     trace: Optional[Trace] = None,
-    engine: str = "batched",
+    engine: str = "fused",
     metrics: Optional[Metrics] = None,
     faults: Optional[object] = None,
     retry_policy: Optional[object] = None,
@@ -261,13 +233,14 @@ def simulate_workload(
             )
     records: Sequence[DequeueRecord]
     t0 = perf_counter_ns() if metrics is not None else 0
-    if engine in ("fused", "sharded"):
+    if engine == "scalar":
+        # The oracle reads record attributes event by event.
+        records, drops = run_trace_through_fifo(trace, rate_bps)
+    else:
         # Stay columnar end-to-end: the batch is a Sequence of lazily
         # materialised DequeueRecords, so the taxonomy oracle and report
         # still read it like the object list.
         records, drops = run_trace_through_fifo_batch(trace, rate_bps)
-    else:
-        records, drops = run_trace_through_fifo(trace, rate_bps)
     if metrics is not None:
         metrics.histogram("pq_ingest_stage_fifo_ns").observe(
             perf_counter_ns() - t0

@@ -3,8 +3,8 @@
 One injector owns one ``random.Random`` seeded from its plan, so a run's
 fault sequence is a pure function of (plan, event stream).  Draws happen
 only at control-plane decision points — poll instants and read attempts —
-which both ingest engines reach in the same order, so the scalar and
-batched paths inject identical faults (the equivalence suite asserts it).
+which both ingest engines reach in the same order, so the scalar oracle
+and the pipeline inject identical faults (the equivalence suite asserts it).
 
 The injector also keeps the authoritative *injected* tally: every fault
 it actually materialises increments ``injected[kind]`` (and the

@@ -16,7 +16,7 @@ benchmarks:
 The structure counters themselves live on the hot structures as plain
 integers (see ``TimeWindowSet.level_passes``, ``QueueMonitor.pushes``,
 ``FilterStats``), maintained with identical semantics by the scalar and
-batched ingest engines — so reports are comparable across engines and
+pipeline ingest engines — so reports are comparable across engines and
 metrics collection never changes a diagnosis result.
 """
 

@@ -4,7 +4,7 @@ The hot structures (:class:`~repro.core.windowset.TimeWindowSet`,
 :class:`~repro.core.queuemonitor.QueueMonitor`, the register banks) keep
 their event counts as plain integer attributes, updated inline — that is
 the data-plane half, cheap enough to stay on unconditionally, and the
-reason the scalar and batched ingest paths can assert counter-for-counter
+reason the scalar and pipeline ingest paths can assert counter-for-counter
 equality.  This module is the control-plane half: a registry of named
 instruments that the instrumentation points *publish into* (query
 latencies, batch sizes, ingest timings) or that collectors *pull* the
@@ -45,7 +45,7 @@ The contract:
   view is not a global atomic cut — fine for exposition.
 * **Structural operations are owner-only.**  ``merge`` and ``sample``
   must be called by the owner while the *other* registry is quiescent
-  (the sharded driver merges worker registries only after their
+  (the shard driver merges worker registries only after their
   processes exited; the service merges nothing live).
 
 The locks are per-instrument and uncontended on the hot paths (the
@@ -76,7 +76,7 @@ MAX_LOG2_BUCKETS = 64
 #: names in the shared ingest namespace that are *definitionally*
 #: one-path-only.  The scalar path has no batches, so the batch count
 #: cannot tick there; everything else in ``pq_ingest_*`` must increment
-#: on both the scalar and batched paths (or move here, with a reason).
+#: on both the scalar and pipeline paths (or move here, with a reason).
 PARITY_EXEMPT_METRICS = frozenset({"pq_ingest_batches_total"})
 
 #: (name, sorted (key, value) label pairs) — the registry key.
@@ -107,7 +107,7 @@ class Counter:
     def snapshot(self) -> int:
         return self.value
 
-    # Locks don't pickle; the sharded driver ships fresh registries to
+    # Locks don't pickle; the shard driver ships fresh registries to
     # worker processes inside pickled ports, so every instrument drops
     # its lock on the way out and recreates it on the way back in.
     def __getstate__(self) -> int:
@@ -326,7 +326,7 @@ class Metrics:
         Counters add, histograms add bucket-for-bucket (the fixed log₂
         buckets were chosen to make this exact), gauges take the other
         registry's value (last writer wins), and timeline samples extend
-        in order.  The sharded ingest driver uses this to fold each
+        in order.  The multi-port shard driver uses this to fold each
         worker's registry back into the caller's after adoption.
         """
         for (name, pairs), instrument in other._instruments.items():

@@ -10,7 +10,7 @@ three register banks), merges the attached :class:`~repro.obs.metrics.Metrics`
 registry if one exists, and serialises the result to JSON or
 Prometheus-style text exposition.
 
-The counters are maintained identically by the scalar and batched ingest
+The counters are maintained identically by the scalar and pipeline ingest
 engines, so two reports over the same trace differ only in their timing
 histograms — the equivalence tests assert exactly that.
 """

@@ -1,7 +1,7 @@
 """The always-on diagnosis service (PrintQueue §2's operating mode).
 
 Everything the offline harness runs to completion, this package runs
-*continuously*: live ingest (a :class:`~repro.engine.fused.FusedIngestPipeline`
+*continuously*: live ingest (a :class:`~repro.engine.ingest.IngestPipeline`
 driven chunk-by-chunk inside an asyncio task, snapshots landing in a
 shared :class:`~repro.store.SnapshotStore`) concurrent with query
 serving over a local socket.  The robustness core:

@@ -1,8 +1,8 @@
 """Live ingest: chunked pipeline driving plus a restarting supervisor.
 
 :class:`LiveIngest` wraps an ingest pipeline's ``steps()`` generator
-(:meth:`repro.engine.ingest.IngestPipeline.steps`, shared by the fused
-tier) and pulls it in bounded chunks, so an asyncio task can interleave
+(:meth:`repro.engine.ingest.IngestPipeline.steps`) and pulls it in
+bounded chunks, so an asyncio task can interleave
 ingest with query serving without ever blocking the loop for the whole
 log.  :class:`IngestSupervisor` owns the drive loop and the restart
 contract:

@@ -2,7 +2,7 @@
 
 :class:`DiagnosisService` owns one :class:`~repro.core.printqueue.PrintQueuePort`
 being fed live by a supervised ingest task (chunked
-:class:`~repro.engine.fused.FusedIngestPipeline` steps) while query
+:class:`~repro.engine.ingest.IngestPipeline` steps) while query
 requests arrive over a local JSON-lines socket.  The request path:
 
     connection handler → admission (bounded queue + token bucket)
@@ -61,7 +61,8 @@ class ServiceConfig:
     duration_ns: int = 50_000_000
     load: float = 1.2
     seed: int = 1
-    engine: str = "fused"  # "fused" or "batched"
+    #: the live ingest path; the service runs the production pipeline only.
+    engine: str = "fused"
     #: a fault-profile name, FaultPlan, or injector (see repro.faults).
     faults: Optional[object] = None
     pq_config: Optional[PrintQueueConfig] = None
@@ -160,17 +161,13 @@ class DiagnosisService:
             faults=cfg.faults,
             store=self.store,
         )
-        if cfg.engine == "fused":
-            from repro.engine.fused import FusedIngestPipeline
-
-            pipeline: Any = FusedIngestPipeline(self.pq, records)
-        elif cfg.engine == "batched":
-            from repro.engine.ingest import IngestPipeline
-
-            pipeline = IngestPipeline(self.pq, list(records))
-        else:
+        if cfg.engine != "fused":
             raise QueryError(f"unsupported service engine {cfg.engine!r}")
-        self.ingest = LiveIngest(pipeline, chunk_events=cfg.chunk_events)
+        from repro.engine.ingest import IngestPipeline
+
+        self.ingest = LiveIngest(
+            IngestPipeline(self.pq, records), chunk_events=cfg.chunk_events
+        )
         self.supervisor = IngestSupervisor(
             self.ingest,
             max_restarts=cfg.max_restarts,

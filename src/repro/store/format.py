@@ -180,7 +180,7 @@ def iter_records(buf: bytes, offset: int) -> Iterator[Tuple[int, int, int]]:
 def _intern_flow_indices(
     parts: List[bytes], windows: List[FilteredWindow]
 ) -> Tuple[List[int], int]:
-    """Index-based twin of :func:`_intern_flows` for fused windows.
+    """Index-based twin of :func:`_intern_flows` for filtered windows.
 
     Every window carries a ``flow_idx`` column into one shared flow
     table, so the snapshot-local table is built with one Python dict

@@ -109,7 +109,7 @@ def replay_into(store: SnapshotStore, buf: bytes) -> int:
     eviction history evolve exactly as they did live.  Returns the
     number of records consumed; ``replay_position`` is NOT touched —
     callers rebuilding a store from scratch (:func:`replay_store`) set
-    it, while the sharded ingest driver replaying a worker's stream
+    it, while the multi-port shard driver replaying a worker's stream
     into a live parent store leaves it 0, like any live run.
     """
     meta, offset = fmt.read_header(buf)

@@ -12,7 +12,7 @@ Public entry points:
 * :class:`~repro.switch.telemetry.GroundTruthRecorder` — lossless dequeue log
 * :func:`~repro.switch.fastpath.fifo_timestamps` — vectorised FIFO fast path
 * :class:`~repro.switch.records.RecordBatch` — the columnar dequeue log
-  (one structured record array) consumed by the fused ingest tier
+  (one structured record array) consumed by the ingest pipeline
 """
 
 from repro.switch.packet import FlowKey, Packet, PROTO_TCP, PROTO_UDP
@@ -31,6 +31,7 @@ from repro.switch.fastpath import fifo_record_batch, fifo_timestamps
 from repro.switch.records import (
     PACKET_RECORD_DTYPE,
     FlowColumn,
+    FlowTable,
     RecordBatch,
     as_record_batch,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "fifo_record_batch",
     "PACKET_RECORD_DTYPE",
     "FlowColumn",
+    "FlowTable",
     "RecordBatch",
     "as_record_batch",
 ]

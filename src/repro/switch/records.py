@@ -1,11 +1,12 @@
-"""Structured packet-record arrays (the fused ingest tier's carrier).
+"""Structured packet-record arrays (the production ingest carrier).
 
 A dequeue log can be carried two ways: as a list of
-:class:`~repro.switch.telemetry.DequeueRecord` objects (the scalar and
-batched tiers), or as one structured numpy array of
-:data:`PACKET_RECORD_DTYPE` plus a flow table (:class:`RecordBatch`, the
-fused tier).  The structured form never materialises a per-packet Python
-object: flow identity is an ``int`` index into the table, and every
+:class:`~repro.switch.telemetry.DequeueRecord` objects (what the scalar
+oracle walks), or as one structured numpy array of
+:data:`PACKET_RECORD_DTYPE` plus a flow table (:class:`RecordBatch`, what
+the ingest pipeline consumes — an object log is converted once on entry).
+The structured form never materialises a per-packet Python object: flow
+identity is an ``int`` index into the table, and every
 timestamp/size/depth column is a zero-copy view over the array.
 
 :class:`RecordBatch` is a ``Sequence[DequeueRecord]`` — indexing lazily
@@ -13,17 +14,21 @@ materialises the equivalent record object — so every consumer of a
 dequeue log (the culprit taxonomy, victim sampling, baselines, data-plane
 triggers) works on either carrier unchanged.
 
+:class:`FlowTable` is the interning table behind those indices on the
+measurement side: one per port, shared by every register bank.
+
 :class:`FlowColumn` is the lazy ``table[idx[i]]`` view the batch kernels
 see: array/slice indexing narrows the view without touching Python
 objects; integer indexing resolves the actual :class:`FlowKey`.  Kernels
-that understand flow *indices* (the fused time-window set, the
-Algorithm-3 filter) read ``.idx``/``.table`` directly and skip object
-resolution entirely.
+that understand flow *indices* (the time-window set, the Algorithm-3
+filter) read ``.idx``/``.table`` directly and skip object resolution
+entirely.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Union, overload
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Union, overload
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from repro.switch.fastpath import FifoResult
 from repro.switch.packet import FlowKey
 from repro.switch.telemetry import DequeueRecord
 
-#: One dequeued packet, as the fused ingest tier carries it.  ``flow`` is
+#: One dequeued packet, as the ingest pipeline carries it.  ``flow`` is
 #: an index into the batch's flow table; timestamps are nanoseconds.
 #: ``align=True`` pads the itemsize to 8 so the int64 columns stay
 #: aligned for vectorised access.
@@ -48,13 +53,62 @@ PACKET_RECORD_DTYPE = np.dtype(
 )
 
 
+class FlowTable:
+    """One port's flow-interning table: each distinct flow gets one index.
+
+    ``flows`` is the index -> :class:`FlowKey` list that register cells,
+    :class:`FlowColumn` views and filtered snapshots point into; it only
+    ever grows, in place, so those references stay valid.  The reverse
+    dict is built on first use: a port fed only record batches adopts the
+    first batch's table wholesale (:meth:`remap`) and never hashes a flow.
+    """
+
+    __slots__ = ("flows", "_index_of")
+
+    def __init__(self) -> None:
+        self.flows: List[FlowKey] = []
+        self._index_of: Optional[Dict[FlowKey, int]] = None
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    def intern(self, flow: FlowKey) -> int:
+        """Index of ``flow``, appending it if unseen."""
+        index_of = self._index_of
+        if index_of is None:
+            index_of = self._index_of = {}
+            for i, known in enumerate(self.flows):
+                index_of.setdefault(known, i)
+        idx = index_of.get(flow)
+        if idx is None:
+            idx = len(self.flows)
+            self.flows.append(flow)
+            index_of[flow] = idx
+        return idx
+
+    def remap(self, flows: Sequence[FlowKey]) -> Optional[np.ndarray]:
+        """Intern a batch's whole flow table; return its index translation.
+
+        ``translation[batch_index]`` is the index here.  An empty table
+        adopts ``flows`` as is and returns ``None``: the batch's indices
+        are already this table's, so a fresh port pays nothing per flow
+        or per record.
+        """
+        if not self.flows:
+            self.flows.extend(flows)
+            return None
+        return np.fromiter(
+            map(self.intern, flows), dtype=np.int64, count=len(flows)
+        )
+
+
 class FlowColumn(Sequence[FlowKey]):
     """Lazy ``table[idx[i]]`` view over a flow-index column.
 
     Array/slice indexing narrows the view (no objects touched); integer
     indexing resolves the :class:`FlowKey`.  Kernels that work on flow
-    *indices* natively (``repro.engine.fused``) read ``idx`` and
-    ``table`` directly.
+    *indices* natively (``TimeWindowSet.absorb_indexed``) read ``idx``
+    and ``table`` directly.
     """
 
     __slots__ = ("table", "idx", "_table_arr")
@@ -114,7 +168,7 @@ class RecordBatch(Sequence[DequeueRecord]):
     produces).  The batch is a ``Sequence[DequeueRecord]``: integer
     indexing materialises the equivalent record object on demand, so the
     object-based consumers (taxonomy, sampling, triggers) need no
-    changes; the fused ingest tier reads the columns directly and never
+    changes; the ingest pipeline reads the columns directly and never
     materialises one.
     """
 
@@ -157,25 +211,31 @@ class RecordBatch(Sequence[DequeueRecord]):
 
     @classmethod
     def from_records(cls, records: Sequence[DequeueRecord]) -> "RecordBatch":
-        """Intern a record-object log into the structured form."""
+        """Intern a record-object log into the structured form.
+
+        Column-wise: one pass over the log per field (a row-by-row fill
+        pays a numpy-void write per cell), flows interned in first-seen
+        order.
+        """
         n = len(records)
         data = np.empty(n, dtype=PACKET_RECORD_DTYPE)
-        table: List[FlowKey] = []
-        index_of: dict = {}
-        for i, r in enumerate(records):
-            fid = index_of.get(r.flow)
-            if fid is None:
-                fid = len(table)
-                index_of[r.flow] = fid
-                table.append(r.flow)
-            row = data[i]
-            row["enq_ts"] = r.enq_timestamp
-            row["deq_ts"] = r.deq_timestamp
-            row["enq_qdepth"] = r.enq_qdepth
-            row["size"] = r.size_bytes
-            row["flow"] = fid
-            row["priority"] = r.priority
-        return cls(data, table)
+        table = FlowTable()
+        for column, attr in (
+            ("enq_ts", "enq_timestamp"),
+            ("deq_ts", "deq_timestamp"),
+            ("enq_qdepth", "enq_qdepth"),
+            ("size", "size_bytes"),
+            ("priority", "priority"),
+        ):
+            data[column] = np.fromiter(
+                map(attrgetter(attr), records), dtype=np.int64, count=n
+            )
+        data["flow"] = np.fromiter(
+            map(table.intern, map(attrgetter("flow"), records)),
+            dtype=np.int64,
+            count=n,
+        )
+        return cls(data, table.flows)
 
     # -- columnar views ----------------------------------------------------
 
@@ -203,10 +263,6 @@ class RecordBatch(Sequence[DequeueRecord]):
     def flow_index(self) -> np.ndarray:
         """Per-packet indices into :attr:`flows`, int32."""
         return self.data["flow"]
-
-    def flow_column(self) -> FlowColumn:
-        """Lazy per-packet :class:`FlowKey` view (no objects touched)."""
-        return FlowColumn(self.flows, self.data["flow"])
 
     # -- Sequence[DequeueRecord] -------------------------------------------
 
@@ -238,8 +294,18 @@ class RecordBatch(Sequence[DequeueRecord]):
         return self._materialise(int(i))
 
     def __iter__(self) -> Iterator[DequeueRecord]:
-        for i in range(len(self.data)):
-            yield self._materialise(i)
+        # Bulk: one tolist() per column, then positional construction —
+        # not a numpy-void read per row.
+        data = self.data
+        return map(
+            DequeueRecord,
+            map(self.flows.__getitem__, data["flow"].tolist()),
+            data["size"].tolist(),
+            data["enq_ts"].tolist(),
+            data["deq_ts"].tolist(),
+            data["enq_qdepth"].tolist(),
+            data["priority"].tolist(),
+        )
 
     def to_records(self) -> List[DequeueRecord]:
         """Materialise the whole log as record objects (tests, interop)."""

@@ -158,7 +158,7 @@ class PoissonWorkload:
     ) -> "Tuple[Trace, RecordBatch, int]":
         """Generate a trace and queue it, columnar end to end.
 
-        Convenience front door for the fused ingest tier: the generated
+        Convenience front door for the ingest pipeline: the generated
         trace's arrival/size/flow-index columns flow straight through the
         vectorised FIFO (:func:`repro.switch.fastpath.fifo_record_batch`)
         into a structured :class:`~repro.switch.records.RecordBatch` —

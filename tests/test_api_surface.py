@@ -71,7 +71,6 @@ PUBLIC_MODULES = [
     "repro.metrics.flowstats",
     "repro.metrics.overhead",
     "repro.engine",
-    "repro.engine.fused",
     "repro.engine.ingest",
     "repro.engine.parallel",
     "repro.engine.queryplan",

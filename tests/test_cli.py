@@ -117,7 +117,7 @@ class TestStatsCommand:
 
     def test_json_counters_identical_across_engines(self, capsys):
         reports = {}
-        for engine in ("scalar", "batched"):
+        for engine in ("scalar", "fused"):
             code = main(
                 ["stats", *self.ARGS, "--format", "json", "--engine", engine]
             )
@@ -126,10 +126,10 @@ class TestStatsCommand:
         # Window-level collision/pass counters must not depend on the
         # ingest engine (only the timing metrics may differ).
         assert (
-            reports["scalar"]["time_windows"] == reports["batched"]["time_windows"]
+            reports["scalar"]["time_windows"] == reports["fused"]["time_windows"]
         )
-        assert reports["scalar"]["queue_monitor"] == reports["batched"]["queue_monitor"]
-        assert reports["scalar"]["filter"] == reports["batched"]["filter"]
+        assert reports["scalar"]["queue_monitor"] == reports["fused"]["queue_monitor"]
+        assert reports["scalar"]["filter"] == reports["fused"]["filter"]
 
     def test_prometheus_format(self, capsys):
         assert main(["stats", *self.ARGS, "--format", "prom"]) == 0

@@ -1,12 +1,8 @@
-"""The batched ingest engine: bit-identical to the scalar reference path.
+"""``repro.engine`` building blocks: batch slicing, the queue-monitor batch
+kernel, event-stream merging and the parallel sweep fabric.
 
-The contract of ``repro.engine`` is equivalence, not approximation: the
-vectorised ``absorb_batch`` / ``apply_batch`` kernels and the
-poll-aligned :class:`IngestPipeline` must leave every register bank,
-counter, and snapshot in exactly the state the scalar per-packet loop
-produces.  These tests compare full state signatures, including
-collision-heavy configurations where the Algorithm-1 passing rule fires
-constantly.
+Whole-path equivalence (production pipeline == scalar oracle) lives in
+``tests/test_fused_ingest.py``; this file covers the pieces underneath it.
 """
 
 import os
@@ -15,23 +11,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import PrintQueueConfig
+from repro.core.printqueue import PrintQueuePort
 from repro.core.queuemonitor import QueueMonitor
-from repro.core.windowset import TimeWindowSet
 from repro.engine import IngestPipeline, ParallelSweep, ResultCache, SweepCell
-from repro.engine.ingest import _GatheredFlows
 from repro.experiments.runner import drive_printqueue, simulate_workload
 from repro.switch.fastpath import merge_event_streams
 from repro.switch.packet import FlowKey
-
-# ---------------------------------------------------------------------------
-# state signatures
-
-
-def _windowset_state(ws: TimeWindowSet):
-    return (
-        [(tuple(w.cycle_ids), tuple(w.flows)) for w in ws.windows],
-        (ws.updates, ws.passes, ws.drops),
-    )
+from repro.switch.records import FlowColumn
 
 
 def _monitor_state(qm: QueueMonitor):
@@ -46,128 +32,18 @@ def _monitor_state(qm: QueueMonitor):
     )
 
 
-def _tw_snapshot_state(snapshot):
-    return (
-        snapshot.read_time_ns,
-        snapshot.source,
-        snapshot.valid_from_ns,
-        [
-            (fw.window_index, fw.shift, tuple(fw.cells), fw.reference_tts)
-            for fw in snapshot.windows
-        ],
-    )
-
-
-def _qm_snapshot_state(snapshot):
-    return (
-        snapshot.time_ns,
-        snapshot.top,
-        tuple(snapshot.inc_seq),
-        tuple(snapshot.inc_flow),
-        tuple(snapshot.dec_seq),
-    )
-
-
-def _port_state(pq):
-    analysis = pq.analysis
-    banks = analysis.tw_banks
-    return (
-        pq.packets_seen,
-        banks.active_index,
-        banks.periodic_flips,
-        banks.dp_freezes,
-        banks.dp_rejections,
-        [_windowset_state(bank) for bank in banks.banks],
-        _monitor_state(analysis.queue_monitor),
-        [_tw_snapshot_state(s) for s in analysis.tw_snapshots],
-        [_qm_snapshot_state(s) for s in analysis.qm_snapshots],
-    )
-
-
 def _flow(i: int) -> FlowKey:
     return FlowKey.from_strings(
         f"10.0.{(i >> 8) & 255}.{i & 255}", "10.1.0.1", 5000 + i % 37, 80
     )
 
 
-# ---------------------------------------------------------------------------
-# end-to-end equivalence
-
-
-def _run_both(config, duration_ns, load, seed, dp_triggers=None):
-    scalar = simulate_workload(
-        "ws",
-        duration_ns=duration_ns,
-        load=load,
-        config=config,
-        seed=seed,
-        dp_trigger_indices=dp_triggers,
-        engine="scalar",
-    )
-    batched = simulate_workload(
-        "ws",
-        duration_ns=duration_ns,
-        load=load,
-        config=config,
-        seed=seed,
-        dp_trigger_indices=dp_triggers,
-        engine="batched",
-    )
-    return scalar, batched
-
-
-def test_batched_ingest_matches_scalar_end_to_end():
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    scalar, batched = _run_both(
-        config, duration_ns=2_000_000, load=1.3, seed=11, dp_triggers={5, 60, 200}
-    )
-    assert len(scalar.records) == len(batched.records) > 100
-    assert _port_state(scalar.pq) == _port_state(batched.pq)
-    assert scalar.dp_results.keys() == batched.dp_results.keys()
-    for idx, result in scalar.dp_results.items():
-        other = batched.dp_results[idx]
-        assert result.trigger_time_ns == other.trigger_time_ns
-        assert result.interval == other.interval
-        assert result.estimate._counts == other.estimate._counts
-
-
-def test_batched_ingest_matches_scalar_collision_heavy():
-    # k=4 gives 16-cell windows, so nearly every insert collides and the
-    # passing rule is exercised across all levels; the tiny monitor keeps
-    # the very frequent polls (set period 2^10 ns) cheap.
-    config = PrintQueueConfig(m0=4, k=4, alpha=1, T=3, qm_levels=256)
-    scalar, batched = _run_both(config, duration_ns=400_000, load=1.4, seed=3)
-    assert _port_state(scalar.pq) == _port_state(batched.pq)
-    bank = batched.pq.analysis.tw_banks.active
-    assert bank.drops + bank.passes > 0  # the config really does collide
-
-
-def test_batched_queries_match_scalar_queries():
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    scalar, batched = _run_both(config, duration_ns=1_500_000, load=1.3, seed=7)
-    victim = max(scalar.records, key=lambda r: r.queuing_delay)
-    from repro.core.queries import QueryInterval
-
-    interval = QueryInterval.for_victim(victim.enq_timestamp, victim.deq_timestamp)
-    assert (
-        scalar.pq.query(interval=interval).estimate._counts
-        == batched.pq.query(interval=interval).estimate._counts
-    )
-    assert (
-        scalar.pq.query(at_ns=victim.enq_timestamp).estimate._counts
-        == batched.pq.query(at_ns=victim.enq_timestamp).estimate._counts
-    )
-
-
 def test_pipeline_slices_at_poll_boundaries():
     config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    run = simulate_workload(
-        "ws", duration_ns=2_000_000, load=1.2, config=config, seed=5, engine="scalar"
-    )
-    from repro.core.printqueue import PrintQueuePort
-
+    run = simulate_workload("ws", duration_ns=2_000_000, load=1.2, config=config, seed=5)
     pq = PrintQueuePort(config, d_ns=1200.0, model_dp_read_cost=False)
-    pipeline = IngestPipeline(pq, run.records)
+    # An object-record log is converted on entry.
+    pipeline = IngestPipeline(pq, run.records.to_records())
     pipeline.run()
     # The trace spans many set periods, so the stream must have been cut
     # into several poll-aligned batches (one batch would mean no polls).
@@ -176,45 +52,15 @@ def test_pipeline_slices_at_poll_boundaries():
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        drive_printqueue([], None, engine="turbo")
-
-
-# ---------------------------------------------------------------------------
-# kernel-level randomized equivalence
-
-
-@pytest.mark.parametrize("k,alpha,T", [(4, 1, 3), (6, 2, 4), (8, 1, 2)])
-def test_absorb_batch_matches_scalar_randomized(k, alpha, T):
-    config = PrintQueueConfig(m0=4, k=k, alpha=alpha, T=T)
-    rng = np.random.default_rng(k * 100 + alpha * 10 + T)
-    # Clustered timestamps maximise same-cell and adjacent-cycle hits.
-    gaps = rng.integers(1, 1 << (config.m0 + 2), size=600)
-    timestamps = np.cumsum(gaps).astype(np.int64)
-    flows = [_flow(int(i)) for i in rng.integers(0, 40, size=600)]
-
-    reference = TimeWindowSet(config)
-    for flow, ts in zip(flows, timestamps.tolist()):
-        reference.update(flow, ts)
-
-    batched = TimeWindowSet(config)
-    # Split into uneven chunks to exercise cross-batch cell state.
-    for lo, hi in ((0, 1), (1, 7), (7, 250), (250, 600)):
-        batched.absorb_batch(flows[lo:hi], timestamps[lo:hi])
-
-    assert _windowset_state(reference) == _windowset_state(batched)
-
-
-def test_absorb_batch_validates_lengths():
-    ws = TimeWindowSet(PrintQueueConfig(m0=4, k=4, alpha=1, T=2))
-    with pytest.raises(ValueError):
-        ws.absorb_batch([_flow(0)], np.array([1, 2], dtype=np.int64))
-    assert ws.absorb_batch([], np.array([], dtype=np.int64)) == 0
-    assert ws.updates == 0
+    # The deleted tier names are unknown names like any other.
+    for engine in ("turbo", "batched", "sharded"):
+        with pytest.raises(ValueError, match="unknown ingest engine"):
+            drive_printqueue([], None, engine=engine)
 
 
 def test_apply_batch_matches_scalar_randomized():
     rng = np.random.default_rng(42)
+    table = [_flow(i) for i in range(20)]
     for granularity in (1, 3):
         reference = QueueMonitor(levels=32, granularity=granularity)
         batched = QueueMonitor(levels=32, granularity=granularity)
@@ -225,17 +71,17 @@ def test_apply_batch_matches_scalar_randomized():
             depth += 1 if enq else -1
             # Occasionally exceed the register to exercise overflow clamping.
             d = depth + (100 if rng.random() < 0.02 else 0)
-            events.append((enq, _flow(int(rng.integers(0, 20))), d))
-        for enq, flow, d in events:
+            events.append((enq, int(rng.integers(0, 20)), d))
+        for enq, fid, d in events:
             if enq:
-                reference.on_enqueue(flow, d)
+                reference.on_enqueue(table[fid], d)
             else:
-                reference.on_dequeue(flow, d)
+                reference.on_dequeue(table[fid], d)
         for lo, hi in ((0, 3), (3, 120), (120, 500)):
             chunk = events[lo:hi]
             batched.apply_batch(
                 np.array([e[0] for e in chunk], dtype=bool),
-                [e[1] for e in chunk],
+                FlowColumn(table, np.array([e[1] for e in chunk], dtype=np.int64)),
                 np.array([e[2] for e in chunk], dtype=np.int64),
             )
         assert _monitor_state(reference) == _monitor_state(batched)
@@ -243,7 +89,8 @@ def test_apply_batch_matches_scalar_randomized():
 
 def test_apply_batch_empty_is_noop():
     qm = QueueMonitor(levels=8)
-    qm.apply_batch(np.array([], dtype=bool), [], np.array([], dtype=np.int64))
+    empty = np.array([], dtype=np.int64)
+    qm.apply_batch(np.array([], dtype=bool), FlowColumn([], empty), empty)
     assert qm._seq == 0 and qm.top == 0
 
 
@@ -306,19 +153,6 @@ def test_merge_event_streams_rejects_unsorted_dequeues():
     deq = np.array([10, 5], dtype=np.int64)
     with pytest.raises(ValueError):
         merge_event_streams(enq, deq)
-
-
-def test_gathered_flows_lazy_view():
-    base = np.empty(6, dtype=object)
-    flows = [_flow(i) for i in range(6)]
-    base[:] = flows
-    view = _GatheredFlows(base, np.array([5, 3, 1, 0], dtype=np.int64))
-    assert len(view) == 4
-    assert view[1] is flows[3]
-    narrowed = view[np.array([True, False, True, False])]
-    assert len(narrowed) == 2 and narrowed[1] is flows[1]
-    sliced = view[1:3]
-    assert [sliced[i] for i in range(len(sliced))] == [flows[3], flows[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class TestRunner:
         assert seen_depths == expected
 
     def test_batched_drive_sees_same_depths(self):
-        """The batched engine's merged stream replays identical depths."""
+        """The pipeline's merged, batched stream replays identical depths."""
         trace = microburst_scenario(burst_packets_per_flow=30)
         records, _ = run_trace_through_fifo(trace)
         pq = PrintQueuePort(small_config(), model_dp_read_cost=False)
@@ -73,7 +73,7 @@ class TestRunner:
             original(is_enq, flows, times, depths)
 
         pq.process_batch = spy
-        drive_printqueue(records, pq, engine="batched")
+        drive_printqueue(records, pq)
         by_enq = sorted(records, key=lambda r: r.enq_timestamp)
         assert seen == [r.enq_qdepth + 1 for r in by_enq]
 

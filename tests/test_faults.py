@@ -5,7 +5,7 @@ Three contracts are pinned here:
 1. **Zero overhead** — with ``faults=None`` (or the all-zero ``none``
    profile) every register bank, counter, and snapshot is bit-identical
    to a build without the fault layer.
-2. **Engine independence** — under every profile the scalar and batched
+2. **Engine independence** — under every profile the scalar and production
    ingest engines inject the same faults and converge to the same state.
 3. **Graceful degradation** — under every profile, queries complete
    without exceptions and their ``degraded``/``coverage`` surface names
@@ -42,7 +42,7 @@ from repro.faults import (
 from repro.obs.metrics import Metrics
 from repro.switch.packet import FlowKey
 
-from tests.test_engine import _port_state
+from tests.test_fused_ingest import _port_state
 
 CFG = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
 
@@ -222,7 +222,7 @@ class TestValidation:
 
 
 class TestZeroOverhead:
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("engine", ["scalar", "fused"])
     def test_none_profile_is_bit_identical(self, engine):
         base = simulate_workload(
             "ws", duration_ns=1_000_000, load=1.3, config=CFG, seed=5, engine=engine
@@ -262,7 +262,7 @@ class TestZeroOverhead:
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_scalar_matches_batched_under_faults(name):
     runs = {}
-    for engine in ("scalar", "batched"):
+    for engine in ("scalar", "fused"):
         runs[engine] = simulate_workload(
             "ws",
             duration_ns=1_500_000,
@@ -272,7 +272,7 @@ def test_scalar_matches_batched_under_faults(name):
             engine=engine,
             faults=name,
         )
-    scalar, batched = runs["scalar"], runs["batched"]
+    scalar, batched = runs["scalar"], runs["fused"]
     assert _port_state(scalar.pq) == _port_state(batched.pq)
     assert scalar.pq.faults.injected == batched.pq.faults.injected
     assert (

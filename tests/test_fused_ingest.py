@@ -1,21 +1,36 @@
-"""The fused record-array ingest tier: bit-identical to both other tiers.
+"""The production ingest path against the scalar oracle: one differential suite.
 
-DESIGN.md §14's contract, asserted end to end: for any dequeue log the
-fused tier (:class:`repro.engine.FusedIngestPipeline` over a
-:class:`~repro.switch.records.RecordBatch`) leaves every register bank,
-counter, snapshot, and query result in exactly the state the scalar walk
-and the batched tier produce — including the store encoding, which must
-stay byte-identical so PQSTORE1 recordings are engine-independent.
+There is one per-packet procedure (Algorithm 1) with two entry points on
+the same array registers — ``TimeWindowSet.update`` (the oracle) and
+``TimeWindowSet.absorb_indexed`` (the kernel) — and one replay driver for
+each (``engine="scalar"`` / ``engine="fused"``).  DESIGN.md §14's
+contract is that they agree on *everything observable*: register banks,
+per-level counters, the snapshot bytes a store persists, the
+deterministic report view, data-plane trigger results and single/batch
+query answers — for any trace, any configuration, any way the log is cut
+into batches, under any fault profile, on any store backend.
+
+:func:`assert_matches_oracle` is that contract as one checker.  Hypothesis
+draws its inputs; the pinned cases below it are regression anchors
+(collision-heavy registers, long traces, the PQSTORE1 file bytes) fed to
+the same checker.  The carrier tests at the bottom cover
+``RecordBatch`` / ``FlowColumn`` / ``FlowTable`` on their own.
 """
+
+import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PrintQueueConfig
+from repro.core.filtering import FilteredWindow
 from repro.core.printqueue import PrintQueuePort
 from repro.core.queries import QueryInterval
 from repro.core.windowset import TimeWindowSet
-from repro.engine import FusedIngestPipeline, FusedTimeWindowSet, FusedWindow
 from repro.errors import SimulationError
 from repro.experiments.runner import (
     drive_printqueue,
@@ -23,32 +38,36 @@ from repro.experiments.runner import (
     run_trace_through_fifo_batch,
     simulate_workload,
 )
+from repro.faults import profile_names
 from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
 from repro.store import MmapStore
+from repro.store import format as storefmt
 from repro.switch.packet import FlowKey
 from repro.switch.records import (
     PACKET_RECORD_DTYPE,
     FlowColumn,
+    FlowTable,
     RecordBatch,
     as_record_batch,
 )
 from repro.traffic.distributions import distribution_by_name
 from repro.traffic.generator import PoissonWorkload, WorkloadConfig
+from repro.traffic.trace import Trace
 
 # ---------------------------------------------------------------------------
-# state signatures (materialised, so array- and list-backed states compare)
+# state signatures — flows resolved through the port's table, so two ports
+# that interned the same flows in a different order still compare equal
+
+
+def _window_cells(w):
+    cells = map(w.cell, range(len(w)))
+    return [None if r is None else (r.cycle_id, r.flow) for r in cells]
 
 
 def _windowset_state(ws):
     return (
-        [
-            (
-                tuple(int(c) for c in w.cycle_ids),
-                tuple(w.flows[i] for i in range(1 << w.k)),
-            )
-            for w in ws.windows
-        ],
+        [_window_cells(w) for w in ws.windows],
         (ws.updates, ws.passes, ws.drops),
         tuple(ws.level_inserts),
         tuple(ws.level_passes),
@@ -68,15 +87,23 @@ def _port_state(pq):
         banks.dp_rejections,
         [_windowset_state(bank) for bank in banks.banks],
         (qm.top, qm._seq, qm.overflows, qm.pushes, qm.drains, qm.high_water),
-        (tuple(qm.inc_seq), tuple(qm.inc_flow), tuple(qm.dec_seq)),
+        (tuple(qm.inc_seq), tuple(qm.inc_flow), tuple(qm.dec_seq), tuple(qm.dec_flow)),
         [
             (s.read_time_ns, s.source, s.valid_from_ns, list(s.windows))
             for s in analysis.tw_snapshots
         ],
         [
-            (s.time_ns, s.top, tuple(s.inc_seq), tuple(s.inc_flow))
+            (s.time_ns, s.top, tuple(s.inc_seq), tuple(s.inc_flow), tuple(s.dec_seq))
             for s in analysis.qm_snapshots
         ],
+    )
+
+
+def _snapshot_bytes(pq):
+    analysis = pq.analysis
+    return (
+        [storefmt.encode_tw(s) for s in analysis.tw_snapshots],
+        [storefmt.encode_qm(s, True) for s in analysis.qm_snapshots],
     )
 
 
@@ -86,87 +113,211 @@ def _flow(i: int) -> FlowKey:
     )
 
 
-def _run(engine, config, seed, duration_ns=2_000_000, triggers=None, **kw):
-    return simulate_workload(
-        "ws",
-        duration_ns=duration_ns,
-        load=1.3,
-        config=config,
-        seed=seed,
-        dp_trigger_indices=triggers,
-        engine=engine,
-        **kw,
-    )
-
-
 # ---------------------------------------------------------------------------
-# end-to-end equivalence across all three tiers
+# the differential checker
 
 
-@pytest.mark.parametrize("seed", [3, 11, 29])
-def test_fused_matches_scalar_and_batched_end_to_end(seed):
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    triggers = {5, 60, 200}
-    scalar = _run("scalar", config, seed, triggers=triggers)
-    batched = _run("batched", config, seed, triggers=triggers)
-    fused = _run("fused", config, seed, triggers=triggers)
-    assert len(fused.records) == len(scalar.records) > 100
-    assert _port_state(fused.pq) == _port_state(scalar.pq)
-    assert _port_state(fused.pq) == _port_state(batched.pq)
-    assert fused.dp_results.keys() == scalar.dp_results.keys()
-    for idx, result in scalar.dp_results.items():
-        other = fused.dp_results[idx]
+def _drive_cut(records, config, engines, cuts, triggers, faults, store):
+    """One port fed ``records`` in segments, segment ``i`` by ``engines[i]``."""
+    span = records[-1].deq_timestamp - records[0].deq_timestamp
+    pq = PrintQueuePort(
+        config,
+        d_ns=span / max(1, len(records) - 1),
+        model_dp_read_cost=False,
+        faults=faults,
+        store=store,
+    )
+    dp_results = {}
+    bounds = [0, *cuts, len(records)]
+    for engine, lo, hi in zip(engines, bounds, bounds[1:]):
+        local = {t - lo for t in triggers if lo <= t < hi}
+        done = drive_printqueue(records[lo:hi], pq, local, engine=engine)
+        dp_results.update({lo + i: r for i, r in done.items()})
+    return pq, dp_results
+
+
+def assert_matches_oracle(
+    batch, config, *, engines=None, cuts=(), triggers=(), faults=None, mmap=False
+):
+    """Drive ``batch`` through the oracle and through ``engines``; compare all.
+
+    ``cuts`` are record positions where the log is split into consecutive
+    drives on the same port (each ends with the operator flush, on both
+    sides); ``engines`` names the engine per segment (default: production
+    throughout), so a mixed list is a port that took scalar events and
+    then a batch.  Returns ``(oracle_port, port)``.
+    """
+    cuts = sorted(set(cuts))
+    if engines is None:
+        engines = ["fused"] * (len(cuts) + 1)
+    objects = batch.to_records()
+    files = []
+    ports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, log, plan in (
+            ("oracle", objects, ["scalar"] * len(engines)),
+            ("subject", batch, engines),
+        ):
+            store = MmapStore(Path(tmp) / f"{name}.pqstore") if mmap else None
+            ports.append(
+                _drive_cut(log, config, plan, cuts, set(triggers), faults, store)
+            )
+            if store is not None:
+                store.close()
+                files.append((Path(tmp) / f"{name}.pqstore").read_bytes())
+    (oracle, oracle_dp), (subject, subject_dp) = ports
+
+    assert _port_state(subject) == _port_state(oracle)
+    assert _snapshot_bytes(subject) == _snapshot_bytes(oracle)
+    if mmap:
+        assert files[0] == files[1] and len(files[0]) > 0
+    assert (
+        RunReport.from_port(subject).deterministic_view()
+        == RunReport.from_port(oracle).deterministic_view()
+    )
+    if faults is not None:
+        assert subject.faults.injected == oracle.faults.injected
+        assert subject._poller.log.to_dict() == oracle._poller.log.to_dict()
+
+    assert subject_dp.keys() == oracle_dp.keys()
+    for idx, result in oracle_dp.items():
+        other = subject_dp[idx]
         assert result.trigger_time_ns == other.trigger_time_ns
         assert result.interval == other.interval
-        assert result.estimate._counts == other.estimate._counts
+        assert list(result.estimate.items()) == list(other.estimate.items())
 
-
-def test_fused_matches_scalar_collision_heavy():
-    # 16-cell windows: nearly every insert collides, so the fused pass
-    # stream (head + mid evictions, recompressed TTS) is fully exercised.
-    config = PrintQueueConfig(m0=4, k=4, alpha=1, T=3, qm_levels=256)
-    scalar = _run("scalar", config, 3, duration_ns=400_000)
-    fused = _run("fused", config, 3, duration_ns=400_000)
-    assert _port_state(scalar.pq) == _port_state(fused.pq)
-    bank = fused.pq.analysis.tw_banks.active
-    assert bank.drops + bank.passes > 0
-
-
-def test_fused_queries_match_scalar_queries():
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    scalar = _run("scalar", config, 7, duration_ns=1_500_000)
-    fused = _run("fused", config, 7, duration_ns=1_500_000)
-    victim = max(scalar.records, key=lambda r: r.queuing_delay)
-    interval = QueryInterval.for_victim(victim.enq_timestamp, victim.deq_timestamp)
-    assert (
-        scalar.pq.query(interval=interval).estimate._counts
-        == fused.pq.query(interval=interval).estimate._counts
-    )
-    assert (
-        scalar.pq.query(at_ns=victim.enq_timestamp).estimate._counts
-        == fused.pq.query(at_ns=victim.enq_timestamp).estimate._counts
-    )
-
-
-def test_fused_metrics_on_equals_metrics_off():
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    plain = _run("fused", config, 13)
-    metered = _run("fused", config, 13, metrics=Metrics())
-    assert _port_state(plain.pq) == _port_state(metered.pq)
-
-
-def test_fused_report_counter_parity():
-    """RunReport deterministic views agree across all three engines."""
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    views = [
-        RunReport.from_port(_run(engine, config, 17).pq).deterministic_view()
-        for engine in ("scalar", "batched", "fused")
+    victims = sorted(objects, key=lambda r: r.queuing_delay)[-3:]
+    intervals = [
+        QueryInterval.for_victim(v.enq_timestamp, v.deq_timestamp) for v in victims
     ]
-    assert views[0] == views[1] == views[2]
+    answers = []
+    for pq in (oracle, subject):
+        singles = [pq.query(interval=iv) for iv in intervals]
+        batched = pq.query(intervals=intervals)
+        assert [list(r.estimate.items()) for r in singles] == [
+            list(e.items()) for e in batched.estimates
+        ]
+        standing = pq.query(at_ns=victims[-1].enq_timestamp)
+        answers.append(
+            (
+                [list(r.estimate.items()) for r in singles],
+                [(r.degraded, r.coverage) for r in singles],
+                list(standing.estimate.items()),
+                (standing.degraded, standing.coverage),
+            )
+        )
+    assert answers[0] == answers[1]
+    return oracle, subject
 
 
 # ---------------------------------------------------------------------------
-# kernel-level randomized equivalence
+# hypothesis-drawn inputs
+
+_packets = st.lists(
+    st.tuples(
+        st.integers(0, 1000),  # inter-arrival gap, ns (1500 B drains in 1200)
+        st.sampled_from([64, 256, 1500]),
+        st.integers(0, 11),  # flow
+    ),
+    min_size=120,  # long enough to cross polls and revisit cells
+    max_size=400,
+)
+
+_configs = st.builds(
+    PrintQueueConfig,
+    m0=st.integers(5, 8),
+    k=st.integers(3, 7),
+    alpha=st.integers(1, 2),
+    T=st.integers(1, 4),
+    qm_levels=st.sampled_from([16, 256]),
+)
+
+
+def _batch_from(packets):
+    gaps, sizes, flow_ids = (np.array(c, dtype=np.int64) for c in zip(*packets))
+    trace = Trace(
+        arrival_ns=np.cumsum(gaps),
+        size_bytes=sizes,
+        flow_index=flow_ids,
+        flows=[_flow(i) for i in range(12)],
+    )
+    batch, _ = run_trace_through_fifo_batch(trace)
+    return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    packets=_packets,
+    config=_configs,
+    plan=st.lists(
+        st.tuples(st.floats(0, 1), st.sampled_from(["scalar", "fused"])), max_size=3
+    ),
+    last_engine=st.sampled_from(["scalar", "fused"]),
+    trigger_fracs=st.lists(st.floats(0, 1), max_size=3),
+    faults=st.sampled_from([None, *profile_names()]),
+    mmap=st.booleans(),
+)
+def test_any_engine_schedule_matches_scalar_oracle(
+    packets, config, plan, last_engine, trigger_fracs, faults, mmap
+):
+    """trace x config x batch cuts x fault profile x store, any engine per
+    segment — all-production and scalar-then-batch included."""
+    batch = _batch_from(packets)
+    n = len(batch)
+    cut_at = {}
+    for frac, engine in plan:
+        position = int(frac * n)
+        if 0 < position < n:
+            cut_at[position] = engine
+    cuts = sorted(cut_at)
+    engines = [cut_at[c] for c in cuts] + [last_engine]
+    assert_matches_oracle(
+        batch,
+        config,
+        engines=engines,
+        cuts=cuts,
+        triggers={min(n - 1, int(f * n)) for f in trigger_fracs},
+        faults=faults,
+        mmap=mmap,
+    )
+
+
+def assert_kernel_matches_specification(config, flow_ids, timestamps, bounds):
+    """``absorb_indexed`` over ``bounds``-delimited chunks == ``update`` per
+    packet: registers, counters and per-level counters."""
+    table = [_flow(i) for i in range(int(flow_ids.max()) + 1)]
+    oracle = TimeWindowSet(config)
+    for fid, ts in zip(flow_ids.tolist(), timestamps.tolist()):
+        oracle.update(table[fid], ts)
+    kernel = TimeWindowSet(config)
+    assert kernel.table.remap(table) is None  # fresh table: adopted as is
+    for lo, hi in zip(bounds, bounds[1:]):
+        kernel.absorb_indexed(flow_ids[lo:hi], timestamps[lo:hi])
+    assert _windowset_state(kernel) == _windowset_state(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stamps=st.lists(
+        st.tuples(st.integers(0, 200), st.integers(0, 15)), min_size=1, max_size=400
+    ),
+    cut_fracs=st.lists(st.floats(0, 1), max_size=4),
+    m0=st.integers(0, 5),
+    k=st.integers(1, 6),
+    alpha=st.integers(1, 3),
+    T=st.integers(1, 4),
+)
+def test_kernel_matches_per_packet_specification(stamps, cut_fracs, m0, k, alpha, T):
+    """Clustered timestamps, so same-cell and adjacent-cycle hits dominate;
+    arbitrary chunking, so cross-batch cell state is exercised."""
+    gaps, flow_ids = (np.array(c, dtype=np.int64) for c in zip(*stamps))
+    n = len(gaps)
+    assert_kernel_matches_specification(
+        PrintQueueConfig(m0=m0, k=k, alpha=alpha, T=T),
+        flow_ids,
+        np.cumsum(gaps),
+        sorted({0, n, *(int(f * n) for f in cut_fracs)}),
+    )
 
 
 @pytest.mark.parametrize("k,alpha,T", [(4, 1, 3), (6, 2, 4), (8, 1, 2)])
@@ -174,81 +325,120 @@ def test_fused_absorb_matches_scalar_randomized(k, alpha, T):
     config = PrintQueueConfig(m0=4, k=k, alpha=alpha, T=T)
     rng = np.random.default_rng(k * 100 + alpha * 10 + T)
     gaps = rng.integers(1, 1 << (config.m0 + 2), size=600)
-    timestamps = np.cumsum(gaps).astype(np.int64)
-    flow_ids = rng.integers(0, 40, size=600)
-    table = [_flow(i) for i in range(40)]
-    flows = [table[int(i)] for i in flow_ids]
-
-    reference = TimeWindowSet(config)
-    for flow, ts in zip(flows, timestamps.tolist()):
-        reference.update(flow, ts)
-
-    # Indexed fast path: a FlowColumn over the set's own table.
-    fused = FusedTimeWindowSet(config, list(table))
-    fused.absorb_batch(
-        FlowColumn(fused.flow_table, flow_ids.astype(np.int64)), timestamps
+    assert_kernel_matches_specification(
+        config,
+        rng.integers(0, 40, size=600),
+        np.cumsum(gaps).astype(np.int64),
+        [0, 1, 7, 250, 600],  # uneven chunks
     )
-    assert _windowset_state(fused) == _windowset_state(reference)
-
-    # Object fallback: any other flow sequence is interned first.
-    interned = FusedTimeWindowSet(config, [])
-    interned.absorb_batch(flows, timestamps)
-    assert _windowset_state(interned) == _windowset_state(reference)
-
-    # Scalar entry point on the array registers.
-    scalar = FusedTimeWindowSet(config, [])
-    for flow, ts in zip(flows, timestamps.tolist()):
-        scalar.update(flow, ts)
-    assert _windowset_state(scalar) == _windowset_state(reference)
 
 
-def test_fused_window_latest_cell_matches_scalar():
-    config = PrintQueueConfig(m0=4, k=5, alpha=1, T=2)
-    rng = np.random.default_rng(5)
-    timestamps = np.cumsum(rng.integers(1, 64, size=300)).astype(np.int64)
-    flow_ids = rng.integers(0, 8, size=300)
-    table = [_flow(i) for i in range(8)]
-
-    reference = TimeWindowSet(config)
-    fused = FusedTimeWindowSet(config, list(table))
-    for fid, ts in zip(flow_ids.tolist(), timestamps.tolist()):
-        reference.update(table[fid], int(ts))
-        fused.update(table[fid], int(ts))
-    for ref_w, fused_w in zip(reference.windows, fused.windows):
-        a = ref_w.latest_cell()
-        b = fused_w.latest_cell()
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert (a.index, a.cycle_id, a.flow) == (b.index, b.cycle_id, b.flow)
-            assert isinstance(b.index, int) and isinstance(b.cycle_id, int)
+# ---------------------------------------------------------------------------
+# pinned inputs to the same checker
 
 
-def test_fused_window_snapshot_is_frozen():
-    table = [_flow(0), _flow(1)]
-    w = FusedWindow(4, table)
-    ws = FusedTimeWindowSet(PrintQueueConfig(m0=2, k=4, alpha=1, T=1), table)
-    ws.update(table[0], 100)
-    frozen = ws.windows[0].snapshot()
-    before = frozen.occupancy()
-    ws.update(table[1], 999_999)
-    assert frozen.occupancy() == before
-    assert w.occupancy() == 0
+def _ws_batch(seed, duration_ns, load=1.3):
+    workload = PoissonWorkload(
+        distribution_by_name("ws"),
+        WorkloadConfig(load=load, duration_ns=duration_ns),
+        seed=seed,
+    )
+    return workload.generate_records()[1]
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_fused_matches_scalar_end_to_end(seed):
+    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
+    batch = _ws_batch(seed, 2_000_000)
+    assert len(batch) > 100
+    assert_matches_oracle(batch, config, triggers={5, 60, 200})
+
+
+def test_fused_matches_scalar_collision_heavy():
+    # 16-cell windows: nearly every insert collides, so the pass stream
+    # (head + mid evictions, recompressed TTS) is fully exercised.
+    config = PrintQueueConfig(m0=4, k=4, alpha=1, T=3, qm_levels=256)
+    _, fused = assert_matches_oracle(_ws_batch(3, 400_000), config)
+    bank = fused.analysis.tw_banks.active
+    assert bank.drops + bank.passes > 0
+
+
+def test_store_encoding_is_engine_independent():
+    """The PQSTORE1 file a run leaves behind is byte-identical."""
+    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
+    assert_matches_oracle(_ws_batch(11, 2_000_000), config, mmap=True)
+
+
+def test_scalar_events_then_a_batch_on_one_port():
+    """A port that already holds traffic takes a batch: its flows are
+    interned into the port's table (this used to be a SimulationError)."""
+    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
+    batch = _ws_batch(7, 1_500_000)
+    _, mixed = assert_matches_oracle(
+        batch, config, engines=["scalar", "fused"], cuts=[len(batch) // 3]
+    )
+    flows = mixed.analysis.flow_table.flows
+    assert len(set(flows)) == len(flows)  # no flow interned twice
+
+
+def test_fused_metrics_on_equals_metrics_off():
+    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
+    plain = simulate_workload("ws", 2_000_000, load=1.3, config=config, seed=13)
+    metered = simulate_workload(
+        "ws", 2_000_000, load=1.3, config=config, seed=13, metrics=Metrics()
+    )
+    assert _port_state(plain.pq) == _port_state(metered.pq)
+
+
+# ---------------------------------------------------------------------------
+# one flow table per port
+
+
+def test_banks_share_one_flow_index():
+    """Alternating banks must not append the same flow twice (each bank
+    used to build its own index over the shared table)."""
+    table = FlowTable()
+    config = PrintQueueConfig(m0=2, k=4, alpha=1, T=2, qm_levels=16)
+    a, b = TimeWindowSet(config, table), TimeWindowSet(config, table)
+    a.update(_flow(1), 100)
+    b.update(_flow(2), 200)
+    a.update(_flow(2), 300)
+    assert table.flows == [_flow(1), _flow(2)]
+
+    pq = PrintQueuePort(config, model_dp_read_cost=False)
+    for i in range(200):  # crosses many polls, so every bank takes writes
+        pq.process_dequeue(_flow(i % 5), 40 * i, 0)
+    assert len(pq.analysis.flow_table) == 5
+    clone = pickle.loads(pickle.dumps(pq))
+    tables = {id(bank.table) for bank in clone.analysis.tw_banks.banks}
+    assert tables == {id(clone.analysis.flow_table)}
+    clone.process_dequeue(_flow(3), 9000, 0)
+    assert len(clone.analysis.flow_table) == 5
+
+
+def test_flow_table_remap():
+    table = FlowTable()
+    assert table.remap([_flow(0), _flow(1)]) is None  # empty: adopts
+    assert table.flows == [_flow(0), _flow(1)]
+    assert table.remap([_flow(1), _flow(7), _flow(0)]).tolist() == [1, 2, 0]
+    assert table.intern(_flow(7)) == 2 and len(table) == 3
 
 
 def test_absorb_indexed_length_mismatch_raises():
-    ws = FusedTimeWindowSet(PrintQueueConfig(m0=2, k=4, alpha=1, T=1), [])
+    ws = TimeWindowSet(PrintQueueConfig(m0=2, k=4, alpha=1, T=1))
     with pytest.raises(SimulationError):
         ws.absorb_indexed(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
+    assert ws.absorb_indexed(np.zeros(0, dtype=np.int64), np.zeros(0)) == 0
+    assert ws.updates == 0
 
 
-def test_fused_pipeline_requires_fresh_port():
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3)
-    run = _run("scalar", config, 3, duration_ns=300_000)
-    batch = as_record_batch(list(run.records))
-    pq = PrintQueuePort(config, d_ns=100.0, model_dp_read_cost=False)
-    pq.process_dequeue(_flow(1), 1000, 0)
+def test_foreign_flow_column_is_rejected():
+    pq = PrintQueuePort(PrintQueueConfig(m0=2, k=4, alpha=1, T=1))
+    foreign = FlowColumn([_flow(0)], np.zeros(1, dtype=np.int64))
     with pytest.raises(SimulationError):
-        FusedIngestPipeline(pq, batch)
+        pq.process_batch(
+            np.array([False]), foreign, np.array([10]), np.array([0])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +463,7 @@ def test_record_batch_matches_object_records():
     assert len(batch) == len(records)
     assert batch.data.dtype == PACKET_RECORD_DTYPE
     assert batch.to_records() == records
+    assert list(batch) == records
     assert batch[0] == records[0]
     assert batch[-1] == records[-1]
     sliced = batch[10:20]
@@ -281,10 +472,16 @@ def test_record_batch_matches_object_records():
 
 
 def test_record_batch_round_trip_through_objects():
-    records, _ = _small_batch()
+    records, direct = _small_batch()
     batch = RecordBatch.from_records(records)
     assert batch.to_records() == records
     assert as_record_batch(batch) is batch
+    # Column-wise interning: first-seen flow order, the FIFO's columns.
+    seen = list(dict.fromkeys(r.flow for r in records))
+    assert batch.flows == seen
+    for column in ("enq_ts", "deq_ts", "enq_qdepth", "size", "priority"):
+        assert np.array_equal(batch.data[column], direct.data[column])
+    assert [batch.flows[i] for i in batch.data["flow"]] == [r.flow for r in records]
 
 
 def test_record_batch_rejects_wrong_dtype():
@@ -319,31 +516,26 @@ def test_generate_records_matches_generate():
 
 
 # ---------------------------------------------------------------------------
-# store bridge: byte identity + zero-copy replay
-
-
-def test_store_encoding_is_engine_independent(tmp_path):
-    config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
-    paths = {}
-    for engine in ("batched", "fused"):
-        path = tmp_path / f"{engine}.pqstore"
-        run = _run(engine, config, 11, store=MmapStore(path))
-        run.pq.analysis.store.close()
-        paths[engine] = path
-    assert paths["batched"].read_bytes() == paths["fused"].read_bytes()
+# store bridge: zero-copy replay
 
 
 def test_mmap_replay_compiles_and_queries_zero_copy(tmp_path):
     config = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
     path = tmp_path / "run.pqstore"
+
+    def run(**kw):
+        return simulate_workload(
+            "ws", 2_000_000, load=1.3, config=config, seed=11, **kw
+        )
+
     # Reference run against the in-memory store (identical poll stream).
-    live = _run("fused", config, 11)
+    live = run()
     live_snapshots = list(live.pq.analysis.tw_snapshots)
     victim = max(live.records, key=lambda r: r.queuing_delay)
     interval = QueryInterval.for_victim(victim.enq_timestamp, victim.deq_timestamp)
     live_estimate = live.pq.query(interval=interval).estimate._counts
     # Recording run: same workload, snapshots land in the PQSTORE1 file.
-    recording = _run("fused", config, 11, store=MmapStore(path))
+    recording = run(store=MmapStore(path))
     recording.pq.analysis.store.close()
 
     replay = MmapStore.open(path)
@@ -377,8 +569,6 @@ def test_mmap_replay_compiles_and_queries_zero_copy(tmp_path):
 
 def test_filtered_window_representations_agree():
     """cells / columnar / indexed constructions are interchangeable."""
-    from repro.core.filtering import FilteredWindow
-
     table = [_flow(i) for i in range(3)]
     tts = np.array([10, 11, 13], dtype=np.int64)
     idx = np.array([2, 0, 1], dtype=np.int64)

@@ -2,7 +2,7 @@
 
 Covers the metric primitives, the registry, RunReport serialisation, and
 the two load-bearing guarantees: enabling metrics changes no diagnosis
-result, and the scalar and batched ingest engines leave bit-identical
+result, and the scalar and production ingest engines leave bit-identical
 counters behind.
 """
 
@@ -191,12 +191,12 @@ class TestEngineAndMetricsEquivalence:
 
     def test_scalar_and_batched_counters_identical(self):
         views = {}
-        for engine in ("scalar", "batched"):
+        for engine in ("scalar", "fused"):
             run = simulate_workload(
                 "ws", engine=engine, metrics=Metrics(), **self.KW
             )
             views[engine] = run.report().deterministic_view()
-        assert views["scalar"] == views["batched"]
+        assert views["scalar"] == views["fused"]
 
     def test_metrics_do_not_change_diagnosis(self):
         """A metrics-enabled run yields bit-identical results to a bare one."""

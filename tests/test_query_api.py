@@ -1,4 +1,4 @@
-"""The unified ``PrintQueuePort.query`` surface and the retired names."""
+"""The unified ``PrintQueuePort.query`` surface."""
 
 import warnings
 
@@ -104,9 +104,6 @@ def test_classed_queue_monitor_round_trip():
     assert both.classes == (0, 1) and only_high.classes == (0,)
     assert only_high.estimate[bulk] == 0
     assert both.estimate.total >= only_high.estimate.total
-    # The retired name raises before touching the classed monitor.
-    with pytest.raises(QueryError, match="query"):
-        pq.original_culprits_by_class(t, classes=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,76 +132,12 @@ def test_query_is_keyword_only(run, victim_interval):
 
 
 # ---------------------------------------------------------------------------
-# retired query surface: each old name raises a typed QueryError that
-# names the exact query() replacement (no DeprecationWarning shims remain)
-
-
-def test_old_methods_raise_query_error(run, victim_interval):
-    victim, interval = victim_interval
-    pq = run.pq
-    with pytest.raises(QueryError, match="async_query"):
-        pq.async_query(interval)
-    with pytest.raises(QueryError, match="original_culprits"):
-        pq.original_culprits(victim.enq_timestamp)
-    with pytest.raises(QueryError, match="data_plane_query_interval"):
-        pq.data_plane_query_interval(victim.deq_timestamp, interval)
-    with pytest.raises(QueryError, match="data_plane_query"):
-        pq.data_plane_query(victim)
-
-
-def test_removal_messages_name_replacement_kwargs(run, victim_interval):
-    """Each retired name's error spells out the exact query() keywords."""
-    victim, interval = victim_interval
-    pq = run.pq
-    expected = {
-        "async_query": ("query(interval=...)", lambda: pq.async_query(interval)),
-        "original_culprits": (
-            "query(at_ns=...)",
-            lambda: pq.original_culprits(victim.enq_timestamp),
-        ),
-        "original_culprits_by_class": (
-            "query(at_ns=..., classes=...)",
-            lambda: pq.original_culprits_by_class(
-                victim.enq_timestamp, classes=[0]
-            ),
-        ),
-        "data_plane_query_interval": (
-            'query(interval=..., mode="data_plane", at_ns=...)',
-            lambda: pq.data_plane_query_interval(victim.deq_timestamp, interval),
-        ),
-        "data_plane_query": (
-            'mode="data_plane")',
-            lambda: pq.data_plane_query(victim),
-        ),
-    }
-    for name, (replacement, call) in expected.items():
-        with pytest.raises(QueryError) as excinfo:
-            call()
-        message = str(excinfo.value)
-        assert message.startswith(f"PrintQueuePort.{name}("), (name, message)
-        assert replacement in message, (name, message)
-
-
-def test_retired_names_have_no_side_effects(run, victim_interval):
-    """The retired names raise eagerly — no query runs, nothing is stored."""
-    victim, interval = victim_interval
-    pq = run.pq
-    version_before = pq.analysis.store.version
-    dp_before = len(pq.dp_results)
-    for call in (
-        lambda: pq.async_query(interval),
-        lambda: pq.original_culprits(victim.enq_timestamp),
-        lambda: pq.data_plane_query_interval(victim.deq_timestamp, interval),
-        lambda: pq.data_plane_query(victim),
-    ):
-        with pytest.raises(QueryError):
-            call()
-    assert pq.analysis.store.version == version_before
-    assert len(pq.dp_results) == dp_before
+# the retired names are gone
 
 
 def test_no_deprecation_shims_remain():
-    """src/repro carries no warnings.warn(..., DeprecationWarning) shims."""
+    """src/repro carries no warnings.warn(..., DeprecationWarning) shims,
+    and the retired query methods no longer exist under any guise."""
     import inspect
 
     from repro.core import printqueue
@@ -212,6 +145,14 @@ def test_no_deprecation_shims_remain():
     source = inspect.getsource(printqueue)
     assert "DeprecationWarning" not in source
     assert "warnings.warn" not in source
+    for name in (
+        "data_plane_query",
+        "data_plane_query_interval",
+        "async_query",
+        "original_culprits",
+        "original_culprits_by_class",
+    ):
+        assert not hasattr(PrintQueuePort, name)
 
 
 def test_new_api_is_warning_free(run, victim_interval):

@@ -185,8 +185,8 @@ class TestSLO:
 
 
 def _tiny_pipeline():
-    run = simulate_workload("uw", 4_000_000, load=1.2, seed=7, engine="fused")
-    from repro.engine.fused import FusedIngestPipeline
+    run = simulate_workload("uw", 4_000_000, load=1.2, seed=7)
+    from repro.engine.ingest import IngestPipeline
     from repro.experiments.runner import run_trace_through_fifo_batch
 
     records, _ = run_trace_through_fifo_batch(run.trace)
@@ -199,7 +199,7 @@ def _tiny_pipeline():
         d_ns=span / (len(records) - 1),
         model_dp_read_cost=False,
     )
-    return FusedIngestPipeline(pq, records)
+    return IngestPipeline(pq, records)
 
 
 class TestLiveIngest:

@@ -1,13 +1,13 @@
-"""The sharded multi-port ingest driver: bit-identical to fused per port.
+"""The multi-port shard driver: bit-identical to in-process runs per port.
 
-The sharded tier's contract extends the engine-equivalence invariant
+``ShardRunner``'s contract extends the engine-equivalence invariant
 across process boundaries: partitioning a trace by egress port and
 driving each shard's :class:`~repro.core.printqueue.PrintQueuePort`
 through a pool worker must leave every port in exactly the state a
-single-process fused run over the same per-port sub-trace produces —
+single-process pipeline run over the same per-port sub-trace produces —
 deterministic reports, query answers, counters, and the PQSTORE1 byte
-stream all engine-independent, whether the pool ran or the in-process
-fallback took over.
+stream all identical, whether the pool ran or the in-process fallback
+took over.
 """
 
 import numpy as np
@@ -17,19 +17,14 @@ from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
 from repro.core.queries import QueryInterval
 from repro.engine import (
-    FusedIngestPipeline,
+    IngestPipeline,
     Shard,
-    ShardedIngestPipeline,
     ShardRunner,
     intern_config,
     partition_trace_by_port,
 )
 from repro.engine.sharded import INPROCESS_ENV
-from repro.experiments.runner import (
-    drive_printqueue,
-    run_trace_through_fifo_batch,
-    simulate_workload,
-)
+from repro.experiments.runner import run_trace_through_fifo_batch
 from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
 from repro.store import MmapStore
@@ -48,7 +43,7 @@ def _trace(seed=3, duration_ns=8_000_000):
     return generator.generate()
 
 
-def _port_for(records, store=None, metrics=None):
+def _port_for(records, store=None, metrics=None, faults=None):
     if len(records) >= 2:
         span = records[-1].deq_timestamp - records[0].deq_timestamp
         d_ns = span / (len(records) - 1)
@@ -60,6 +55,7 @@ def _port_for(records, store=None, metrics=None):
         model_dp_read_cost=False,
         metrics=metrics,
         store=store,
+        faults=faults,
     )
 
 
@@ -112,45 +108,7 @@ def test_partition_single_port_is_whole_trace():
 
 
 # ---------------------------------------------------------------------------
-# single-port facade: sharded == fused through drive_printqueue
-
-
-@pytest.mark.parametrize("seed", [3, 17])
-def test_sharded_engine_matches_fused_end_to_end(seed):
-    triggers = {50, 900}
-    fused = simulate_workload(
-        "uw", 4_000_000, load=1.2, config=CONFIG, seed=seed,
-        dp_trigger_indices=triggers, engine="fused",
-    )
-    sharded = simulate_workload(
-        "uw", 4_000_000, load=1.2, config=CONFIG, seed=seed,
-        dp_trigger_indices=triggers, engine="sharded",
-    )
-    assert _view(fused.pq) == _view(sharded.pq)
-    assert fused.dp_results.keys() == sharded.dp_results.keys()
-    for idx, result in fused.dp_results.items():
-        other = sharded.dp_results[idx]
-        assert result.interval == other.interval
-        assert result.estimate.as_dict() == other.estimate.as_dict()
-    assert _query_answer(fused.pq, fused.records) == _query_answer(
-        sharded.pq, sharded.records
-    )
-
-
-def test_sharded_engine_counter_parity_with_fused():
-    runs = {}
-    for engine in ("fused", "sharded"):
-        metrics = Metrics()
-        simulate_workload(
-            "uw", 4_000_000, load=1.2, config=CONFIG, seed=5,
-            engine=engine, metrics=metrics,
-        )
-        runs[engine] = {
-            name: value
-            for name, value in metrics.snapshot().items()
-            if "_ns" not in name and name.startswith("pq_ingest")
-        }
-    assert runs["fused"] == runs["sharded"]
+# execution paths
 
 
 def test_env_forces_in_process_fallback(monkeypatch):
@@ -158,12 +116,12 @@ def test_env_forces_in_process_fallback(monkeypatch):
     trace = _trace(seed=9, duration_ns=3_000_000)
     records, _ = run_trace_through_fifo_batch(trace)
     pq = _port_for(records)
-    pipeline = ShardedIngestPipeline(pq, records)
-    pipeline.run()
-    assert pipeline.last_execution == "in-process"
+    runner = ShardRunner([Shard(pq, records)])
+    runner.run()
+    assert runner.last_execution == "in-process"
 
     reference = _port_for(records)
-    FusedIngestPipeline(reference, records).run()
+    IngestPipeline(reference, records).run()
     assert _view(pq) == _view(reference)
 
 
@@ -205,7 +163,7 @@ def test_shard_count_invariance(num_ports):
 
     for shard in shards:
         reference = _port_for(shard.records)
-        FusedIngestPipeline(reference, shard.records).run()
+        IngestPipeline(reference, shard.records).run()
         assert _view(shard.pq) == _view(reference)
         assert _query_answer(shard.pq, shard.records) == _query_answer(
             reference, shard.records
@@ -224,13 +182,13 @@ def test_shard_store_files_byte_identical(tmp_path, num_ports):
         store.close()
 
     for i, shard in enumerate(shards):
-        ref_store = MmapStore(tmp_path / f"fused-{i}.pqstore")
+        ref_store = MmapStore(tmp_path / f"local-{i}.pqstore")
         reference = _port_for(shard.records, store=ref_store)
-        FusedIngestPipeline(reference, shard.records).run()
+        IngestPipeline(reference, shard.records).run()
         ref_store.close()
         sharded_bytes = (tmp_path / f"sharded-{i}.pqstore").read_bytes()
-        fused_bytes = (tmp_path / f"fused-{i}.pqstore").read_bytes()
-        assert sharded_bytes == fused_bytes
+        local_bytes = (tmp_path / f"local-{i}.pqstore").read_bytes()
+        assert sharded_bytes == local_bytes
         assert len(sharded_bytes) > 0
 
 
@@ -248,40 +206,46 @@ def test_pool_and_in_process_paths_agree(monkeypatch):
 
     for a, b in zip(pooled, serial):
         assert _view(a.pq) == _view(b.pq)
+        # One flow table per port, still shared by every bank after the
+        # pickle round trip through the worker.
+        analysis = a.pq.analysis
+        assert all(bank.table is analysis.flow_table for bank in analysis.tw_banks.banks)
 
 
 # ---------------------------------------------------------------------------
-# faults x sharded: per-shard quarantine/retry survives the pool
+# faults x shards: per-shard quarantine/retry survives the pool
 
 
 def test_fault_profile_under_sharded_engine():
+    trace = _trace(seed=11, duration_ns=20_000_000)
+    records, _ = run_trace_through_fifo_batch(trace)
+    triggers = set(range(0, 20000, 500))
     runs = {}
-    for engine in ("fused", "sharded"):
+    for name in ("local", "sharded"):
         metrics = Metrics()
-        run = simulate_workload(
-            "uw", 20_000_000, load=1.2, config=CONFIG, seed=11,
-            engine=engine, faults="chaos", metrics=metrics,
-            dp_trigger_indices=set(range(0, 20000, 500)),
-        )
+        pq = _port_for(records, metrics=metrics, faults="chaos")
+        if name == "local":
+            dp_results = IngestPipeline(pq, records, dp_trigger_indices=triggers).run()
+        else:
+            (dp_results,) = ShardRunner(
+                [Shard(pq, records, dp_trigger_indices=triggers)]
+            ).run()
         fault_counters = {
             name: value
             for name, value in metrics.snapshot().items()
             if ("fault" in name or "retries" in name) and "_ns" not in name
         }
-        runs[engine] = (run, fault_counters)
+        runs[name] = (pq, dp_results, fault_counters)
 
-    fused_run, fused_faults = runs["fused"]
-    sharded_run, sharded_faults = runs["sharded"]
+    local_pq, local_dp, local_faults = runs["local"]
+    sharded_pq, sharded_dp, sharded_faults = runs["sharded"]
     # The chaos profile must actually fire for this test to mean anything.
-    assert any("injected" in name for name in fused_faults)
-    assert fused_faults == sharded_faults
-    assert _view(fused_run.pq) == _view(sharded_run.pq)
-    assert fused_run.dp_results.keys() == sharded_run.dp_results.keys()
-    for idx, result in fused_run.dp_results.items():
-        assert (
-            result.estimate.as_dict()
-            == sharded_run.dp_results[idx].estimate.as_dict()
-        )
+    assert any("injected" in name for name in local_faults)
+    assert local_faults == sharded_faults
+    assert _view(local_pq) == _view(sharded_pq)
+    assert local_dp.keys() == sharded_dp.keys()
+    for idx, result in local_dp.items():
+        assert result.estimate.as_dict() == sharded_dp[idx].estimate.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,10 @@ class TestEquivalenceBelowWrap:
         assert plain.passes == wrapped.passes
         assert plain.drops == wrapped.drops
         for w_plain, w_wrapped in zip(plain.windows, wrapped.windows):
-            assert w_plain.flows == w_wrapped.flows
+            assert [r.flow for r in w_plain.records()] == [
+                r.flow for r in w_wrapped.records()
+            ]
+            assert w_plain.flow_idx.tolist() == w_wrapped.flow_idx.tolist()
 
 
 class TestAcrossTheWrap:

@@ -94,10 +94,10 @@ def profile_run(
     metrics.histogram("pq_ingest_stage_generate_ns").observe(generate_ns)
 
     t0 = perf_counter_ns()
-    if engine in ("fused", "sharded"):
-        records, _ = run_trace_through_fifo_batch(trace)
-    else:
+    if engine == "scalar":
         records, _ = run_trace_through_fifo(trace)
+    else:
+        records, _ = run_trace_through_fifo_batch(trace)
     fifo_ns = perf_counter_ns() - t0
     metrics.histogram("pq_ingest_stage_fifo_ns").observe(fifo_ns)
 
@@ -186,7 +186,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--engine",
-        choices=["scalar", "batched", "fused", "sharded"],
+        choices=["fused", "scalar"],
         default="fused",
     )
     parser.add_argument("--m0", type=int, default=6)
