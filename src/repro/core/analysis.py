@@ -135,7 +135,9 @@ class AnalysisProgram:
         self.tw_banks: BankedStructure[TimeWindowSet] = BankedStructure(
             partial(TimeWindowSet, config, self.flow_table)
         )
-        self.queue_monitor = QueueMonitor(config.qm_levels, config.qm_granularity)
+        self.queue_monitor = QueueMonitor(
+            config.qm_levels, config.qm_granularity, self.flow_table
+        )
         if store is None:
             if retention is None:
                 retention = RetentionPolicy(max_snapshots=max_snapshots)
@@ -575,14 +577,22 @@ class AnalysisProgram:
 
     def query_queue_monitor(self, time_ns: int) -> QueueMonitorSnapshot:
         """The snapshot closest in time to the query point."""
-        if not self.qm_snapshots:
+        snapshot = self.store.nearest_qm(time_ns)
+        if snapshot is None:
             raise QueryError("no queue-monitor snapshots available")
-        return min(self.qm_snapshots, key=lambda s: abs(s.time_ns - time_ns))
+        return snapshot
 
-    def original_culprits(self, time_ns: int) -> FlowEstimate:
-        """Per-flow original-culprit contributions at ``time_ns``."""
+    def original_culprits(
+        self, time_ns: int, *, snapshot: Optional[QueueMonitorSnapshot] = None
+    ) -> FlowEstimate:
+        """Per-flow original-culprit contributions at ``time_ns``.
+
+        ``snapshot`` is :meth:`query_queue_monitor`'s answer for
+        ``time_ns`` when the caller already holds it.
+        """
         self.queries_executed += 1
-        snapshot = self.query_queue_monitor(time_ns)
+        if snapshot is None:
+            snapshot = self.query_queue_monitor(time_ns)
         estimate = FlowEstimate()
         for flow, count in snapshot.flow_counts().items():
             estimate.add(flow, count)

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.queries import FlowEstimate
 from repro.core.queuemonitor import QueueMonitor, QueueMonitorSnapshot
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowTable
 
 
 class ClassedQueueMonitor:
@@ -21,7 +22,9 @@ class ClassedQueueMonitor:
 
     Classes are created lazily on first use, capped at ``max_classes``
     (hardware allocates the per-class partitions up front; the cap
-    mirrors that budget).
+    mirrors that budget).  Every class stack indexes one ``flow_table``
+    (the port's, when a port passes it), so a flow has one index however
+    its packets are classed.
     """
 
     def __init__(
@@ -29,12 +32,14 @@ class ClassedQueueMonitor:
         levels: int,
         granularity: int = 1,
         max_classes: int = 8,
+        flow_table: Optional[FlowTable] = None,
     ) -> None:
         if max_classes < 1:
             raise ValueError(f"need at least one class, got {max_classes}")
         self.levels = levels
         self.granularity = granularity
         self.max_classes = max_classes
+        self.flow_table = flow_table if flow_table is not None else FlowTable()
         self._monitors: Dict[int, QueueMonitor] = {}
         self.clamped_classes = 0
 
@@ -49,7 +54,9 @@ class ClassedQueueMonitor:
     def monitor(self, cls: int) -> QueueMonitor:
         cls = self._class_of(cls)
         if cls not in self._monitors:
-            self._monitors[cls] = QueueMonitor(self.levels, self.granularity)
+            self._monitors[cls] = QueueMonitor(
+                self.levels, self.granularity, self.flow_table
+            )
         return self._monitors[cls]
 
     @property

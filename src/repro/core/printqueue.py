@@ -217,7 +217,10 @@ class PrintQueuePort:
         self._classed_snapshots: List[Tuple[int, Dict[int, QueueMonitorSnapshot]]] = []
         if num_classes is not None:
             self.classed_monitor = ClassedQueueMonitor(
-                config.qm_levels, config.qm_granularity, max_classes=num_classes
+                config.qm_levels,
+                config.qm_granularity,
+                max_classes=num_classes,
+                flow_table=self.analysis.flow_table,
             )
         self.dp_results: List[DataPlaneQueryResult] = []
         self._next_poll_ns = config.set_period_ns
@@ -640,9 +643,9 @@ class PrintQueuePort:
                 classes = tuple(classes)
                 estimate = self._original_culprits_by_class(at_ns, classes)
             else:
-                estimate = self.analysis.original_culprits(at_ns)
+                used = self.analysis.query_queue_monitor(at_ns)
+                estimate = self.analysis.original_culprits(at_ns, snapshot=used)
                 if self._poller is not None:
-                    used = self.analysis.query_queue_monitor(at_ns)
                     coverage = self._poller.log.qm_coverage_for(
                         at_ns, used.time_ns
                     )

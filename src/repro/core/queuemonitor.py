@@ -17,14 +17,15 @@ packets whose arrivals raised the queue to each still-standing level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.switch.packet import FlowKey
-from repro.switch.records import FlowColumn
+from repro.switch.records import FlowColumn, FlowTable
 
-#: Sequence number of a never-written half-entry.
+#: Sequence number of a never-written half-entry (and the flow index of
+#: a never-written increase entry).
 _UNSET = -1
 
 
@@ -37,37 +38,88 @@ class MonitorEntry:
     seq: int
 
 
-@dataclass
+@dataclass(eq=False)
 class QueueMonitorSnapshot:
-    """A frozen copy of the monitor taken by the control plane."""
+    """A frozen copy of the monitor taken by the control plane.
+
+    The registers are columns: ``inc_seq``/``dec_seq`` are int64,
+    ``inc_flow_idx`` is int32 (``-1`` = unset) into ``flow_table`` — the
+    port's table for a live snapshot, the payload's own for a decoded
+    one, whose columns are read-only views into the store's buffer.
+    Never write a column in place; rebind it.
+    """
 
     time_ns: int
     top: int
-    inc_seq: List[int]
-    inc_flow: List[Optional[FlowKey]]
-    dec_seq: List[int]
+    inc_seq: np.ndarray
+    inc_flow_idx: np.ndarray
+    dec_seq: np.ndarray
+    flow_table: Sequence[FlowKey]
+
+    def __eq__(self, other: object) -> bool:
+        """Same registers, flows compared by key (tables may differ)."""
+        if not isinstance(other, QueueMonitorSnapshot):
+            return NotImplemented
+        mine, theirs = self.inc_flow_idx, other.inc_flow_idx
+        if (self.time_ns, self.top) != (other.time_ns, other.top) or not (
+            np.array_equal(self.inc_seq, other.inc_seq)
+            and np.array_equal(self.dec_seq, other.dec_seq)
+            and np.array_equal(mine < 0, theirs < 0)
+        ):
+            return False
+        pairs = np.unique(np.stack((mine, theirs)), axis=1).T.tolist()
+        return all(
+            i < 0 or self.flow_table[i] == other.flow_table[j] for i, j in pairs
+        )
+
+    @property
+    def max_seq(self) -> int:
+        """The largest sequence number held (``_UNSET`` when empty)."""
+        return max(int(self.inc_seq.max()), int(self.dec_seq.max()))
 
     def walk(self) -> List[MonitorEntry]:
-        """Filter stale entries: the monotone bottom-up walk of Section 5."""
+        """Filter stale entries: the monotone bottom-up walk of Section 5.
+
+        The executable specification; queries run :meth:`scan`.
+        """
         running = _UNSET
         survivors: List[MonitorEntry] = []
         for level in range(self.top + 1):
-            inc = self.inc_seq[level]
+            inc = int(self.inc_seq[level])
             if inc > running and inc != _UNSET and level > 0:
-                flow = self.inc_flow[level]
-                assert flow is not None
+                flow = self.flow_table[self.inc_flow_idx[level]]
                 survivors.append(MonitorEntry(level, flow, inc))
-            level_max = max(inc, self.dec_seq[level])
+            level_max = max(inc, int(self.dec_seq[level]))
             if level_max > running:
                 running = level_max
         return survivors
 
+    def scan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`walk` as a prefix scan: ``(levels, seqs, flow indices)``.
+
+        The walk's running maximum *before* a level is the exclusive
+        prefix maximum of ``max(inc, dec)``; it never drops below
+        ``_UNSET``, so "exceeds it" already implies "is set".
+        """
+        inc = self.inc_seq[: self.top + 1]
+        running = np.maximum.accumulate(np.maximum(inc, self.dec_seq[: self.top + 1]))
+        levels = np.flatnonzero(inc[1:] > running[:-1]) + 1
+        return levels, inc[levels], self.inc_flow_idx[levels]
+
     def flow_counts(self) -> Dict[FlowKey, int]:
         """Original-culprit contribution per flow (entries implicated)."""
-        counts: Dict[FlowKey, int] = {}
-        for entry in self.walk():
-            counts[entry.flow] = counts.get(entry.flow, 0) + 1
-        return counts
+        idx = self.scan()[2]
+        tally = np.bincount(idx)
+        # Scattered in reverse, the first survivor of each flow is the
+        # write that lasts: dict order below is first-survivor order.
+        first = np.empty(len(tally), dtype=np.int64)
+        first[idx[::-1]] = np.arange(len(idx) - 1, -1, -1)
+        present = np.flatnonzero(tally)
+        present = present[np.argsort(first[present])]
+        table = self.flow_table
+        return {
+            table[i]: n for i, n in zip(present.tolist(), tally[present].tolist())
+        }
 
 
 class QueueMonitor:
@@ -79,50 +131,40 @@ class QueueMonitor:
         Register length = max queue depth / granularity.
     granularity:
         Depth units folded into one level (buffer allocation granularity).
+    flow_table:
+        The interning table ``inc_flow_idx`` points into; a port passes
+        its one table, a standalone monitor gets its own.
     """
 
     __slots__ = (
         "levels",
         "granularity",
+        "flow_table",
         "_seq",
         "top",
         "inc_seq",
-        "inc_flow",
+        "inc_flow_idx",
         "dec_seq",
-        "dec_flow",
         "overflows",
         "pushes",
         "drains",
         "high_water",
     )
 
-    def __init__(self, levels: int, granularity: int = 1) -> None:
+    def __init__(
+        self,
+        levels: int,
+        granularity: int = 1,
+        flow_table: Optional[FlowTable] = None,
+    ) -> None:
         if levels < 1:
             raise ValueError(f"need at least one level, got {levels}")
         if granularity < 1:
             raise ValueError(f"non-positive granularity: {granularity}")
         self.levels = levels
         self.granularity = granularity
-        self._seq = 0
-        self.top = 0
-        # Registers stay plain Python lists: snapshot() is then a cheap
-        # pointer copy (the control plane snapshots every poll, and with
-        # 2^16 levels re-boxing int64 arrays per snapshot costs more
-        # than the whole batch write-back saves).  apply_batch only
-        # ever writes the surviving entries, so the lists are touched
-        # ~last-per-level, not per-event.
-        self.inc_seq: List[int] = [_UNSET] * levels
-        self.inc_flow: List[Optional[FlowKey]] = [None] * levels
-        self.dec_seq: List[int] = [_UNSET] * levels
-        self.dec_flow: List[Optional[FlowKey]] = [None] * levels
-        self.overflows = 0
-        # Observability (repro.obs): stack churn.  ``pushes``/``drains``
-        # count the rise/drain sides of the event stream; ``high_water``
-        # is the tallest level the stack top ever reached.  apply_batch
-        # maintains identical values.
-        self.pushes = 0
-        self.drains = 0
-        self.high_water = 0
+        self.flow_table = flow_table if flow_table is not None else FlowTable()
+        self.reset()
 
     def _level_of(self, depth_units: int) -> int:
         level = depth_units // self.granularity
@@ -136,18 +178,21 @@ class QueueMonitor:
         self._seq += 1
         level = self._level_of(depth_after_units)
         self.inc_seq[level] = self._seq
-        self.inc_flow[level] = flow
+        self.inc_flow_idx[level] = self.flow_table.intern(flow)
         self.top = level
         self.pushes += 1
         if level > self.high_water:
             self.high_water = level
 
     def on_dequeue(self, flow: FlowKey, depth_after_units: int) -> None:
-        """A packet left, lowering the queue depth to ``depth_after_units``."""
+        """A packet left, lowering the queue depth to ``depth_after_units``.
+
+        The decrease half records only the sequence number (Section 5):
+        the leaving ``flow`` is not a culprit of anything.
+        """
         self._seq += 1
         level = self._level_of(depth_after_units)
         self.dec_seq[level] = self._seq
-        self.dec_flow[level] = flow
         self.top = level
         self.drains += 1
         if level > self.high_water:
@@ -165,8 +210,8 @@ class QueueMonitor:
         :meth:`on_dequeue` once per event in order: sequence numbers are
         assigned by event position, each half-entry keeps the last event
         that landed on its level, and the stack top follows the final
-        event.  ``flows`` is the per-event flow column; only the
-        surviving events' flows are resolved to objects.
+        event.  ``flows`` is the per-event flow column over
+        :attr:`flow_table`; its indices are written as they are.
         """
         is_enqueue = np.asarray(is_enqueue, dtype=bool)
         depth = np.asarray(depth_after_units, dtype=np.int64)
@@ -189,31 +234,16 @@ class QueueMonitor:
         # duplicate-index assignment is performed in order, so the last
         # write wins — exactly the survivor rule.  The scratch array is
         # bounded by the batch's peak level, not the full register
-        # length, and only the surviving events' flows are ever
-        # materialised as objects (one gather over the flow table, whose
-        # FlowKey objects already exist).
+        # length; column 0 is the increase side, column 1 the decrease.
         key = (level << 1) | ~is_enqueue
         last = np.full(2 * (peak + 1), -1, dtype=np.int64)
         last[key] = np.arange(n, dtype=np.int64)
-        present = np.flatnonzero(last >= 0)
-        pos = last[present]
-        surviving = flows.gather(pos).tolist()
-        seqs = (base_seq + 1 + pos).tolist()
-        is_dec = (present & 1).astype(bool)
-        lvls = present >> 1
-        inc_sel = np.flatnonzero(~is_dec).tolist()
-        dec_sel = np.flatnonzero(is_dec).tolist()
-        lvl_list = lvls.tolist()
-        inc_seq, inc_flow = self.inc_seq, self.inc_flow
-        for i in inc_sel:
-            lvl = lvl_list[i]
-            inc_seq[lvl] = seqs[i]
-            inc_flow[lvl] = surviving[i]
-        dec_seq, dec_flow = self.dec_seq, self.dec_flow
-        for i in dec_sel:
-            lvl = lvl_list[i]
-            dec_seq[lvl] = seqs[i]
-            dec_flow[lvl] = surviving[i]
+        inc_pos, dec_pos = last.reshape(-1, 2).T
+        inc_lvl = np.flatnonzero(inc_pos >= 0)
+        dec_lvl = np.flatnonzero(dec_pos >= 0)
+        self.inc_seq[inc_lvl] = base_seq + 1 + inc_pos[inc_lvl]
+        self.inc_flow_idx[inc_lvl] = flows.idx[inc_pos[inc_lvl]]
+        self.dec_seq[dec_lvl] = base_seq + 1 + dec_pos[dec_lvl]
         self.top = int(level[-1])
 
     def snapshot(self, time_ns: int) -> QueueMonitorSnapshot:
@@ -221,19 +251,23 @@ class QueueMonitor:
         return QueueMonitorSnapshot(
             time_ns=time_ns,
             top=self.top,
-            inc_seq=list(self.inc_seq),
-            inc_flow=list(self.inc_flow),
-            dec_seq=list(self.dec_seq),
+            inc_seq=self.inc_seq.copy(),
+            inc_flow_idx=self.inc_flow_idx.copy(),
+            dec_seq=self.dec_seq.copy(),
+            flow_table=self.flow_table.flows,
         )
 
     def reset(self) -> None:
         self._seq = 0
         self.top = 0
-        self.inc_seq = [_UNSET] * self.levels
-        self.inc_flow = [None] * self.levels
-        self.dec_seq = [_UNSET] * self.levels
-        self.dec_flow = [None] * self.levels
+        self.inc_seq = np.full(self.levels, _UNSET, dtype=np.int64)
+        self.inc_flow_idx = np.full(self.levels, _UNSET, dtype=np.int32)
+        self.dec_seq = np.full(self.levels, _UNSET, dtype=np.int64)
         self.overflows = 0
+        # Observability (repro.obs): stack churn.  ``pushes``/``drains``
+        # count the rise/drain sides of the event stream; ``high_water``
+        # is the tallest level the stack top ever reached.  apply_batch
+        # maintains identical values.
         self.pushes = 0
         self.drains = 0
         self.high_water = 0

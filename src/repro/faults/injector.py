@@ -172,19 +172,17 @@ class FaultInjector:
         """
         from repro.core.queuemonitor import _UNSET
 
-        seqs = [s for s in snapshot.inc_seq if s != _UNSET]
-        seqs += [s for s in snapshot.dec_seq if s != _UNSET]
-        if not seqs or floor_seq <= 0:
+        peak = snapshot.max_seq
+        if peak == _UNSET or floor_seq <= 0:
             return False
-        delta = max(seqs) - (floor_seq - 1)
+        delta = peak - (floor_seq - 1)
         if delta <= 0:
-            delta = 1 + self.rng.randrange(max(seqs))
-        snapshot.inc_seq = [
-            s if s == _UNSET else max(_UNSET, s - delta) for s in snapshot.inc_seq
-        ]
-        snapshot.dec_seq = [
-            s if s == _UNSET else max(_UNSET, s - delta) for s in snapshot.dec_seq
-        ]
+            delta = 1 + self.rng.randrange(peak)
+        # delta > 0, so clamping at _UNSET also leaves unset entries unset.
+        # Rebind, never write in place: a decoded snapshot's columns are
+        # read-only views into the store's buffer.
+        snapshot.inc_seq = np.maximum(_UNSET, snapshot.inc_seq - delta)
+        snapshot.dec_seq = np.maximum(_UNSET, snapshot.dec_seq - delta)
         self._count("qm_seq_regressions")
         return True
 

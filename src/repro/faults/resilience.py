@@ -547,7 +547,7 @@ class ResilientPoller:
             self.log.qm_quarantined += 1
             self.log.qm_lost_ns.append(due_ns)
             return
-        self._accept_qm(snapshot)
+        self.note_stored_qm(snapshot)
         # Through the store, never the raw list: ingest and retention are
         # the store's job (the snapshot views are read-only).
         analysis.store.add_qm(snapshot)
@@ -556,25 +556,15 @@ class ResilientPoller:
         """Sequence numbers may only move forward (§5's monotone counter)."""
         from repro.core.queuemonitor import _UNSET
 
-        seqs = [s for s in snapshot.inc_seq if s != _UNSET]
-        seqs += [s for s in snapshot.dec_seq if s != _UNSET]
-        if not seqs:
-            return True
-        return max(seqs) >= self.last_qm_max_seq
-
-    def _accept_qm(self, snapshot: "QueueMonitorSnapshot") -> None:
-        from repro.core.queuemonitor import _UNSET
-
-        seqs = [s for s in snapshot.inc_seq if s != _UNSET]
-        seqs += [s for s in snapshot.dec_seq if s != _UNSET]
-        if seqs:
-            self.last_qm_max_seq = max(self.last_qm_max_seq, max(seqs))
+        peak = snapshot.max_seq
+        return peak == _UNSET or peak >= self.last_qm_max_seq
 
     def note_stored_qm(self, snapshot: "QueueMonitorSnapshot") -> None:
-        """Advance the monotonicity floor for snapshots stored outside
-        :meth:`poll_qm` (full polls and on-demand reads snapshot the
-        monitor themselves, always cleanly)."""
-        self._accept_qm(snapshot)
+        """Advance the monotonicity floor past an accepted snapshot —
+        also those stored outside :meth:`poll_qm` (full polls and
+        on-demand reads snapshot the monitor themselves, always cleanly).
+        An empty monitor peaks at ``_UNSET``, below the initial floor."""
+        self.last_qm_max_seq = max(self.last_qm_max_seq, snapshot.max_seq)
 
     # -- on-demand (data-plane triggered) reads ------------------------------
 

@@ -60,9 +60,12 @@ class _TWEntry:
 
 
 class _QMEntry:
-    __slots__ = ("token", "nbytes", "cached")
+    """One stored queue-monitor snapshot, keyed by its ``time_ns``."""
 
-    def __init__(self, token: Any, nbytes: int) -> None:
+    __slots__ = ("key", "token", "nbytes", "cached")
+
+    def __init__(self, key: int, token: Any, nbytes: int) -> None:
+        self.key = key
         self.token = token
         self.nbytes = nbytes
         self.cached: Optional[QueueMonitorSnapshot] = None
@@ -273,7 +276,7 @@ class SnapshotStore(ABC):
         if self._recorder is not None:
             self._recorder.record_qm(snapshot, bounded)
         token = self._encode_qm(snapshot, bounded)
-        entry = _QMEntry(token, self._nbytes(token))
+        entry = _QMEntry(snapshot.time_ns, token, self._nbytes(token))
         entry.cached = snapshot
         self._insert_qm_entry(entry, bounded)
 
@@ -393,6 +396,14 @@ class SnapshotStore(ABC):
     def qm_view(self) -> SnapshotView:
         """Read-only live view of the queue-monitor snapshots."""
         return self._qm_view
+
+    def nearest_qm(self, time_ns: int) -> Optional[QueueMonitorSnapshot]:
+        """The queue-monitor snapshot closest to ``time_ns`` (the earliest
+        stored on a tie), chosen on the entry keys: only it is decoded."""
+        if not self._qm_entries:
+            return None
+        entry = min(self._qm_entries, key=lambda e: abs(e.key - time_ns))
+        return self._decode_entry_qm(entry)
 
     # -- observability -----------------------------------------------------
 

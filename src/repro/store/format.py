@@ -28,7 +28,9 @@ u32 num_flows, u32 num_inc, u32 num_dec``, the flow table,
 ``i32 inc_flow_idx[num_inc]`` (-1 for unset levels), padded to 8.
 Flag bit 0 records whether the append was bounded by the retention cap
 (periodic polls) or not (on-demand reads), so replay reproduces the
-store's exact eviction history.
+store's exact eviction history.  These three columns are the snapshot's
+own arrays written with ``tobytes()``, and decoding hands them back as
+read-only views into the buffer, as for the TTS column above.
 
 A **replace payload** is ``i64 target_seq`` (the store-assigned sequence
 number of the snapshot being replaced; -1 when the quarantined snapshot
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,14 +108,36 @@ def _intern_flows(parts: List[bytes], flows: List[Optional[FlowKey]]) -> List[in
     return indices
 
 
-def _read_flow_table(buf: bytes, offset: int, count: int) -> List[FlowKey]:
-    flows: List[FlowKey] = []
-    for i in range(count):
-        src_ip, dst_ip, src_port, dst_port, proto = _FLOW_ENTRY.unpack_from(
-            buf, offset + i * _FLOW_ENTRY.size
+def _intern_index_column(
+    parts: List[bytes], column: np.ndarray, table: Optional[Sequence[FlowKey]]
+) -> Tuple[np.ndarray, int]:
+    """Append ``column``'s snapshot-local flow table to ``parts``.
+
+    ``column`` holds indices into the shared ``table``.  The local table
+    is built with one :class:`FlowKey` pack per *distinct* flow in
+    first-use order (byte-identical to the object path) and the column
+    remaps vectorised; returns ``(local indices, number of flows)``.
+    """
+    if len(column) == 0:
+        parts.append(b"")
+        return column, 0
+    assert table is not None
+    uniq, first = np.unique(column, return_index=True)
+    uniq = uniq[np.argsort(first, kind="stable")]  # first-use order
+    lookup = np.empty(int(uniq.max()) + 1, dtype=np.int64)
+    lookup[uniq] = np.arange(len(uniq), dtype=np.int64)
+    parts.append(
+        b"".join(
+            _FLOW_ENTRY.pack(f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.proto)
+            for f in (table[j] for j in uniq.tolist())
         )
-        flows.append(FlowKey(src_ip, dst_ip, src_port, dst_port, proto))
-    return flows
+    )
+    return lookup[column], len(uniq)
+
+
+def _read_flow_table(buf: bytes, offset: int, count: int) -> List[FlowKey]:
+    entries = buf[offset : offset + count * _FLOW_ENTRY.size]
+    return [FlowKey(*fields) for fields in _FLOW_ENTRY.iter_unpack(entries)]
 
 
 # -- file header ----------------------------------------------------------
@@ -177,44 +201,6 @@ def iter_records(buf: bytes, offset: int) -> Iterator[Tuple[int, int, int]]:
 # -- time-window snapshots ------------------------------------------------
 
 
-def _intern_flow_indices(
-    parts: List[bytes], windows: List[FilteredWindow]
-) -> Tuple[List[int], int]:
-    """Index-based twin of :func:`_intern_flows` for filtered windows.
-
-    Every window carries a ``flow_idx`` column into one shared flow
-    table, so the snapshot-local table is built with one Python dict
-    lookup per *distinct* flow (first-use order, byte-identical to the
-    object path) and the per-cell indices remap vectorised.
-    """
-    table = None
-    cols: List[np.ndarray] = []
-    for fw in windows:
-        fidx = fw.flow_idx
-        assert fidx is not None  # caller checked
-        cols.append(np.asarray(fidx, dtype=np.int64))
-        if table is None and fw.flow_table is not None:
-            table = fw.flow_table
-    cat = (
-        np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    )
-    if len(cat) == 0:
-        parts.append(b"")
-        return [], 0
-    assert table is not None
-    uniq, first = np.unique(cat, return_index=True)
-    order = np.argsort(first, kind="stable")
-    uniq = uniq[order]  # shared-table ids in first-use (cell) order
-    lookup = np.empty(int(cat.max()) + 1, dtype=np.int64)
-    lookup[uniq] = np.arange(len(uniq), dtype=np.int64)
-    entries = [
-        _FLOW_ENTRY.pack(f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.proto)
-        for f in (table[j] for j in uniq.tolist())
-    ]
-    parts.append(b"".join(entries))
-    return lookup[cat].tolist(), len(uniq)
-
-
 def encode_tw(snapshot: Any) -> bytes:
     """Encode a :class:`~repro.core.analysis.TimeWindowSnapshot` payload."""
     windows: List[FilteredWindow] = snapshot.windows
@@ -223,9 +209,17 @@ def encode_tw(snapshot: Any) -> bytes:
     if windows and all(
         getattr(fw, "flow_idx", None) is not None for fw in windows
     ):
-        for fw in windows:
-            counts.append(fw.cell_count)
-        indices, num_flows = _intern_flow_indices(table_parts, windows)
+        # Every window's ``flow_idx`` column points into one shared flow
+        # table: the cells of all windows intern as one column.
+        counts = [fw.cell_count for fw in windows]
+        table = next(
+            (fw.flow_table for fw in windows if fw.flow_table is not None), None
+        )
+        column = np.concatenate(
+            [np.asarray(fw.flow_idx, dtype=np.int64) for fw in windows]
+        )
+        local, num_flows = _intern_index_column(table_parts, column, table)
+        indices = local.tolist()
     else:
         flows: List[Optional[FlowKey]] = []
         for fw in windows:
@@ -327,8 +321,12 @@ def decode_tw(buf: bytes, offset: int) -> Any:
 def encode_qm(snapshot: QueueMonitorSnapshot, bounded: bool) -> bytes:
     """Encode a queue-monitor snapshot payload."""
     table_parts: List[bytes] = []
-    indices = _intern_flows(table_parts, snapshot.inc_flow)
-    num_flows = len({f for f in snapshot.inc_flow if f is not None})
+    held = snapshot.inc_flow_idx >= 0
+    local, num_flows = _intern_index_column(
+        table_parts, snapshot.inc_flow_idx[held], snapshot.flow_table
+    )
+    indices = np.full(len(held), -1, dtype="<i4")
+    indices[held] = local
     flags = QM_FLAG_BOUNDED if bounded else 0
     parts = [
         _QM_HEAD.pack(
@@ -340,16 +338,20 @@ def encode_qm(snapshot: QueueMonitorSnapshot, bounded: bool) -> bytes:
             len(snapshot.dec_seq),
         ),
         table_parts[0],
-        np.array(snapshot.inc_seq, dtype="<i8").tobytes(),
-        np.array(snapshot.dec_seq, dtype="<i8").tobytes(),
-        np.array(indices, dtype="<i4").tobytes(),
+        snapshot.inc_seq.astype("<i8", copy=False).tobytes(),
+        snapshot.dec_seq.astype("<i8", copy=False).tobytes(),
+        indices.tobytes(),
     ]
     payload = b"".join(parts)
     return payload + _pad8(len(payload))
 
 
 def decode_qm(buf: bytes, offset: int) -> Tuple[QueueMonitorSnapshot, bool]:
-    """Decode a queue-monitor payload; returns ``(snapshot, bounded)``."""
+    """Decode a queue-monitor payload; returns ``(snapshot, bounded)``.
+
+    Like :func:`decode_tw`, the register columns come back as read-only
+    zero-copy views into ``buf`` (the mmap, for MmapStore).
+    """
     time_ns, top, flags, num_flows, num_inc, num_dec = _QM_HEAD.unpack_from(
         buf, offset
     )
@@ -360,16 +362,13 @@ def decode_qm(buf: bytes, offset: int) -> Tuple[QueueMonitorSnapshot, bool]:
     pos += num_inc * 8
     dec_seq = np.frombuffer(buf, dtype="<i8", count=num_dec, offset=pos)
     pos += num_dec * 8
-    idx = np.frombuffer(buf, dtype="<i4", count=num_inc, offset=pos)
-    inc_flow: List[Optional[FlowKey]] = [
-        None if i < 0 else flow_table[i] for i in idx.tolist()
-    ]
     snapshot = QueueMonitorSnapshot(
         time_ns=time_ns,
         top=top,
-        inc_seq=inc_seq.tolist(),
-        inc_flow=inc_flow,
-        dec_seq=dec_seq.tolist(),
+        inc_seq=inc_seq,
+        inc_flow_idx=np.frombuffer(buf, dtype="<i4", count=num_inc, offset=pos),
+        dec_seq=dec_seq,
+        flow_table=flow_table,
     )
     return snapshot, bool(flags & QM_FLAG_BOUNDED)
 
@@ -380,10 +379,10 @@ def peek_tw_read_time(buf: bytes, offset: int) -> int:
     return read_time_ns
 
 
-def peek_qm_bounded(buf: bytes, offset: int) -> bool:
-    """A QM payload's bounded flag without decoding the snapshot."""
-    flags = _QM_HEAD.unpack_from(buf, offset)[2]
-    return bool(flags & QM_FLAG_BOUNDED)
+def peek_qm(buf: bytes, offset: int) -> Tuple[int, bool]:
+    """A QM payload's ``(time_ns, bounded)`` without decoding the snapshot."""
+    time_ns, _, flags, _, _, _ = _QM_HEAD.unpack_from(buf, offset)
+    return time_ns, bool(flags & QM_FLAG_BOUNDED)
 
 
 def peek_replace_target(buf: bytes, offset: int) -> int:

@@ -166,10 +166,8 @@ class MmapStore(SnapshotStore):
                 )
                 self._insert_tw_entry(entry)
             elif kind == fmt.REC_QM_ADD:
-                self._insert_qm_entry(
-                    _QMEntry((off, length), length),
-                    fmt.peek_qm_bounded(buf, off),
-                )
+                time_ns, bounded = fmt.peek_qm(buf, off)
+                self._insert_qm_entry(_QMEntry(time_ns, (off, length), length), bounded)
             elif kind == fmt.REC_TW_REPLACE:
                 target = fmt.peek_replace_target(buf, off)
                 victim = self._seq_index.get(target)

@@ -111,35 +111,14 @@ class FlowColumn(Sequence[FlowKey]):
     and ``table`` directly.
     """
 
-    __slots__ = ("table", "idx", "_table_arr")
+    __slots__ = ("table", "idx")
 
-    def __init__(
-        self,
-        table: Sequence[FlowKey],
-        idx: np.ndarray,
-        _table_arr: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, table: Sequence[FlowKey], idx: np.ndarray) -> None:
         self.table = table
         self.idx = idx
-        self._table_arr = _table_arr
 
     def __len__(self) -> int:
         return len(self.idx)
-
-    def gather(self, pos: np.ndarray) -> np.ndarray:
-        """``table[idx[pos]]`` as one object-array gather, no construction.
-
-        The table's :class:`FlowKey` objects already exist; a cached
-        object ndarray of the table turns survivor materialisation into
-        a pointer gather instead of a Python loop.  The cache survives
-        view narrowing (the table is shared, not copied).
-        """
-        table_arr = self._table_arr
-        if table_arr is None:
-            table_arr = np.empty(len(self.table), dtype=object)
-            table_arr[:] = self.table
-            self._table_arr = table_arr
-        return table_arr[self.idx[pos]]
 
     @overload
     def __getitem__(self, i: int) -> FlowKey: ...
@@ -151,7 +130,7 @@ class FlowColumn(Sequence[FlowKey]):
         self, i: "Union[int, slice, np.ndarray]"
     ) -> "Union[FlowKey, FlowColumn]":
         if isinstance(i, (np.ndarray, slice)):
-            return FlowColumn(self.table, self.idx[i], self._table_arr)
+            return FlowColumn(self.table, self.idx[i])
         return self.table[int(self.idx[i])]
 
     def __iter__(self) -> Iterator[FlowKey]:

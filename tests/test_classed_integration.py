@@ -69,6 +69,13 @@ class TestClassedMonitors:
         assert high_only.total <= both.total
         for flow, _count in high_only.items():
             assert flow == HIGH
+        # The scan answers what the Section-5 walk does, in its order.
+        _, snapshots = min(pq._classed_snapshots, key=lambda ts: abs(ts[0] - t))
+        expected = {}
+        for snapshot in snapshots.values():
+            for entry in snapshot.walk():
+                expected[entry.flow] = expected.get(entry.flow, 0.0) + 1
+        assert list(both.items()) == list(expected.items())
 
     def test_low_class_buildup_attributed(self):
         pq, port = build_port()

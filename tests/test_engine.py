@@ -17,18 +17,20 @@ from repro.engine import IngestPipeline, ParallelSweep, ResultCache, SweepCell
 from repro.experiments.runner import drive_printqueue, simulate_workload
 from repro.switch.fastpath import merge_event_streams
 from repro.switch.packet import FlowKey
-from repro.switch.records import FlowColumn
+from repro.switch.records import FlowColumn, FlowTable
 
 
 def _monitor_state(qm: QueueMonitor):
+    # Flows resolve through the monitor's own table, so two monitors that
+    # interned the same flows in a different order still compare equal.
+    flows = qm.flow_table.flows
     return (
         qm.top,
         qm._seq,
         qm.overflows,
-        tuple(qm.inc_seq),
-        tuple(qm.inc_flow),
-        tuple(qm.dec_seq),
-        tuple(qm.dec_flow),
+        tuple(qm.inc_seq.tolist()),
+        tuple(None if i < 0 else flows[i] for i in qm.inc_flow_idx.tolist()),
+        tuple(qm.dec_seq.tolist()),
     )
 
 
@@ -63,7 +65,9 @@ def test_apply_batch_matches_scalar_randomized():
     table = [_flow(i) for i in range(20)]
     for granularity in (1, 3):
         reference = QueueMonitor(levels=32, granularity=granularity)
-        batched = QueueMonitor(levels=32, granularity=granularity)
+        port_table = FlowTable()
+        port_table.remap(table)  # a fresh table adopts the batch's indices
+        batched = QueueMonitor(32, granularity, flow_table=port_table)
         depth = 0
         events = []
         for _ in range(500):
@@ -81,7 +85,10 @@ def test_apply_batch_matches_scalar_randomized():
             chunk = events[lo:hi]
             batched.apply_batch(
                 np.array([e[0] for e in chunk], dtype=bool),
-                FlowColumn(table, np.array([e[1] for e in chunk], dtype=np.int64)),
+                FlowColumn(
+                    port_table.flows,
+                    np.array([e[1] for e in chunk], dtype=np.int64),
+                ),
                 np.array([e[2] for e in chunk], dtype=np.int64),
             )
         assert _monitor_state(reference) == _monitor_state(batched)

@@ -448,11 +448,10 @@ class TestQueueMonitorFaults:
         # stored monitor snapshots never regress below the accepted floor
         floor = 0
         for snapshot in pq.analysis.qm_snapshots:
-            seqs = [s for s in snapshot.inc_seq if s != -1]
-            seqs += [s for s in snapshot.dec_seq if s != -1]
-            if seqs:
-                assert max(seqs) >= floor
-                floor = max(floor, max(seqs))
+            peak = max(snapshot.inc_seq.max(), snapshot.dec_seq.max())
+            if peak != -1:
+                assert peak >= floor
+                floor = max(floor, peak)
 
     def test_dropped_qm_polls_degrade_nearby_queries(self):
         plan = FaultPlan(name="qm-drop", qm_drop_rate=1.0)

@@ -65,6 +65,10 @@ def _window_cells(w):
     return [None if r is None else (r.cycle_id, r.flow) for r in cells]
 
 
+def _monitor_flows(flow_idx, table):
+    return tuple(None if i < 0 else table[i] for i in flow_idx.tolist())
+
+
 def _windowset_state(ws):
     return (
         [_window_cells(w) for w in ws.windows],
@@ -87,13 +91,23 @@ def _port_state(pq):
         banks.dp_rejections,
         [_windowset_state(bank) for bank in banks.banks],
         (qm.top, qm._seq, qm.overflows, qm.pushes, qm.drains, qm.high_water),
-        (tuple(qm.inc_seq), tuple(qm.inc_flow), tuple(qm.dec_seq), tuple(qm.dec_flow)),
+        (
+            tuple(qm.inc_seq.tolist()),
+            _monitor_flows(qm.inc_flow_idx, qm.flow_table.flows),
+            tuple(qm.dec_seq.tolist()),
+        ),
         [
             (s.read_time_ns, s.source, s.valid_from_ns, list(s.windows))
             for s in analysis.tw_snapshots
         ],
         [
-            (s.time_ns, s.top, tuple(s.inc_seq), tuple(s.inc_flow), tuple(s.dec_seq))
+            (
+                s.time_ns,
+                s.top,
+                tuple(s.inc_seq.tolist()),
+                _monitor_flows(s.inc_flow_idx, s.flow_table),
+                tuple(s.dec_seq.tolist()),
+            )
             for s in analysis.qm_snapshots
         ],
     )
@@ -411,6 +425,7 @@ def test_banks_share_one_flow_index():
     assert len(pq.analysis.flow_table) == 5
     clone = pickle.loads(pickle.dumps(pq))
     tables = {id(bank.table) for bank in clone.analysis.tw_banks.banks}
+    tables.add(id(clone.analysis.queue_monitor.flow_table))
     assert tables == {id(clone.analysis.flow_table)}
     clone.process_dequeue(_flow(3), 9000, 0)
     assert len(clone.analysis.flow_table) == 5

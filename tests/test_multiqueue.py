@@ -26,6 +26,16 @@ class TestClassManagement:
         assert snaps[0].flow_counts() == {FLOWS[0]: 1}
         assert snaps[1].flow_counts() == {FLOWS[1]: 1}
 
+    def test_classes_share_one_flow_table(self):
+        """Alternating classes intern a flow once, not once per class."""
+        cqm = ClassedQueueMonitor(levels=16)
+        for depth, cls in enumerate((0, 1, 0, 1, 2), start=1):
+            cqm.on_enqueue(cls, FLOWS[depth % 2], depth)
+        assert cqm.flow_table.flows == [FLOWS[1], FLOWS[0]]
+        assert {id(cqm.monitor(c).flow_table) for c in cqm.active_classes} == {
+            id(cqm.flow_table)
+        }
+
     def test_overflow_class_clamped(self):
         cqm = ClassedQueueMonitor(levels=16, max_classes=2)
         cqm.on_enqueue(7, FLOWS[0], 1)

@@ -2,11 +2,12 @@
 paper's Figure 7 example and a hypothesis equivalence proof against the
 exact monotone-stack oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.queuemonitor import QueueMonitor
+from repro.core.queuemonitor import QueueMonitor, QueueMonitorSnapshot
 from repro.switch.packet import FlowKey
 
 FLOWS = {
@@ -160,3 +161,39 @@ def test_monitor_equals_oracle(ops):
             qm.on_dequeue(leaving, oracle.depth)
     got = [(e.level, e.flow) for e in qm.snapshot(0).walk()]
     assert got == oracle.survivors()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scan_equals_walk_on_random_registers(data):
+    """The production prefix scan against the Section-5 walk on arbitrary
+    register contents: stale peaks above ``top``, unset levels, ``top ==
+    0``, equal inc/dec sequence numbers and increases landed on level 0
+    (a small sequence range makes all of them common)."""
+    levels = data.draw(st.integers(1, 24))
+    seqs = st.lists(st.integers(-1, 10), min_size=levels, max_size=levels)
+    inc = data.draw(seqs)
+    table = list(FLOWS.values())
+    snapshot = QueueMonitorSnapshot(
+        time_ns=0,
+        top=data.draw(st.integers(0, levels - 1)),
+        inc_seq=np.array(inc, dtype=np.int64),
+        inc_flow_idx=np.array(
+            [
+                -1 if seq == -1 else data.draw(st.integers(0, len(table) - 1))
+                for seq in inc
+            ],
+            dtype=np.int32,
+        ),
+        dec_seq=np.array(data.draw(seqs), dtype=np.int64),
+        flow_table=table,
+    )
+    entries = snapshot.walk()
+    got_levels, got_seqs, got_flows = snapshot.scan()
+    assert got_levels.tolist() == [e.level for e in entries]
+    assert got_seqs.tolist() == [e.seq for e in entries]
+    assert [table[i] for i in got_flows.tolist()] == [e.flow for e in entries]
+    expected = {}
+    for entry in entries:
+        expected[entry.flow] = expected.get(entry.flow, 0) + 1
+    assert list(snapshot.flow_counts().items()) == list(expected.items())

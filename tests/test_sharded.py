@@ -206,10 +206,17 @@ def test_pool_and_in_process_paths_agree(monkeypatch):
 
     for a, b in zip(pooled, serial):
         assert _view(a.pq) == _view(b.pq)
-        # One flow table per port, still shared by every bank after the
-        # pickle round trip through the worker.
+        # One flow table per port, still shared by every bank and the
+        # monitor's array registers after the pickle round trip through
+        # the worker.
         analysis = a.pq.analysis
         assert all(bank.table is analysis.flow_table for bank in analysis.tw_banks.banks)
+        monitor, local = analysis.queue_monitor, b.pq.analysis.queue_monitor
+        assert monitor.flow_table is analysis.flow_table
+        assert monitor.inc_flow_idx.dtype == np.int32
+        assert monitor._seq == local._seq > 0
+        for name in ("inc_seq", "dec_seq", "inc_flow_idx"):
+            assert np.array_equal(getattr(monitor, name), getattr(local, name))
 
 
 # ---------------------------------------------------------------------------

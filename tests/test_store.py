@@ -13,6 +13,9 @@ Three invariant families:
   deterministic RunReport view as the live run.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core.analysis import AnalysisProgram, TimeWindowSnapshot
@@ -21,6 +24,8 @@ from repro.core.filtering import FilteredWindow
 from repro.core.queuemonitor import QueueMonitorSnapshot
 from repro.errors import ConfigError, StoreError
 from repro.experiments.runner import simulate_workload
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.obs.report import RunReport
 from repro.store import (
     BACKENDS,
@@ -65,9 +70,10 @@ def make_qm(time_ns):
     return QueueMonitorSnapshot(
         time_ns=time_ns,
         top=2,
-        inc_seq=[-1, 4, 9],
-        inc_flow=[None, FLOW_A, FLOW_B],
-        dec_seq=[3, -1, -1],
+        inc_seq=np.array([-1, 4, 9], dtype=np.int64),
+        inc_flow_idx=np.array([-1, 0, 1], dtype=np.int32),
+        dec_seq=np.array([3, -1, -1], dtype=np.int64),
+        flow_table=[FLOW_A, FLOW_B],
     )
 
 
@@ -254,6 +260,40 @@ class TestFormat:
             decoded, got_bounded = fmt.decode_qm(payload, 0)
             assert decoded == snapshot and got_bounded is bounded
 
+    def test_qm_decode_returns_read_only_views(self, tmp_path):
+        """Over ``bytes`` and over the map alike: no per-level re-boxing."""
+        payload = fmt.encode_qm(make_qm(987), True)
+        store = MmapStore(tmp_path / "v.pqstore")
+        store.add_qm(make_qm(987))
+        store.close()
+        reopened = MmapStore.open(tmp_path / "v.pqstore")
+        for buf, decoded in (
+            (payload, fmt.decode_qm(payload, 0)[0]),
+            (reopened._buffer(), reopened.qm_view()[0]),
+        ):
+            raw = np.frombuffer(buf, dtype=np.uint8)
+            for column in (decoded.inc_seq, decoded.dec_seq, decoded.inc_flow_idx):
+                assert np.shares_memory(column, raw)
+                assert not column.flags.writeable
+            assert decoded == make_qm(987)
+        # The fault injector must rebind such columns, never write them.
+        injector = FaultInjector(FaultPlan(name="regress"))
+        assert injector.regress_qm(decoded, floor_seq=5)
+        assert decoded.max_seq == 4 and decoded.inc_seq.tolist() == [-1, -1, 4]
+
+    def test_qm_bytes_match_parent_commit(self, tmp_path):
+        """PQSTORE1 is unchanged by the columnar monitor: the seed-1 uw
+        20 ms run writes the file the list-register encoder wrote."""
+        path = tmp_path / "golden.pqstore"
+        run = simulate_workload(
+            "uw", duration_ns=20_000_000, seed=1, store=MmapStore(path)
+        )
+        run.pq.analysis.store.close()
+        assert len(run.pq.analysis.qm_snapshots) > 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "247e1ff3358b2374daec9f0c911b4920ed0c5c781be3e9ae3c0f6f41bc1154b5"
+        )
+
     def test_header_round_trip(self):
         meta = {"kind": "printqueue-run", "d_ns": 12.5, "nested": {"a": 1}}
         blob = fmt.encode_header(meta)
@@ -340,6 +380,34 @@ class TestRecordReplay:
             a = live.query_time_windows(interval)
             b = replayed.query_time_windows(interval)
             assert a._counts == b._counts
+        # Original culprits too, in the walk's first-survivor order.
+        for t in [s.time_ns for s in live.qm_snapshots]:
+            expected = {}
+            for entry in live.query_queue_monitor(t).walk():
+                expected[entry.flow] = expected.get(entry.flow, 0.0) + 1
+            assert list(run.pq.query(at_ns=t).estimate.items()) == list(
+                expected.items()
+            )
+            assert list(replayed.original_culprits(t).items()) == list(
+                expected.items()
+            )
+
+    def test_queue_monitor_query_decodes_one_snapshot(self, tmp_path):
+        path = tmp_path / "n.pqstore"
+        store = MmapStore(path)
+        for t in (100, 300, 500):
+            store.add_qm(make_qm(t))
+        store.close()
+        replayed = MmapStore.open(path)
+        assert [e.key for e in replayed._qm_entries] == [100, 300, 500]
+        # 200 is equally far from 100 and 300: the earlier one wins.
+        assert replayed.nearest_qm(200).time_ns == 100
+        assert [e.cached is not None for e in replayed._qm_entries] == [
+            True,
+            False,
+            False,
+        ]
+        assert MemoryStore().nearest_qm(0) is None
 
     def test_replay_reproduces_plan_cache_pattern(self, tmp_path):
         path = tmp_path / "run.pqstore"
