@@ -7,22 +7,18 @@ k=11), 4 and 8 ports (alpha=2, k=10), 10 ports (alpha=2, k=10), and
 reports per-port SRAM utilisation next to asynchronous-query accuracy
 for a port carrying the WS workload.
 
-The multi-port ingest itself runs through the sharded engine
-(:class:`repro.engine.ShardRunner`): the WS trace is partitioned into
-per-egress-port shards (paper Section 6's register partitioning) and
-each port's fused pipeline runs in a pool worker, so every sweep point
-also records the wall-clock of driving the whole port fleet.  Accuracy
-is still scored on a full-load port (the paper measures one
-PrintQueue-enabled port carrying the workload); the fleet drive asserts
-the sharded tier handles every port count of the sweep.
+Accuracy is scored on a full-load port (the paper measures one
+PrintQueue-enabled port carrying the workload).  Every sweep point also
+partitions the WS trace by egress port (paper Section 6's register
+partitioning) and drives the ports one after another — ports share
+nothing, so a fleet is a loop — asserting every packet of the
+partitioned trace reached its port.
 
 Paper shape to match: accuracy degrades gracefully as per-port resources
 shrink; total SRAM stays within the budget through rounding to
 r(#ports); around 10 ports the configuration reaches the practical
 limit.
 """
-
-import time
 
 from common import (
     VICTIMS_PER_BAND,
@@ -32,13 +28,13 @@ from common import (
     sweep,
     workload_config,
 )
-from repro.core.printqueue import PrintQueuePort
-from repro.engine import Shard, ShardRunner, SweepCell, partition_trace_by_port
-from repro.experiments.runner import run_trace_through_fifo_batch
+from repro.core.printqueue import PrintQueue
+from repro.engine import SweepCell
+from repro.experiments.runner import drive_printqueue, run_trace_through_fifo_batch
 from repro.metrics.overhead import sram_utilization
-from repro.obs.metrics import Metrics
 from repro.traffic.distributions import distribution_by_name
 from repro.traffic.generator import PoissonWorkload, WorkloadConfig
+from repro.traffic.trace import partition_trace_by_port
 
 SWEEP = [
     (1, dict(alpha=1, k=12)),
@@ -49,32 +45,16 @@ SWEEP = [
 ]
 
 
-def _fleet_wall_clock(trace, ports, config):
-    """Drive `ports` per-port shards through ShardRunner; wall seconds.
-
-    The per-port FIFO logs are built outside the timed region (they are
-    what the switch layer hands the engine); timing covers the sharded
-    ingest drive only.
-    """
-    shards = []
-    for sub in partition_trace_by_port(trace, ports):
-        records, _ = run_trace_through_fifo_batch(sub)
-        if len(records) >= 2:
-            span = records[-1].deq_timestamp - records[0].deq_timestamp
-            d_ns = span / (len(records) - 1)
-        else:
-            d_ns = float(config.min_pkt_tx_delay_ns)
-        pq = PrintQueuePort(
-            config, d_ns=d_ns, model_dp_read_cost=False, metrics=Metrics()
-        )
-        shards.append(Shard(pq, records))
-    runner = ShardRunner(shards)
-    start = time.perf_counter()
-    runner.run()
-    wall_s = time.perf_counter() - start
-    total = sum(s.pq.packets_seen for s in shards)
-    assert total == sum(len(s.records) for s in shards)
-    return wall_s, total
+def _drive_fleet(trace, ports, config):
+    """Partition `trace` over `ports` egress ports and drive each in turn."""
+    fleet = PrintQueue(config, port_ids=range(ports))
+    subs = partition_trace_by_port(trace, ports)
+    assert sum(len(sub) for sub in subs) == len(trace)
+    for pq, sub in zip(fleet.ports.values(), subs):
+        records, drops = run_trace_through_fifo_batch(sub)
+        drive_printqueue(records, pq)
+        # Every packet of the partitioned trace reached its port.
+        assert pq.packets_seen == len(records) == len(sub) - drops
 
 
 def run_fig15():
@@ -108,7 +88,7 @@ def run_fig15():
         config = workload_config("ws", num_ports=ports, **params)
         summary = outcome.accuracy
         sram_pct = 100 * sram_utilization(config)
-        wall_s, fleet_packets = _fleet_wall_clock(trace, ports, config)
+        _drive_fleet(trace, ports, config)
         rows.append(
             (
                 ports,
@@ -116,27 +96,17 @@ def run_fig15():
                 f"{sram_pct:.2f}%",
                 fmt(summary["mean_precision"]),
                 fmt(summary["mean_recall"]),
-                f"{wall_s:.2f}s",
-                f"{fleet_packets / wall_s / 1e6:.2f}",
             )
         )
-        results[ports] = (sram_pct, summary, wall_s)
+        results[ports] = (sram_pct, summary)
     return rows, results
 
 
 def test_fig15_port_parallelism(benchmark):
     rows, results = benchmark.pedantic(run_fig15, rounds=1, iterations=1)
     print_table(
-        "Figure 15 (WS): accuracy and SRAM vs port count (sharded fleet)",
-        [
-            "ports",
-            "per-port config",
-            "total SRAM",
-            "precision",
-            "recall",
-            "fleet wall",
-            "fleet Mpps",
-        ],
+        "Figure 15 (WS): accuracy and SRAM vs port count",
+        ["ports", "per-port config", "total SRAM", "precision", "recall"],
         rows,
     )
     # Shape: the single-port configuration is the most accurate; the
@@ -144,6 +114,4 @@ def test_fig15_port_parallelism(benchmark):
     # total SRAM stays under the pipe budget.
     assert results[1][1]["mean_recall"] >= results[10][1]["mean_recall"] - 0.02
     assert results[10][1]["mean_precision"] > 0.5
-    assert all(pct < 100 for pct, _, _ in results.values())
-    # Every fleet drive completed (wall-clock recorded for each point).
-    assert all(wall > 0 for _, _, wall in results.values())
+    assert all(pct < 100 for pct, _ in results.values())

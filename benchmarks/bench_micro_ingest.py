@@ -1,4 +1,4 @@
-"""Micro-benchmark: the oracle, the production path and the shard driver.
+"""Micro-benchmark: the oracle against the production ingest path.
 
 Replays one ~1M-packet UW dequeue log through
 :func:`repro.experiments.runner.drive_printqueue` twice per
@@ -8,37 +8,26 @@ configuration:
 * ``fused`` — the production path (:class:`repro.engine.IngestPipeline`),
   which consumes the structured
   :class:`~repro.switch.records.RecordBatch` the FIFO fast path emits and
-  never materialises per-packet Python objects,
-
-and then sweeps :class:`repro.engine.ShardRunner` over 2/4/8
-per-egress-port shards (paper Section 6's register partitioning) on the
-primary configuration: each shard runs the same pipeline in a worker and
-the aggregate rate is total dequeued packets over wall-clock.
+  never materialises per-packet Python objects.
 
 Oracle and production are bit-identical (asserted here on the
 instrumentation counters and the full RunReport deterministic view, and
-cell-for-cell by ``tests/test_fused_ingest.py`` /
-``tests/test_sharded.py``), so the speedup is pure engine overhead
-reduction.
+cell-for-cell by ``tests/test_fused_ingest.py``), so the speedup is pure
+engine overhead reduction.
 
 Each rate is reported in Mpps (dequeued packets / best-of-N wall-clock
 seconds / 1e6) and persisted to ``benchmarks/BENCH_ingest.json`` the same
 way the batch query engine tracks QPS in ``BENCH_query.json``.  Timing
 covers ingest only: the dequeue log (object list for the oracle, record
-array for production, per-port record arrays for the sweep) is built once
-outside the timed region, since both are what the switch layer hands the
-engine (:func:`run_trace_through_fifo` /
-:func:`run_trace_through_fifo_batch`).
+array for production) is built once outside the timed region, since both
+are what the switch layer hands the engine
+(:func:`run_trace_through_fifo` / :func:`run_trace_through_fifo_batch`).
 
 At full scale (``REPRO_SCALE=1``) production must ingest at least 6x
 faster than the oracle on the primary configuration (4x on the paper's
 UW configuration); scaled-down smoke runs only sanity-check the ordering.
-Sharding is a multi-port feature, not a speed tier: the 4-shard aggregate
-must reach 1.8x the single-process rate only on machines that actually
-have >= 4 effective cores (single-core CI boxes run the sweep for
-correctness and record the rates, but a process pool cannot beat its own
-serialisation there).  The effective core count is persisted next to the
-rates so regressions are judged against comparable hardware.
+The effective core count is persisted next to the rates so regressions
+are judged against comparable hardware.
 """
 
 import json
@@ -49,7 +38,6 @@ import time
 from common import SCALE, print_table
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
-from repro.engine import Shard, ShardRunner, partition_trace_by_port
 from repro.experiments.runner import (
     drive_printqueue,
     run_trace_through_fifo,
@@ -76,15 +64,6 @@ CONFIGS = {
 FULL_SCALE_FLOOR = {"m0=12 k=12": 6.0, "m0=6 k=12 (UW)": 4.0}
 SMOKE_FLOOR = 1.1
 
-#: Shard counts swept on the primary configuration.
-SHARD_SWEEP = (2, 4, 8)
-#: The configuration the shard sweep runs on (the engine sweet spot).
-SHARD_SWEEP_CONFIG = "m0=12 k=12"
-#: 4-shard aggregate vs the single-process rate — armed only on
-#: machines with at least SHARD_FLOOR_MIN_CORES effective cores.
-SHARDED_FULL_SCALE_FLOOR = 1.8
-SHARD_FLOOR_MIN_CORES = 4
-
 BENCH_INGEST_PATH = os.path.join(os.path.dirname(__file__), "BENCH_ingest.json")
 
 
@@ -107,7 +86,7 @@ def _inputs():
     records, _ = run_trace_through_fifo(trace)
     batch, _ = run_trace_through_fifo_batch(trace)
     assert len(batch) == len(records)
-    return trace, records, batch
+    return records, batch
 
 
 def _ingest_counters(pq: PrintQueuePort):
@@ -140,41 +119,8 @@ def _time_engine(records, config, engine, repeats):
     return best, counters, view
 
 
-def _shard_inputs(trace, num_shards):
-    """Per-port dequeue logs for one shard count (untimed setup)."""
-    shard_records = []
-    for sub in partition_trace_by_port(trace, num_shards):
-        recs, _ = run_trace_through_fifo_batch(sub)
-        shard_records.append(recs)
-    return shard_records
-
-
-def _time_sharded(shard_records, config, repeats):
-    """Best-of-N wall-clock for one ShardRunner sweep point."""
-    best = float("inf")
-    shards = None
-    for _ in range(repeats):
-        shards = [
-            Shard(
-                PrintQueuePort(
-                    config,
-                    d_ns=100.0,
-                    model_dp_read_cost=False,
-                    metrics=Metrics(),
-                ),
-                recs,
-            )
-            for recs in shard_records
-        ]
-        runner = ShardRunner(shards)
-        start = time.perf_counter()
-        runner.run()
-        best = min(best, time.perf_counter() - start)
-    return best, shards
-
-
 def test_micro_ingest_speedup():
-    trace, records, batch = _inputs()
+    records, batch = _inputs()
     n = len(records)
     full_scale = n >= FULL_TRACE_PACKETS
     # Best-of-2 at full scale: a single 1M-packet pass is long enough to
@@ -195,8 +141,6 @@ def test_micro_ingest_speedup():
         # counter tuple and the full RunReport deterministic view.
         assert fused_counters == scalar_counters
         assert fused_view == scalar_view
-        if name == SHARD_SWEEP_CONFIG:
-            single_process_s = fused_s
         speedups[name] = scalar_s / fused_s
         bench_configs[name] = {
             "scalar_s": round(scalar_s, 6),
@@ -214,56 +158,15 @@ def test_micro_ingest_speedup():
                 f"{speedups[name]:.2f}x",
             )
         )
-    # -- shard driver: shard-count sweep on the primary configuration ------
-    cores = _effective_cores()
-    sweep_config = CONFIGS[SHARD_SWEEP_CONFIG]
-    single_process_mpps = n / single_process_s / 1e6
-    sharded_rows = []
-    sharded_points = {}
-    mpps_at_4 = None
-    for num_shards in SHARD_SWEEP:
-        shard_records = _shard_inputs(trace, num_shards)
-        total = sum(len(recs) for recs in shard_records)
-        best, shards = _time_sharded(shard_records, sweep_config, repeats)
-        assert sum(s.pq.packets_seen for s in shards) == total
-        mpps = total / best / 1e6
-        if num_shards == 4:
-            mpps_at_4 = mpps
-        # Parallel efficiency against the single-process rate: 100% is
-        # every shard running as fast as one in-process pipeline.
-        efficiency = mpps / (single_process_mpps * num_shards) * 100.0
-        sharded_points[str(num_shards)] = {
-            "s": round(best, 6),
-            "packets": total,
-            "mpps": round(mpps, 4),
-            "efficiency_pct": round(efficiency, 1),
-        }
-        sharded_rows.append(
-            (num_shards, total, f"{mpps:.3f}", f"{efficiency:.1f}%")
-        )
-    sharded_floor_armed = full_scale and cores >= SHARD_FLOOR_MIN_CORES
-
     record = {
         "scale": SCALE,
         "packets": n,
-        "cores": cores,
+        "cores": _effective_cores(),
         "configs": bench_configs,
-        "shard_sweep": {
-            "config": SHARD_SWEEP_CONFIG,
-            "single_process_mpps": round(single_process_mpps, 4),
-            "floor": SHARDED_FULL_SCALE_FLOOR,
-            "floor_armed": sharded_floor_armed,
-            "shards": sharded_points,
-        },
     }
     with open(BENCH_INGEST_PATH, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print_table(
-        f"Micro: shard driver sweep ({SHARD_SWEEP_CONFIG}, {cores} cores)",
-        ["shards", "packets", "aggregate Mpps", "efficiency"],
-        sharded_rows,
-    )
     print_table(
         "Micro: ingest (Mpps; speedup production/oracle)",
         ["config", "packets", "scalar Mpps", "fused Mpps", "speedup"],
@@ -274,13 +177,4 @@ def test_micro_ingest_speedup():
         assert speedup >= floor, (
             f"{name}: ingest speedup {speedup:.2f}x below the "
             f"{floor:.1f}x floor ({'full' if full_scale else 'smoke'} scale)"
-        )
-    if sharded_floor_armed:
-        assert mpps_at_4 is not None
-        sharded_speedup = mpps_at_4 / single_process_mpps
-        assert sharded_speedup >= SHARDED_FULL_SCALE_FLOOR, (
-            f"4-shard aggregate {mpps_at_4:.3f} Mpps is only "
-            f"{sharded_speedup:.2f}x the single-process rate "
-            f"({single_process_mpps:.3f} Mpps) on {cores} cores — below the "
-            f"{SHARDED_FULL_SCALE_FLOOR:.1f}x floor"
         )

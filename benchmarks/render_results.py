@@ -35,39 +35,7 @@ def render_bench_ingest(path: Path) -> str:
             f"| {name} | {cfg['scalar_mpps']:.3f} | {cfg['fused_mpps']:.3f} "
             f"| {cfg['fused_speedup']:.2f}x |"
         )
-    sweep = record.get("shard_sweep")
-    if sweep:
-        lines.extend(render_shard_scaling(sweep, record.get("cores")))
     return "\n".join(lines)
-
-
-def render_shard_scaling(sweep: dict, cores) -> list:
-    """Markdown for the shard driver's shard-count scaling curve.
-
-    Aggregate Mpps per shard count plus parallel efficiency (rate over
-    the single-process rate scaled by shard count).  The effective core
-    count the sweep ran on is printed with the curve: scaling beyond the
-    core count measures pool overhead, not the engine.
-    """
-    reference = sweep["single_process_mpps"]
-    floor_state = "armed" if sweep.get("floor_armed") else "not armed"
-    lines = [
-        "",
-        f"### Shard-count scaling ({sweep['config']}, {cores} cores)",
-        "",
-        f"Single-process reference: {reference:.3f} Mpps; "
-        f"4-shard floor {sweep['floor']:.1f}x single-process ({floor_state}).",
-        "",
-        "| shards | aggregate Mpps | vs single-process | efficiency |",
-        "|---|---|---|---|",
-    ]
-    for num in sorted(sweep["shards"], key=int):
-        point = sweep["shards"][num]
-        lines.append(
-            f"| {num} | {point['mpps']:.3f} | {point['mpps'] / reference:.2f}x "
-            f"| {point['efficiency_pct']:.1f}% |"
-        )
-    return lines
 
 
 def render_bench_query(path: Path) -> str:

@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for the PQ1xx rule family.
 
 The file rules (PQ001–PQ005) reason about one module at a time; the
-concurrency rules (PQ101–PQ105) need to know *what calls what* across
+concurrency rules (PQ101–PQ103, PQ105) need to know *what calls what* across
 the whole tree: a blocking call three modules away from an ``async def``
 is exactly as wrong as one inside it.  :func:`build_project_index`
 parses every module's AST once into a :class:`ProjectIndex` — functions
@@ -18,8 +18,8 @@ the shapes the codebase actually uses —
   ``obj``'s class is known from a parameter annotation, a local
   ``obj = ClassName(...)`` assignment, an annotated ``self.attr``, or a
   project function's return annotation (single-inheritance MRO walk);
-* ``functools.partial(f, ...)`` — the edge goes to ``f`` (the shard
-  driver submits partials of module-level workers);
+* ``functools.partial(f, ...)`` — the edge goes to ``f`` (the sweep
+  submits partials of module-level workers);
 * function *references* passed as call arguments (``pool.submit(f, …)``).
 
 Anything the resolver cannot see (duck-typed ``object`` parameters,

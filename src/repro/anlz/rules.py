@@ -29,9 +29,6 @@ PQ103     pool-picklability      objects crossing a process-pool ``submit``
                                  boundary are statically picklable — no
                                  lambdas, closures, or lock/socket/generator
                                  fields (DESIGN §15/§17)
-PQ104     shm-lifecycle          ``multiprocessing.shared_memory`` blocks
-                                 close (and unlink, when created) on all
-                                 paths — try/finally or context manager
 PQ105     await-under-lock       no ``await`` while holding a
                                  ``threading.Lock`` (lock-scope tracking)
 ========  =====================  ==================================================
@@ -647,21 +644,6 @@ def _ancestors(scope_node: ast.AST) -> Dict[int, ast.AST]:
     return parents
 
 
-def _enclosing_with_item(
-    parents: Dict[int, ast.AST], node: ast.AST
-) -> Optional[ast.With]:
-    """The sync ``with`` whose *context expression* contains ``node``."""
-    current = node
-    while id(current) in parents:
-        parent = parents[id(current)]
-        if isinstance(parent, ast.withitem) and parent.context_expr is current:
-            grand = parents.get(id(parent))
-            if isinstance(grand, ast.With):
-                return grand
-        current = parent
-    return None
-
-
 def _functions_by_module(
     index: ProjectIndex,
 ) -> Dict[int, List[FunctionInfo]]:
@@ -1012,14 +994,14 @@ _UNPICKLABLE_FACTORIES = frozenset(
 class PoolPicklabilityRule(ProjectRule):
     """PQ103: submit-site arguments must be statically picklable.
 
-    ``ParallelSweep`` and ``ShardRunner`` ship work to a
-    ``ProcessPoolExecutor``; everything at a ``.submit(fn, *args)`` site
-    crosses a pickle boundary at runtime, where a lambda or a
-    lock-holding object dies with an opaque ``PicklingError`` inside the
-    pool (or worse, only under the spawn start method CI doesn't run).
+    ``ParallelSweep`` ships work to a process pool; everything at a
+    ``.submit(fn, *args)`` site crosses a pickle boundary at runtime,
+    where a lambda or a lock-holding object dies with an opaque
+    ``PicklingError`` inside the pool (or worse, only under the spawn
+    start method CI doesn't run).
     The rule checks each submit site statically: the callable must be a
     module-level function (directly, or through a ``functools.partial``
-    — the shard driver's idiom), never a lambda or a local closure;
+    — the sweep's idiom), never a lambda or a local closure;
     and each argument whose project class is known from the index is
     scanned transitively for fields built from lock/socket factories or
     project generator functions.  A class that defines ``__getstate__``
@@ -1151,126 +1133,6 @@ class PoolPicklabilityRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# PQ104 — shared-memory segments close (and unlink) on all paths
-# ---------------------------------------------------------------------------
-
-
-class SharedMemoryLifecycleRule(ProjectRule):
-    """PQ104: every ``SharedMemory`` has ``close()`` (and ``unlink()``) on all paths.
-
-    A leaked ``/dev/shm`` segment outlives the process — the shard
-    driver's record transport would bleed host memory run over run, and
-    a created-but-never-unlinked segment collides on name reuse.  The
-    rule finds each ``shared_memory.SharedMemory(...)`` call and
-    requires one of the shapes the tree uses: the call is a ``with``
-    context expression, or its result is bound to a name that a
-    ``try``/``finally`` in the same scope closes (``name.close()`` in
-    the ``finally``), plus ``name.unlink()`` when the call passes
-    ``create=True`` — the creator owns the segment's lifetime, an
-    attacher only its mapping.  An unbound call (``SharedMemory(...)``
-    as a bare expression or argument) can never be cleaned up and is
-    always flagged.
-    """
-
-    code = "PQ104"
-    name = "shm-lifecycle"
-    summary = "SharedMemory close()/unlink() on all paths (try/finally or with)"
-
-    def check_project(
-        self, modules: Sequence[SourceModule], index: ProjectIndex
-    ) -> Iterator[Finding]:
-        by_module = _functions_by_module(index)
-        for module in modules:
-            scopes: List[ast.AST] = [module.tree]
-            scopes.extend(
-                info.node for info in by_module.get(id(module), ())
-            )
-            for scope_node in scopes:
-                yield from self._check_scope(index, module, scope_node)
-
-    def _check_scope(
-        self, index: ProjectIndex, module: SourceModule, scope_node: ast.AST
-    ) -> Iterator[Finding]:
-        parents = _ancestors(scope_node)
-        for node in walk_shallow(scope_node):
-            if not isinstance(node, ast.Call):
-                continue
-            canonical = index.canonical_call(module, node)
-            if canonical != "multiprocessing.shared_memory.SharedMemory":
-                continue
-            created = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            if _enclosing_with_item(parents, node) is not None:
-                continue
-            bound = self._bound_name(parents, node)
-            if bound is None:
-                yield self.finding(
-                    module,
-                    node,
-                    "SharedMemory(...) is never bound to a name; its "
-                    "close()/unlink() cannot run — use `with` or bind "
-                    "and try/finally",
-                )
-                continue
-            missing = self._missing_cleanup(scope_node, bound, created)
-            if missing:
-                wanted = " and ".join(missing)
-                yield self.finding(
-                    module,
-                    node,
-                    f"SharedMemory bound to `{bound}` has no {wanted} in "
-                    "a `finally:` on this path; a leaked segment "
-                    "outlives the process",
-                )
-
-    @staticmethod
-    def _bound_name(
-        parents: Dict[int, ast.AST], call: ast.Call
-    ) -> Optional[str]:
-        parent = parents.get(id(call))
-        if (
-            isinstance(parent, ast.Assign)
-            and parent.value is call
-            and len(parent.targets) == 1
-            and isinstance(parent.targets[0], ast.Name)
-        ):
-            return parent.targets[0].id
-        if (
-            isinstance(parent, ast.AnnAssign)
-            and parent.value is call
-            and isinstance(parent.target, ast.Name)
-        ):
-            return parent.target.id
-        return None
-
-    @staticmethod
-    def _missing_cleanup(
-        scope_node: ast.AST, name: str, created: bool
-    ) -> List[str]:
-        """Which of close()/unlink() no ``finally:`` in this scope calls."""
-        wanted = {"close"} | ({"unlink"} if created else set())
-        found: Set[str] = set()
-        for node in walk_shallow(scope_node):
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for final_stmt in node.finalbody:
-                for sub in ast.walk(final_stmt):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in wanted
-                        and isinstance(sub.func.value, ast.Name)
-                        and sub.func.value.id == name
-                    ):
-                        found.add(sub.func.attr)
-        return sorted(f"{attr}()" for attr in wanted - found)
-
-
-# ---------------------------------------------------------------------------
 # PQ105 — no await while holding a threading.Lock
 # ---------------------------------------------------------------------------
 
@@ -1332,7 +1194,6 @@ RULE_REGISTRY: Dict[str, Type[FileRule]] = {
         AsyncBlockingRule,
         ObsLockDisciplineRule,
         PoolPicklabilityRule,
-        SharedMemoryLifecycleRule,
         AwaitUnderLockRule,
     )
 }

@@ -205,7 +205,26 @@ class PrintQueuePort:
         #: records query latencies, ingest timings, and a poll-boundary
         #: counter timeline.  Collection never mutates structure state, so
         #: diagnosis results are bit-identical with or without it.
-        self.attach_metrics(metrics)
+        self.metrics = metrics
+        if metrics is not None:
+            self._obs_apply_ns = metrics.histogram("pq_ingest_apply_ns")
+            self._obs_absorb_ns = metrics.histogram("pq_ingest_absorb_ns")
+            # Per-stage timing histograms (the profile-driven shaving
+            # loop's vocabulary): the same spans as the two ingest
+            # histograms above, under the pq_ingest_stage_* names the
+            # generate/fifo/filter/encode stages also publish.
+            self._obs_stage_qm_ns = metrics.histogram(
+                "pq_ingest_stage_qm_write_back_ns"
+            )
+            self._obs_stage_absorb_ns = metrics.histogram(
+                "pq_ingest_stage_absorb_ns"
+            )
+            self.analysis.attach_stage_observers(metrics)
+        else:
+            self._obs_apply_ns = None
+            self._obs_absorb_ns = None
+            self._obs_stage_qm_ns = None
+            self._obs_stage_absorb_ns = None
         #: optional per-packet depth-unit accounting (e.g. buffer cells);
         #: defaults to one unit per packet, matching EgressQueue's default.
         self.units_of = units_of
@@ -245,53 +264,6 @@ class PrintQueuePort:
                 metrics=metrics,
                 strict=faults_strict,
             )
-
-    def attach_metrics(self, metrics: Optional[Metrics]) -> None:
-        """(Re)bind the observability registry and its timing handles.
-
-        Called at construction, and by the multi-port shard driver when it
-        adopts a worker-process port back into the parent: the worker's
-        counters are merged into the parent registry first, then every
-        handle re-points here so later queries/samples land in it.
-        """
-        self.metrics = metrics
-        if metrics is not None:
-            self._obs_apply_ns = metrics.histogram("pq_ingest_apply_ns")
-            self._obs_absorb_ns = metrics.histogram("pq_ingest_absorb_ns")
-            # Per-stage timing histograms (the profile-driven shaving
-            # loop's vocabulary): the same spans as the two ingest
-            # histograms above, under the pq_ingest_stage_* names the
-            # generate/fifo/filter/encode stages also publish.
-            self._obs_stage_qm_ns = metrics.histogram(
-                "pq_ingest_stage_qm_write_back_ns"
-            )
-            self._obs_stage_absorb_ns = metrics.histogram(
-                "pq_ingest_stage_absorb_ns"
-            )
-            self.analysis.attach_stage_observers(metrics)
-        else:
-            self._obs_apply_ns = None
-            self._obs_absorb_ns = None
-            self._obs_stage_qm_ns = None
-            self._obs_stage_absorb_ns = None
-        # Fault-path instruments follow the registry (no-op without
-        # faults; ResilientPoller re-derives its handles the same way).
-        injector = getattr(self, "faults", None)
-        if injector is not None:
-            injector.metrics = metrics
-        poller = getattr(self, "_poller", None)
-        if poller is not None:
-            poller.metrics = metrics
-            if metrics is not None:
-                poller._obs_backoff = metrics.histogram(
-                    "pq_fault_retry_backoff_ns"
-                )
-                poller._obs_retries = metrics.counter(
-                    "pq_faults_retries_total"
-                )
-            else:
-                poller._obs_backoff = None
-                poller._obs_retries = None
 
     # -- data-path hooks (attach to an EgressPort) --------------------------
 

@@ -45,7 +45,7 @@ class TimeWindow:
 
     ``table`` is the flow-interning table ``flow_idx`` points into — the
     port's, shared by every window of every bank; a window built without
-    one (tests, :mod:`repro.core.wrapping`) gets its own.
+    one (tests) gets its own.
     """
 
     __slots__ = ("k", "mask", "cycle_ids", "flow_idx", "table")

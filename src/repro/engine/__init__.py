@@ -18,11 +18,6 @@ fast path and PrintQueue's measurement structures:
   (TTS array + interned flow index) form and batched multi-victim
   queries run as ``searchsorted`` slices with in-order per-flow
   accumulation — numerically identical to the scalar reference walk.
-* :class:`~repro.engine.sharded.ShardRunner` is the multi-port driver:
-  one pipeline per egress port across a process pool, record arrays
-  shipped via shared memory, worker snapshot streams replayed into the
-  parent's stores and counters merged back — bit-identical to per-port
-  in-process runs, with a graceful in-process fallback.
 * :class:`~repro.engine.parallel.ParallelSweep` fans independent
   (workload, config, port) experiment cells across a process pool with
   per-cell result caching, so figure-style sweeps scale with cores;
@@ -37,11 +32,6 @@ from repro.engine.parallel import (
     SweepCell,
     intern_config,
 )
-from repro.engine.sharded import (
-    Shard,
-    ShardRunner,
-    partition_trace_by_port,
-)
 from repro.engine.queryplan import (
     CompiledQueryPlan,
     CompiledSnapshot,
@@ -52,9 +42,6 @@ from repro.engine.queryplan import (
 
 __all__ = [
     "IngestPipeline",
-    "Shard",
-    "ShardRunner",
-    "partition_trace_by_port",
     "ParallelSweep",
     "ResultCache",
     "SweepCell",

@@ -33,8 +33,8 @@ from repro.obs.metrics import Metrics
 POOL_TIMEOUT_ENV = "REPRO_POOL_TIMEOUT_S"
 
 #: Default per-future wait before a pool worker is declared stuck.  Far
-#: above any real cell/shard runtime, so it only fires on genuine hangs;
-#: both pool drivers then abandon the pool and fall back in-process.
+#: above any real cell runtime, so it only fires on genuine hangs; the
+#: sweep then abandons the pool and falls back in-process.
 DEFAULT_POOL_TIMEOUT_S = 600.0
 
 

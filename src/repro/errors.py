@@ -56,17 +56,6 @@ class RetryExhausted(DataPlaneReadError):
     attempt budget."""
 
 
-class PoolTimeoutError(ReproError):
-    """A process-pool worker exceeded its bounded wait.
-
-    Raised internally by :class:`~repro.engine.parallel.ParallelSweep`
-    and :class:`~repro.engine.sharded.ShardRunner` when a
-    ``future.result(timeout=...)`` wait expires; both catch it as part of
-    their degradation taxonomy and fall back to in-process execution, so
-    callers only ever see it re-raised when the fallback itself fails.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for always-on diagnosis-service errors."""
 

@@ -43,10 +43,9 @@ The contract:
   run concurrently with writers; each instrument's snapshot is
   internally consistent (taken under its lock) but the registry-wide
   view is not a global atomic cut — fine for exposition.
-* **Structural operations are owner-only.**  ``merge`` and ``sample``
-  must be called by the owner while the *other* registry is quiescent
-  (the shard driver merges worker registries only after their
-  processes exited; the service merges nothing live).
+* **The timeline is owner-written.**  ``sample`` is called only by the
+  owning port's poll loop; it appends under the registry lock so a
+  concurrent reader never sees a torn list.
 
 The locks are per-instrument and uncontended on the hot paths (the
 data-plane structure counters stay plain integer attributes on the
@@ -107,9 +106,9 @@ class Counter:
     def snapshot(self) -> int:
         return self.value
 
-    # Locks don't pickle; the shard driver ships fresh registries to
-    # worker processes inside pickled ports, so every instrument drops
-    # its lock on the way out and recreates it on the way back in.
+    # Locks don't pickle; a registry travels inside a pickled port, so
+    # every instrument drops its lock on the way out and recreates it
+    # on the way back in.
     def __getstate__(self) -> int:
         return self.value
 
@@ -319,32 +318,6 @@ class Metrics:
     def find(self, name: str, **labels: Any) -> Optional[Any]:
         """The instrument registered under (name, labels), if any."""
         return self._instruments.get((name, _label_key(labels)))
-
-    def merge(self, other: "Metrics") -> None:
-        """Fold another registry's instruments into this one.
-
-        Counters add, histograms add bucket-for-bucket (the fixed log₂
-        buckets were chosen to make this exact), gauges take the other
-        registry's value (last writer wins), and timeline samples extend
-        in order.  The multi-port shard driver uses this to fold each
-        worker's registry back into the caller's after adoption.
-        """
-        for (name, pairs), instrument in other._instruments.items():
-            labels = dict(pairs)
-            if isinstance(instrument, Counter):
-                self._get(Counter, name, labels).inc(instrument.value)
-            elif isinstance(instrument, Gauge):
-                self._get(Gauge, name, labels).set(instrument.value)
-            else:
-                mine = self._get(Histogram, name, labels)
-                with mine._lock:
-                    for bucket, count in enumerate(instrument.counts):
-                        if count:
-                            mine.counts[bucket] += count
-                    mine.count += instrument.count
-                    mine.sum += instrument.sum
-        with self._lock:
-            self.samples.extend(other.samples)
 
     # -- exposition ------------------------------------------------------
 

@@ -37,6 +37,7 @@ from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort, QueryResult
 from repro.core.queries import QueryInterval
 from repro.errors import (
+    ConfigError,
     QueryError,
     ReproError,
     ServiceDegradedRejection,
@@ -140,6 +141,8 @@ class DiagnosisService:
         from repro.traffic.generator import PoissonWorkload, WorkloadConfig
 
         cfg = self.config
+        if cfg.engine != "fused":
+            raise ConfigError(f"unsupported service engine {cfg.engine!r}")
         generator = PoissonWorkload(
             distribution_by_name(cfg.workload),
             WorkloadConfig(load=cfg.load, duration_ns=cfg.duration_ns),
@@ -161,8 +164,6 @@ class DiagnosisService:
             faults=cfg.faults,
             store=self.store,
         )
-        if cfg.engine != "fused":
-            raise QueryError(f"unsupported service engine {cfg.engine!r}")
         from repro.engine.ingest import IngestPipeline
 
         self.ingest = LiveIngest(

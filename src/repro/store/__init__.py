@@ -28,7 +28,6 @@ from repro.store.replay import (
     default_probe_intervals,
     read_recording,
     replay_analysis,
-    replay_into,
     replay_store,
 )
 from repro.store.retention import RetentionPolicy
@@ -47,6 +46,5 @@ __all__ = [
     "default_probe_intervals",
     "read_recording",
     "replay_analysis",
-    "replay_into",
     "replay_store",
 ]

@@ -100,20 +100,14 @@ def read_recording(path: Union[str, Path]) -> Dict[str, Any]:
     }
 
 
-def replay_into(store: SnapshotStore, buf: bytes) -> int:
-    """Feed a recorded ingest stream into an existing store.
+def _replay_into(store: SnapshotStore, buf: bytes, offset: int) -> int:
+    """Feed the records of a recorded ingest stream into a fresh store.
 
-    Binds the store to the recording's header metadata (a no-op when
-    already bound — first bind wins) and replays every add/replace in
-    order through the normal mutating API, so version, retention, and
-    eviction history evolve exactly as they did live.  Returns the
-    number of records consumed; ``replay_position`` is NOT touched —
-    callers rebuilding a store from scratch (:func:`replay_store`) set
-    it, while the multi-port shard driver replaying a worker's stream
-    into a live parent store leaves it 0, like any live run.
+    Replays every add/replace after the header (``offset``) in order
+    through the normal mutating API, so version, retention, and eviction
+    history evolve exactly as they did live.  Returns the number of
+    records consumed.
     """
-    meta, offset = fmt.read_header(buf)
-    store.bind(meta)
     position = 0
     for kind, off, _length in fmt.iter_records(buf, offset):
         position += 1
@@ -152,11 +146,12 @@ def replay_store(
     else:
         raise StoreError(f"unknown store backend: {backend!r}")
     buf = Path(path).read_bytes()
-    meta, _offset = fmt.read_header(buf)
+    meta, offset = fmt.read_header(buf)
     if retention is None:
         retention = RetentionPolicy(**meta.get("retention", {}))
     store: SnapshotStore = store_cls(retention=retention)
-    store.replay_position = replay_into(store, buf)
+    store.bind(meta)
+    store.replay_position = _replay_into(store, buf, offset)
     return store
 
 

@@ -29,7 +29,7 @@ from repro.traffic.scenarios import (
     microburst_scenario,
     udp_burst_case_study,
 )
-from repro.traffic.trace import Trace
+from repro.traffic.trace import Trace, partition_trace_by_port
 
 __all__ = [
     "ArrivalProcess",
@@ -45,6 +45,7 @@ __all__ = [
     "PoissonWorkload",
     "WorkloadConfig",
     "Trace",
+    "partition_trace_by_port",
     "microburst_scenario",
     "incast_scenario",
     "udp_burst_case_study",

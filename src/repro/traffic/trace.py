@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.switch.packet import FlowKey, Packet
 
 
@@ -170,3 +171,31 @@ class Trace:
                 priority=None if priority.size == 0 else priority,
                 name=str(data["name"]),
             )
+
+
+def partition_trace_by_port(trace: Trace, num_ports: int) -> List[Trace]:
+    """Split a trace into per-egress-port sub-traces, deterministically.
+
+    Flows map to ports by ``flow_index % num_ports`` — a stand-in for a
+    forwarding table that is stable across runs and engines, so port
+    counts can vary while every flow's port (hence its queue dynamics)
+    stays fixed for a given ``num_ports``.  Each sub-trace keeps the full
+    flow table (indices stay valid) and its arrays remain arrival-sorted.
+    """
+    if num_ports < 1:
+        raise ConfigError(f"need at least one port, got {num_ports}")
+    ports: List[Trace] = []
+    assignment = trace.flow_index % num_ports
+    for port in range(num_ports):
+        mask = assignment == port
+        ports.append(
+            Trace(
+                arrival_ns=trace.arrival_ns[mask],
+                size_bytes=trace.size_bytes[mask],
+                flow_index=trace.flow_index[mask],
+                flows=trace.flows,
+                priority=None if trace.priority is None else trace.priority[mask],
+                name=f"{trace.name}:port{port}",
+            )
+        )
+    return ports

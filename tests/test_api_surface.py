@@ -37,7 +37,6 @@ PUBLIC_MODULES = [
     "repro.core.taxonomy",
     "repro.core.timewindow",
     "repro.core.windowset",
-    "repro.core.wrapping",
     "repro.switch",
     "repro.switch.buffer",
     "repro.switch.events",
@@ -74,7 +73,6 @@ PUBLIC_MODULES = [
     "repro.engine.ingest",
     "repro.engine.parallel",
     "repro.engine.queryplan",
-    "repro.engine.sharded",
     "repro.faults",
     "repro.faults.plan",
     "repro.faults.injector",
@@ -159,3 +157,20 @@ def test_public_classes_have_documented_methods():
             if method_name.startswith("_"):
                 continue
             assert inspect.getdoc(method), f"{cls.__name__}.{method_name}"
+
+
+def test_retired_multiport_names_are_gone_not_aliased():
+    """The process hop and its transport were deleted outright (PR 24)."""
+    import repro.engine
+    import repro.errors
+    import repro.store
+    from repro.obs.metrics import Metrics
+
+    for module in ("repro.engine.sharded", "repro.core.wrapping"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for name in ("ShardRunner", "Shard"):
+        assert not hasattr(repro.engine, name), name
+    assert not hasattr(repro.errors, "PoolTimeoutError")
+    assert not hasattr(Metrics, "merge")
+    assert not hasattr(repro.store, "replay_into")

@@ -13,7 +13,7 @@ from repro.anlz.model import parse_module
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
-CONCURRENCY_RULES = ["PQ101", "PQ102", "PQ103", "PQ104", "PQ105"]
+CONCURRENCY_RULES = ["PQ101", "PQ102", "PQ103", "PQ105"]
 
 
 def build_tree(tmp_path, files):

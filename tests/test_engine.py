@@ -13,7 +13,13 @@ import pytest
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
 from repro.core.queuemonitor import QueueMonitor
-from repro.engine import IngestPipeline, ParallelSweep, ResultCache, SweepCell
+from repro.engine import (
+    IngestPipeline,
+    ParallelSweep,
+    ResultCache,
+    SweepCell,
+    intern_config,
+)
 from repro.experiments.runner import drive_printqueue, simulate_workload
 from repro.switch.fastpath import merge_event_streams
 from repro.switch.packet import FlowKey
@@ -338,3 +344,29 @@ def test_sweep_timeout_resolution(monkeypatch):
     assert default_pool_timeout_s() == DEFAULT_POOL_TIMEOUT_S
     assert ParallelSweep(max_workers=1, timeout_s=-1).timeout_s is None
     assert ParallelSweep(max_workers=1, timeout_s=7.0).timeout_s == 7.0
+
+
+def test_intern_config_returns_shared_instance():
+    a = PrintQueueConfig(m0=6, k=10, alpha=2, T=3)
+    b = PrintQueueConfig(m0=6, k=10, alpha=2, T=3)
+    assert a is not b
+    assert intern_config(a) is intern_config(b)
+
+
+def test_parallel_sweep_interns_cell_configs():
+    def worker(cell):
+        return cell.config
+
+    cells = [
+        SweepCell(
+            workload="uw",
+            config=PrintQueueConfig(m0=6, k=10, alpha=2, T=3),
+            duration_ns=1,
+            seed=s,
+        )
+        for s in (1, 2)
+    ]
+    assert cells[0].config is not cells[1].config
+    sweep = ParallelSweep(worker=worker, max_workers=1)
+    results = sweep.run(cells)
+    assert results[0] is results[1]

@@ -32,7 +32,6 @@ RULES = (
     "PQ101",
     "PQ102",
     "PQ103",
-    "PQ104",
     "PQ105",
 )
 
@@ -47,7 +46,6 @@ MIN_BAD_FINDINGS = {
     "PQ101": 3,
     "PQ102": 3,
     "PQ103": 4,
-    "PQ104": 3,
     "PQ105": 3,
 }
 
@@ -138,7 +136,7 @@ class TestEnginePlumbing:
         assert doc["suppressed"] == len(result.suppressed) >= 1
 
     def test_sarif_document_shape(self):
-        result = lint_paths([FIXTURES / "PQ104_bad"])
+        result = lint_paths([FIXTURES / "PQ105_bad"])
         doc = json.loads(render_sarif(result))
         assert doc["version"] == SARIF_VERSION
         run = doc["runs"][0]
@@ -148,7 +146,7 @@ class TestEnginePlumbing:
             rule_codes()
         )
         assert len(run["results"]) == len(result.findings)
-        assert {r["ruleId"] for r in run["results"]} == {"PQ104"}
+        assert {r["ruleId"] for r in run["results"]} == {"PQ105"}
         region = run["results"][0]["locations"][0]["physicalLocation"]["region"]
         assert region["startColumn"] == result.findings[0].col + 1
 

@@ -1,5 +1,6 @@
 """Tests for PrintQueuePort / PrintQueue orchestration (Figure 3)."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import PrintQueueConfig
@@ -11,9 +12,15 @@ from repro.core.printqueue import (
 )
 from repro.core.queries import QueryInterval
 from repro.errors import ConfigError
+from repro.experiments.runner import drive_printqueue, run_trace_through_fifo_batch
+from repro.obs.report import RunReport
+from repro.store import MmapStore
 from repro.switch.packet import FlowKey, Packet
 from repro.switch.port import EgressPort
 from repro.switch.switchsim import Switch
+from repro.traffic.distributions import distribution_by_name
+from repro.traffic.generator import PoissonWorkload, WorkloadConfig
+from repro.traffic.trace import partition_trace_by_port
 from repro.units import GBPS
 
 FLOW_A = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)
@@ -148,3 +155,63 @@ class TestMultiPort:
         switch.run_trace([a, b1, b2])
         assert pq.port(0).packets_seen == 1
         assert pq.port(1).packets_seen == 2
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_fleet_is_a_loop_over_independent_ports(self, tmp_path, reverse):
+        """Ports share nothing: a trace partitioned four ways and driven
+        port by port into one deployment leaves every port exactly where
+        a standalone port on that port's log ends up — report, batch
+        answers and PQSTORE1 file bytes — whatever the drive order."""
+        config = PrintQueueConfig(m0=6, k=10, alpha=2, T=3, qm_levels=4096)
+        trace = PoissonWorkload(
+            distribution_by_name("uw"),
+            WorkloadConfig(load=1.2, duration_ns=8_000_000),
+            seed=13,
+        ).generate()
+        logs = [
+            run_trace_through_fifo_batch(sub)[0]
+            for sub in partition_trace_by_port(trace, 4)
+        ]
+        d_ns = 1200.0
+
+        fleet = PrintQueue(config, port_ids=range(4), d_ns=d_ns)
+        stores = {}
+        for pid, pq in fleet.ports.items():
+            # The deployment builds its ports' (memory) stores itself;
+            # re-seat each on a file store bound to the same run metadata.
+            stores[pid] = MmapStore(tmp_path / f"fleet-{pid}")
+            stores[pid].bind(pq.analysis.store.meta)
+            pq.analysis.store = stores[pid]
+        order = sorted(fleet.ports, reverse=reverse)
+        for pid in order:
+            drive_printqueue(logs[pid], fleet.port(pid))
+
+        for pid in order:
+            records = logs[pid]
+            alone_store = MmapStore(tmp_path / f"alone-{pid}")
+            alone = PrintQueuePort(config, d_ns=d_ns, store=alone_store)
+            drive_printqueue(records, alone)
+            pq = fleet.port(pid)
+            assert pq.packets_seen == len(records) > 0
+            assert (
+                RunReport.from_port(pq).deterministic_view()
+                == RunReport.from_port(alone).deterministic_view()
+            )
+            ends = np.linspace(
+                records[0].deq_timestamp, records[-1].deq_timestamp, 6
+            ).astype(np.int64)[1:]
+            intervals = [
+                QueryInterval(max(0, int(end) - config.set_period_ns), int(end))
+                for end in ends
+            ]
+            got = pq.query(intervals=intervals)
+            want = alone.query(intervals=intervals)
+            assert [list(e.items()) for e in got.estimates] == [
+                list(e.items()) for e in want.estimates
+            ]
+            assert any(len(e) for e in got.estimates)
+            stores[pid].close()
+            alone_store.close()
+            fleet_bytes = (tmp_path / f"fleet-{pid}").read_bytes()
+            assert fleet_bytes == (tmp_path / f"alone-{pid}").read_bytes()
+            assert len(fleet_bytes) > 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.queries import QueryInterval
 from repro.errors import (
+    ConfigError,
     IngestFailed,
     QueryError,
     ServiceDegradedRejection,
@@ -480,6 +481,13 @@ class TestServiceEndToEnd:
         response = asyncio.run(_probe())
         assert response["ok"] is False
         assert response["error"]["type"] == "ServiceShuttingDown"
+
+    def test_unsupported_engine_is_rejected_before_anything_is_built(self):
+        service = DiagnosisService(_service_config(engine="scalar"))
+        with pytest.raises(ConfigError, match="scalar"):
+            service._build()
+        # Validation comes first: no trace generated, no port wired.
+        assert service.pq is None and service.ingest is None
 
     def test_unknown_op_is_typed_error(self):
         with ServiceHarness(config=_service_config()) as harness:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.switch.packet import FlowKey
-from repro.traffic.trace import Trace
+from repro.traffic.distributions import distribution_by_name
+from repro.traffic.generator import PoissonWorkload, WorkloadConfig
+from repro.traffic.trace import Trace, partition_trace_by_port
 
 
 def make_trace(arrivals, flow_ids=None, name="t"):
@@ -121,3 +124,35 @@ class TestPersistence:
         trace.save(path)
         loaded = Trace.load(path)
         assert list(loaded.priority) == [1, 2]
+
+
+def _workload_trace():
+    return PoissonWorkload(
+        distribution_by_name("uw"),
+        WorkloadConfig(load=1.2, duration_ns=8_000_000),
+        seed=3,
+    ).generate()
+
+
+def test_partition_covers_trace_and_respects_ports():
+    trace = _workload_trace()
+    subs = partition_trace_by_port(trace, 4)
+    assert len(subs) == 4
+    assert sum(len(s.arrival_ns) for s in subs) == len(trace.arrival_ns)
+    assignment = trace.flow_index % 4
+    for port, sub in enumerate(subs):
+        expected = np.flatnonzero(assignment == port)
+        np.testing.assert_array_equal(sub.arrival_ns, trace.arrival_ns[expected])
+        np.testing.assert_array_equal(sub.flow_index, trace.flow_index[expected])
+        assert sub.name.endswith(f":port{port}")
+        # A flow never lands on two ports.
+        assert set(np.unique(sub.flow_index % 4).tolist()) <= {port}
+    with pytest.raises(ConfigError):
+        partition_trace_by_port(trace, 0)
+
+
+def test_partition_single_port_is_whole_trace():
+    trace = _workload_trace()
+    (sub,) = partition_trace_by_port(trace, 1)
+    np.testing.assert_array_equal(sub.arrival_ns, trace.arrival_ns)
+    np.testing.assert_array_equal(sub.flow_index, trace.flow_index)
