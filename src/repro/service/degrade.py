@@ -26,13 +26,13 @@ from repro.obs.metrics import Metrics
 class Stage(IntEnum):
     """The declared degradation ladder, in escalation order."""
 
-    #: full service: rich per-query path (TW + queue-monitor context).
+    #: full service: the compiled plan over every periodic snapshot.
     NORMAL = 0
-    #: answers restricted to the cheap compiled batch plan (exact, but
-    #: no queue-monitor walks or on-demand data-plane reads).
+    #: answers exactly as NORMAL (same plan, same numbers); only the wire
+    #: ``stage`` field says the ladder has left NORMAL.
     BATCH_ONLY = 1
     #: answers run against only the newest snapshots; truncated coverage
-    #: is reported per answer via the PR 4 coverage machinery.
+    #: is reported per answer as a fault-style ``CoverageReport``.
     REDUCED = 2
 
 

@@ -2,10 +2,19 @@
 
 :class:`LiveIngest` wraps an ingest pipeline's ``steps()`` generator
 (:meth:`repro.engine.ingest.IngestPipeline.steps`) and pulls it in
-bounded chunks, so an asyncio task can interleave
+chunks of whole poll-aligned steps, so an asyncio task can interleave
 ingest with query serving without ever blocking the loop for the whole
-log.  :class:`IngestSupervisor` owns the drive loop and the restart
-contract:
+log.  :class:`IngestSupervisor` owns the drive loop, its place in the
+event loop's schedule and the restart contract.
+
+Scheduling (queries before chunks): between chunks the supervisor yields
+behind the I/O already waiting on the loop, then awaits its
+``before_chunk`` barrier — in the service, "every query admitted so far
+has been answered" — so a request that arrives while a chunk runs waits
+for that chunk, not for one chunk per event-loop hop of its way through
+the service.
+
+Restarts:
 
 * a crash *around* the generator (the drive loop, a chaos hook, task
   plumbing) is **restartable**: the supervisor backs off exponentially
@@ -23,16 +32,32 @@ contract:
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Iterator, Optional
+from time import perf_counter
+from typing import Awaitable, Callable, Iterator, Optional
 
 from repro.errors import IngestFailed
 from repro.obs.metrics import Metrics
 
 
 class LiveIngest:
-    """Chunked pull over a pipeline ``steps()`` generator."""
+    """Chunked pull over a pipeline ``steps()`` generator.
 
-    def __init__(self, pipeline: object, chunk_events: int = 8192) -> None:
+    With ``metrics`` it also keeps the **freshness** gauge
+    ``pq_service_freshness_ms`` (mirrored in :attr:`freshness_ms`): the
+    wall-clock age, at the store version bump that publishes them, of the
+    oldest events absorbed since the previous publication.  Both instants
+    are read when a pipeline step returns — events when the step that
+    absorbed them returns, the bump when the step that made it returns,
+    which is also the first moment a query can read it.  Without
+    ``metrics`` no clock or version is read.
+    """
+
+    def __init__(
+        self,
+        pipeline: object,
+        chunk_events: int = 8192,
+        metrics: Optional[Metrics] = None,
+    ) -> None:
         if chunk_events < 1:
             raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
         self.pipeline = pipeline
@@ -42,9 +67,35 @@ class LiveIngest:
         self.status = "idle"
         self.events_ingested = 0
         self.chunks_ingested = 0
+        #: the last publication's freshness (ms); None until one is seen.
+        self.freshness_ms: Optional[float] = None
+        if metrics is not None:
+            self._store = pipeline.pq.analysis.store  # type: ignore[attr-defined]
+            self._published = self._store.version
+            self._obs_freshness = metrics.gauge("pq_service_freshness_ms")
+        else:
+            self._obs_freshness = None
+        #: when the oldest unpublished events were absorbed (perf_counter s).
+        self._unpublished_since: Optional[float] = None
+
+    def _note_step(self, absorbed: bool) -> None:
+        """Freshness bookkeeping after one pipeline step returned."""
+        now = perf_counter()
+        version = self._store.version
+        if version != self._published:
+            # A step polls before it absorbs: the bump publishes what
+            # earlier steps absorbed, not this step's events.
+            self._published = version
+            if self._unpublished_since is not None:
+                self.freshness_ms = (now - self._unpublished_since) * 1e3
+                self._obs_freshness.set(self.freshness_ms)
+            self._unpublished_since = None
+        if absorbed and self._unpublished_since is None:
+            self._unpublished_since = now
 
     def step_chunk(self) -> bool:
-        """Absorb roughly one chunk of events; False when the log is done.
+        """Absorb at least ``chunk_events`` events (whole poll-aligned
+        steps, so at least one step); False when the log is done.
 
         A generator-internal crash poisons this ingest permanently
         (fail-stop): the exception is wrapped in
@@ -55,10 +106,16 @@ class LiveIngest:
             return False
         self.status = "running"
         absorbed = 0
+        freshness = self._obs_freshness is not None
         try:
             while absorbed < self.chunk_events:
                 absorbed += next(self._gen)
+                if freshness:
+                    self._note_step(True)
         except StopIteration:
+            # Exhaustion finishes the port, which may publish once more.
+            if freshness:
+                self._note_step(False)
             self.status = "drained"
             return False
         except Exception as exc:
@@ -73,13 +130,37 @@ class LiveIngest:
         return True
 
 
+def _wake(future: "asyncio.Future[None]") -> None:
+    if not future.done():  # the waiter may have been cancelled meanwhile
+        future.set_result(None)
+
+
+async def _yield_behind_io() -> None:
+    """Give the loop one turn and resume *after* the I/O it polls next.
+
+    ``asyncio.sleep(0)`` re-queues the task as a ready handle, and
+    ``BaseEventLoop._run_once`` runs the ready handles it already holds
+    before the callbacks of the I/O its selector has just reported — so
+    ingest would start its next chunk before a request line that arrived
+    during this one is even read.  A due timer joins the ready queue
+    *behind* those I/O callbacks, so the connection handlers they wake
+    are scheduled ahead of this task.
+    """
+    loop = asyncio.get_running_loop()
+    future: "asyncio.Future[None]" = loop.create_future()
+    loop.call_at(loop.time(), _wake, future)
+    await future
+
+
 class IngestSupervisor:
     """Drive a :class:`LiveIngest` in an asyncio task; restart on crash.
 
     ``chaos_hook`` (tests, CI chaos profiles) runs before every chunk
     and may raise — exactly the restartable crash class.  The restart
     budget is ``max_restarts``; past it the supervisor gives up with
-    :class:`~repro.errors.IngestFailed`.
+    :class:`~repro.errors.IngestFailed`.  ``before_chunk`` is awaited
+    between chunks, after the loop has read the I/O that arrived during
+    the previous one (the service's answered-queries barrier).
     """
 
     def __init__(
@@ -90,6 +171,7 @@ class IngestSupervisor:
         backoff_cap_s: float = 2.0,
         metrics: Optional[Metrics] = None,
         chaos_hook: Optional[Callable[[], None]] = None,
+        before_chunk: Optional[Callable[[], Awaitable[None]]] = None,
     ) -> None:
         self.ingest = ingest
         self.max_restarts = max_restarts
@@ -97,6 +179,7 @@ class IngestSupervisor:
         self.backoff_cap_s = backoff_cap_s
         self.metrics = metrics
         self.chaos_hook = chaos_hook
+        self.before_chunk = before_chunk
         self.restarts = 0
         #: ``idle`` → ``running`` → ``drained`` | ``stopped`` | ``failed``
         self.state = "idle"
@@ -121,9 +204,11 @@ class IngestSupervisor:
                     if not self.ingest.step_chunk():
                         self.state = self.ingest.status  # drained or failed
                         return
-                    # Yield to the event loop between chunks so query
-                    # handlers run interleaved with ingest.
-                    await asyncio.sleep(0)
+                    # Queries before chunks (module doc): read what arrived
+                    # during the chunk, then wait until it is answered.
+                    await _yield_behind_io()
+                    if self.before_chunk is not None:
+                        await self.before_chunk()
                 self.state = "stopped"
                 return
             except asyncio.CancelledError:

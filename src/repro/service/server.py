@@ -9,6 +9,19 @@ requests arrive over a local JSON-lines socket.  The request path:
                        → bounded ``asyncio.Queue``
                        → single worker task → port query → response
 
+Ingest and serving share one event loop, and **queries come before
+chunks**: between chunks ingest first lets the loop read the request
+lines that arrived meanwhile, then waits until every query admitted so
+far has been answered (its response handed to the transport).  A live
+request therefore waits for the chunk in progress when it arrived and
+then takes its loop hops — read, worker, write — with no chunk between
+them, instead of waiting behind one chunk per hop.  The barrier covers
+only queries admitted before it began, so a flood delays a chunk by at
+most ``max_pending`` executions and cannot starve ingest;
+``status()["ingest"]["freshness_ms"]`` (gauge
+``pq_service_freshness_ms``) is the publication lag that would show it
+if it did.
+
 Degradation stages change *how* a query is answered, never whether the
 answer is honest:
 
@@ -90,6 +103,40 @@ class ServiceConfig:
     drain_deadline_s: float = 5.0
 
 
+class _AnsweredBarrier:
+    """Ingest's pre-chunk wait: every query admitted so far is answered.
+
+    The service counts a query admitted after it is enqueued and answered
+    once its future settles — result, error or cancellation — in the
+    connection handler, which writes the response in the same loop step.
+    :meth:`wait` captures the admitted count when called and returns once
+    the answered count reaches it; queries admitted later do not extend it.
+    """
+
+    def __init__(self) -> None:
+        self.admitted = 0
+        self.answered = 0
+        self._waiter: Optional[Tuple[int, "asyncio.Future[None]"]] = None
+
+    def admit(self) -> None:
+        self.admitted += 1
+
+    def answer(self) -> None:
+        self.answered += 1
+        waiter = self._waiter
+        if waiter is not None and self.answered >= waiter[0]:
+            self._waiter = None
+            if not waiter[1].done():
+                waiter[1].set_result(None)
+
+    async def wait(self) -> None:
+        if self.answered >= self.admitted:
+            return
+        future: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+        self._waiter = (self.admitted, future)
+        await future
+
+
 class DiagnosisService:
     """One port, one supervised ingest task, one query front door."""
 
@@ -123,6 +170,7 @@ class DiagnosisService:
         self._queue: Optional["asyncio.Queue[Tuple[Dict[str, Any], float, asyncio.Future]]"] = None
         self._worker_task: Optional[asyncio.Task] = None
         self._ingest_task: Optional[asyncio.Task] = None
+        self._barrier = _AnsweredBarrier()
         self._draining = False
         self.state = "idle"  # idle → serving → draining → stopped
 
@@ -167,7 +215,9 @@ class DiagnosisService:
         from repro.engine.ingest import IngestPipeline
 
         self.ingest = LiveIngest(
-            IngestPipeline(self.pq, records), chunk_events=cfg.chunk_events
+            IngestPipeline(self.pq, records),
+            chunk_events=cfg.chunk_events,
+            metrics=self.metrics,
         )
         self.supervisor = IngestSupervisor(
             self.ingest,
@@ -176,6 +226,7 @@ class DiagnosisService:
             backoff_cap_s=cfg.backoff_cap_s,
             metrics=self.metrics,
             chaos_hook=self.chaos_hook,
+            before_chunk=self._barrier.wait,
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -305,11 +356,17 @@ class DiagnosisService:
         self.admission.admit(self._queue.qsize())
         future: asyncio.Future = loop.create_future()
         self._queue.put_nowait((request, loop.time(), future))
+        self._barrier.admit()
         if self.metrics is not None:
             self.metrics.gauge("pq_service_queue_depth").set_max(
                 self._queue.qsize()
             )
-        return await future
+        try:
+            return await future
+        finally:
+            # No await stands between here and _handle_conn's write, so
+            # ingest's next chunk starts after the response is handed over.
+            self._barrier.answer()
 
     async def _worker(self) -> None:
         """The single consumer of the bounded request queue."""
@@ -334,8 +391,8 @@ class DiagnosisService:
                     p99_ms=self.slo.percentile(0.99),
                 )
                 self._queue.task_done()
-            # One cooperative yield per request keeps the ingest task fed
-            # even under a request flood.
+            # One yield per request: the handler whose future just settled
+            # writes its answer before the next queued query executes.
             await asyncio.sleep(0)
 
     # -- query execution -----------------------------------------------------
@@ -426,6 +483,7 @@ class DiagnosisService:
                 "status": ingest.status if ingest is not None else "idle",
                 "events": ingest.events_ingested if ingest is not None else 0,
                 "chunks": ingest.chunks_ingested if ingest is not None else 0,
+                "freshness_ms": ingest.freshness_ms if ingest is not None else None,
                 "supervisor": supervisor.state if supervisor is not None else "idle",
                 "restarts": supervisor.restarts if supervisor is not None else 0,
             },

@@ -1,7 +1,8 @@
 """Service-level objectives: latency targets and error-budget burn.
 
 The tracker keeps an exact sliding window of recent request latencies
-(for the degradation controller's p99 signal) alongside cumulative
+(for the degradation controller's p99 signal, read once per request, so
+the window is also kept sorted incrementally) alongside cumulative
 tallies (for the error budget), and mirrors both into a
 :class:`~repro.obs.metrics.Metrics` registry so the service section
 rides the existing RunReport/Prometheus export path.
@@ -14,9 +15,10 @@ target allows — the signal an operator alerts on.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.obs.metrics import Metrics
 
@@ -42,6 +44,8 @@ class SLOTracker:
         self.targets = targets or SLOTargets()
         self.metrics = metrics
         self._window: Deque[float] = deque(maxlen=self.targets.window)
+        #: the same samples, ascending.
+        self._sorted: List[float] = []
         self.total = 0
         self.errors = 0
         self.violations = 0
@@ -59,7 +63,11 @@ class SLOTracker:
     def observe(self, latency_ms: float, ok: bool = True) -> None:
         """Record one served request (errors count against the budget)."""
         self.total += 1
+        if len(self._window) == self._window.maxlen:
+            evicted = self._window[0]
+            del self._sorted[bisect.bisect_left(self._sorted, evicted)]
         self._window.append(latency_ms)
+        bisect.insort(self._sorted, latency_ms)
         violated = (not ok) or latency_ms > self.targets.p99_ms
         if not ok:
             self.errors += 1
@@ -75,9 +83,9 @@ class SLOTracker:
 
     def percentile(self, q: float) -> float:
         """Exact q-quantile (nearest-rank) over the sliding window."""
-        if not self._window:
+        ordered = self._sorted
+        if not ordered:
             return 0.0
-        ordered = sorted(self._window)
         rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.999999) - 1))
         return ordered[rank]
 

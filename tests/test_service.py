@@ -180,6 +180,28 @@ class TestSLO:
         assert metrics.counter("pq_service_requests_total").value == 1
         assert metrics.histogram("pq_service_latency_us").count == 1
 
+    @given(
+        window=st.integers(min_value=1, max_value=12),
+        latencies=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.5]),  # ties, evicted and re-added
+                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_incremental_window_matches_sorted(self, window, latencies):
+        """The incrementally sorted window answers nearest-rank p50/p99
+        bit for bit as sorting the last ``window`` samples would."""
+        tracker = SLOTracker(SLOTargets(window=window))
+        for i, latency in enumerate(latencies):
+            tracker.observe(latency)
+            ordered = sorted(latencies[max(0, i + 1 - window) : i + 1])
+            for q in (0.5, 0.99):
+                rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.999999) - 1))
+                assert tracker.percentile(q).hex() == ordered[rank].hex()
+
 
 # ---------------------------------------------------------------------------
 # live ingest + supervisor
@@ -212,6 +234,28 @@ class TestLiveIngest:
         assert ingest.events_ingested > 0
         assert ingest.chunks_ingested >= 1
         assert ingest.step_chunk() is False  # idempotent after drain
+
+    def test_freshness_is_published_by_drain(self):
+        metrics = Metrics()
+        ingest = LiveIngest(_tiny_pipeline(), chunk_events=1000, metrics=metrics)
+        assert ingest.freshness_ms is None
+        while ingest.step_chunk():
+            pass
+        assert ingest.freshness_ms is not None and ingest.freshness_ms > 0
+        assert metrics.gauge("pq_service_freshness_ms").value == ingest.freshness_ms
+
+    def test_freshness_costs_nothing_with_metrics_off(self, monkeypatch):
+        import repro.service.ingest as ingest_module
+
+        def no_clock():
+            raise AssertionError("clock read with metrics off")
+
+        monkeypatch.setattr(ingest_module, "perf_counter", no_clock)
+        ingest = LiveIngest(_tiny_pipeline(), chunk_events=1000)
+        while ingest.step_chunk():
+            pass
+        assert ingest.status == "drained"
+        assert ingest.freshness_ms is None
 
     def test_generator_crash_is_fail_stop(self):
         class Boom:
@@ -526,3 +570,102 @@ class TestServiceEndToEnd:
         assert slo["p99_ms"] > 0
         metrics = harness.service.metrics
         assert metrics.counter("pq_service_requests_total").value >= 5
+
+
+# ---------------------------------------------------------------------------
+# scheduling contract: queries before chunks (no timing assertions)
+
+
+def _fast_poll_config(**overrides):
+    # Fast polls and one poll-aligned step per chunk: ~75 chunks a run,
+    # so plenty of requests land while ingest is running.
+    from repro.core.config import PrintQueueConfig
+
+    return _service_config(
+        pq_config=PrintQueueConfig(m0=8, k=10, alpha=1, T=3),
+        chunk_events=1,
+        **overrides,
+    )
+
+
+def _serve(config, client):
+    """Run ``await client(service, host, port)`` against a live service on
+    this thread's loop, then shut the service down."""
+
+    async def main():
+        service = DiagnosisService(config=config)
+        host, port = await service.start()
+        try:
+            # A hang guard, not a timing assertion: a starved ingest
+            # never drains and fails the test here.
+            return await asyncio.wait_for(client(service, host, port), 120.0)
+        finally:
+            await service.shutdown()
+
+    return asyncio.run(main())
+
+
+async def _closed_loop(service, host, port, answers):
+    """One connection asking until ingest stops running; the answers it got."""
+    reader, writer = await asyncio.open_connection(host, port)
+    end = SERVICE_DURATION_NS
+    while service.ingest.status in ("idle", "running"):
+        writer.write(
+            protocol.encode(
+                {"op": "query", "args": {"start_ns": end - 1_000_000, "end_ns": end}}
+            )
+        )
+        await writer.drain()
+        answers.append(protocol.decode(await reader.readline()))
+    writer.close()
+    await writer.wait_closed()
+
+
+class TestSchedulingContract:
+    def test_no_chunk_between_admission_and_response(self):
+        """While ingest runs, a query is read, admitted, executed and its
+        response handed to the transport with no ingest chunk in between."""
+        windows = []
+        answers = []
+
+        async def client(service, host, port):
+            handle_line = service._handle_line
+
+            async def probed(line):
+                # Admission happens inside handle_line before its first
+                # await; the response is written as soon as it returns.
+                running = service.ingest.status == "running"
+                before = service.ingest.chunks_ingested
+                response = await handle_line(line)
+                windows.append((running, before, service.ingest.chunks_ingested))
+                return response
+
+            service._handle_line = probed
+            await _closed_loop(service, host, port, answers)
+            return service.status()
+
+        status = _serve(_fast_poll_config(), client)
+        live = [(before, after) for running, before, after in windows if running]
+        assert len(live) >= 3, windows
+        assert all(before == after for before, after in live), live
+        assert status["ingest"]["status"] == "drained"
+        assert len(answers) == len(windows)
+
+    def test_flood_cannot_starve_ingest(self):
+        """Eight closed-loop connections keep queries admitted at every
+        chunk boundary; ingest still drains, and freshness is published."""
+        answers = []
+
+        async def client(service, host, port):
+            await asyncio.gather(
+                *(_closed_loop(service, host, port, answers) for _ in range(8))
+            )
+            return service.status()
+
+        config = _fast_poll_config()
+        status = _serve(config, client)
+        assert status["ingest"]["status"] == "drained"
+        assert status["ingest"]["events"] > 0
+        assert status["ingest"]["freshness_ms"] > 0
+        assert status["queue_depth"] <= config.max_pending
+        assert sum(answer["ok"] for answer in answers) > 0
