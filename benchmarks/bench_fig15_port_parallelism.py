@@ -8,7 +8,11 @@ reports per-port SRAM utilisation next to asynchronous-query accuracy
 for a port carrying the WS workload.
 
 Accuracy is scored on a full-load port (the paper measures one
-PrintQueue-enabled port carrying the workload).  Every sweep point also
+PrintQueue-enabled port carrying the workload).  Every sweep point uses
+the same WS trace and the same FIFO, so the dequeue log, the ground-truth
+taxonomy, the sampled victims and their direct-culprit truths are built
+once; each point then drives one port with its own configuration and
+scores its answers against those shared truths.  Every sweep point also
 partitions the WS trace by egress port (paper Section 6's register
 partitioning) and drives the ports one after another — ports share
 nothing, so a fleet is a loop — asserting every packet of the
@@ -25,12 +29,14 @@ from common import (
     WORKLOADS,
     fmt,
     print_table,
-    sweep,
     workload_config,
 )
-from repro.core.printqueue import PrintQueue
-from repro.engine import SweepCell
+from repro.core.printqueue import PrintQueue, PrintQueuePort
+from repro.core.taxonomy import CulpritTaxonomy
+from repro.experiments.evaluation import victim_interval
 from repro.experiments.runner import drive_printqueue, run_trace_through_fifo_batch
+from repro.experiments.sampling import sample_victims_by_band
+from repro.metrics.accuracy import precision_recall, summarize_scores
 from repro.metrics.overhead import sram_utilization
 from repro.traffic.distributions import distribution_by_name
 from repro.traffic.generator import PoissonWorkload, WorkloadConfig
@@ -59,34 +65,35 @@ def _drive_fleet(trace, ports, config):
 
 def run_fig15():
     spec = WORKLOADS["ws"]
-    # Accuracy is per-port and independent of num_ports, so every cell
-    # keys on the structural parameters only (port=0): the sweep pool
-    # dedups the configurations shared between port counts and fans the
-    # distinct ones over worker processes.
-    cells = [
-        SweepCell(
-            workload="ws",
-            config=workload_config("ws", **params),
-            duration_ns=spec["duration_ns"],
-            load=spec["load"],
-            seed=spec["seed"],
-            victims_per_band=VICTIMS_PER_BAND,
-        )
-        for _, params in SWEEP
-    ]
-    outcomes = sweep(cells)
-    # One WS trace shared by every fleet drive; only the partition width
-    # and the per-port configuration change across sweep points.
+    # One WS trace, one FIFO pass, one ground truth for every sweep point;
+    # only the per-port configuration and the partition width change.
     trace = PoissonWorkload(
         distribution_by_name("ws"),
         WorkloadConfig(load=spec["load"], duration_ns=spec["duration_ns"]),
         seed=spec["seed"],
     ).generate()
+    records, _ = run_trace_through_fifo_batch(trace)
+    # The measured inter-departure time is the coefficients' d.
+    d_ns = (records[-1].deq_timestamp - records[0].deq_timestamp) / (len(records) - 1)
+    taxonomy = CulpritTaxonomy(records)
+    victims = sample_victims_by_band(records, per_band=VICTIMS_PER_BAND)
+    union = sorted({i for indices in victims.values() for i in indices})
+    intervals = [victim_interval(records[i]) for i in union]
+    truths = [taxonomy.direct(records[i]) for i in union]
     rows = []
     results = {}
-    for (ports, params), outcome in zip(SWEEP, outcomes):
+    for ports, params in SWEEP:
+        # Accuracy is per-port: the full-load port carries the structural
+        # parameters only, the fleet carries the port count.
+        pq = PrintQueuePort(
+            workload_config("ws", **params), d_ns=d_ns, model_dp_read_cost=False
+        )
+        drive_printqueue(records, pq)
+        estimates = pq.query(intervals=intervals).estimates
+        summary = summarize_scores(
+            [precision_recall(e, t) for e, t in zip(estimates, truths)]
+        )
         config = workload_config("ws", num_ports=ports, **params)
-        summary = outcome.accuracy
         sram_pct = 100 * sram_utilization(config)
         _drive_fleet(trace, ports, config)
         rows.append(

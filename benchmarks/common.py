@@ -1,11 +1,9 @@
 """Shared infrastructure for the per-figure/table benchmarks.
 
-Simulation runs are cached in :class:`repro.engine.ResultCache` instances
-so benches sharing a workload (Fig. 9 / Table 2 / Fig. 10 all use the
-same UW run) pay for it once per pytest session, and sweep-style benches
-can fan independent cells over a process pool via :func:`sweep`.  Set
-``REPRO_SCALE`` (default 1.0) to scale trace durations and victim counts
-up or down.
+Simulation runs and victim samples are memoised in plain dicts, so
+benches sharing a workload (Fig. 9 / Table 2 / Fig. 10 all use the same
+UW run) pay for it once per pytest session.  Set ``REPRO_SCALE``
+(default 1.0) to scale trace durations and victim counts up or down.
 
 ``repro`` and this module are put on ``sys.path`` by
 ``benchmarks/conftest.py``; no path hacks are needed here.
@@ -20,7 +18,6 @@ from repro.baselines.flowradar import FlowRadar
 from repro.baselines.hashpipe import HashPipe
 from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.config import PrintQueueConfig
-from repro.engine import CellResult, ParallelSweep, ResultCache, SweepCell
 from repro.experiments.evaluation import victim_interval
 from repro.experiments.runner import ExperimentRun, simulate_workload
 from repro.experiments.sampling import sample_victims_by_band
@@ -53,18 +50,8 @@ WORKLOADS: Dict[str, Dict] = {
 
 VICTIMS_PER_BAND = max(5, int(30 * SCALE))
 
-_run_cache = ResultCache()
-_victim_cache = ResultCache()
-
-#: Shared process-pool sweep for benches that fan independent
-#: (workload, config, port) cells; per-cell results are memoised so
-#: overlapping sweeps only simulate each cell once per session.
-SWEEP_POOL = ParallelSweep(max_workers=min(4, os.cpu_count() or 1))
-
-
-def sweep(cells: Sequence[SweepCell]) -> List[CellResult]:
-    """Evaluate sweep cells (cache-first, process pool for the misses)."""
-    return SWEEP_POOL.run(cells)
+_run_cache: Dict[Tuple, Tuple[ExperimentRun, List[FixedIntervalEstimator]]] = {}
+_victim_cache: Dict[Tuple, Dict] = {}
 
 
 def workload_config(name: str, **overrides) -> PrintQueueConfig:
@@ -129,16 +116,20 @@ def get_run(
         save_run_report(workload, run)
         return run, baselines
 
-    return _run_cache.get_or(key, compute)
+    if key not in _run_cache:
+        _run_cache[key] = compute()
+    return _run_cache[key]
 
 
 def get_victims(workload: str, config: Optional[PrintQueueConfig] = None) -> Dict:
     """Sampled victim indices per depth band for a workload."""
     run, _ = get_run(workload, config=config)
     key = (workload, config or WORKLOADS[workload]["config"])
-    return _victim_cache.get_or(
-        key, lambda: sample_victims_by_band(run.records, per_band=VICTIMS_PER_BAND)
-    )
+    if key not in _victim_cache:
+        _victim_cache[key] = sample_victims_by_band(
+            run.records, per_band=VICTIMS_PER_BAND
+        )
+    return _victim_cache[key]
 
 
 def all_victim_indices(victims: Dict) -> Set[int]:

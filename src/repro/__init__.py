@@ -37,12 +37,7 @@ from repro.core import (
     QueueMonitor,
     TimeWindowSet,
 )
-from repro.engine import (
-    CompiledQueryPlan,
-    IngestPipeline,
-    ParallelSweep,
-    SweepCell,
-)
+from repro.engine import CompiledQueryPlan, IngestPipeline
 from repro.errors import QueryError
 from repro.experiments import simulate_workload
 from repro.faults import (
@@ -93,9 +88,7 @@ __all__ = [
     "CompiledQueryPlan",
     "IngestPipeline",
     "Metrics",
-    "ParallelSweep",
     "RunReport",
-    "SweepCell",
     "SnapshotStore",
     "MemoryStore",
     "MmapStore",

@@ -4,9 +4,9 @@ An AST-based engine enforcing the invariants the test suite can only
 sample: data-plane determinism (PQ001), Algorithm-1 register-width
 discipline (PQ002), scalar==production counter parity (PQ003), the typed
 error taxonomy (PQ004), the keyword-only public API surface (PQ005),
-and the cross-file concurrency family (PQ101–PQ103, PQ105): event-loop
-liveness, obs lock discipline, pool picklability and
-no-await-under-lock — built on a project-wide call graph
+and the cross-file concurrency family (PQ101–PQ102, PQ105): event-loop
+liveness, obs lock discipline and no-await-under-lock — built on a
+project-wide call graph
 (:mod:`repro.anlz.callgraph`) and context propagation
 (:mod:`repro.anlz.contexts`).  Run it via ``repro lint`` or
 ``python tools/pqlint.py``; suppress a finding with
@@ -15,7 +15,7 @@ no-await-under-lock — built on a project-wide call graph
 """
 
 from repro.anlz.callgraph import ProjectIndex, build_project_index
-from repro.anlz.contexts import async_roots, propagate, worker_roots
+from repro.anlz.contexts import async_roots, propagate
 from repro.anlz.engine import (
     LintEngine,
     LintResult,
@@ -52,5 +52,4 @@ __all__ = [
     "rule_codes",
     "to_document",
     "to_sarif",
-    "worker_roots",
 ]

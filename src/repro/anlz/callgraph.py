@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for the PQ1xx rule family.
 
 The file rules (PQ001–PQ005) reason about one module at a time; the
-concurrency rules (PQ101–PQ103, PQ105) need to know *what calls what* across
+concurrency rules (PQ101, PQ102, PQ105) need to know *what calls what* across
 the whole tree: a blocking call three modules away from an ``async def``
 is exactly as wrong as one inside it.  :func:`build_project_index`
 parses every module's AST once into a :class:`ProjectIndex` — functions
@@ -18,9 +18,9 @@ the shapes the codebase actually uses —
   ``obj``'s class is known from a parameter annotation, a local
   ``obj = ClassName(...)`` assignment, an annotated ``self.attr``, or a
   project function's return annotation (single-inheritance MRO walk);
-* ``functools.partial(f, ...)`` — the edge goes to ``f`` (the sweep
-  submits partials of module-level workers);
-* function *references* passed as call arguments (``pool.submit(f, …)``).
+* ``functools.partial(f, ...)`` — the edge goes to ``f``, directly or
+  through a local name bound to the partial;
+* function *references* passed as call arguments (``loop.call_soon(f)``).
 
 Anything the resolver cannot see (duck-typed ``object`` parameters,
 dynamic dispatch, ``getattr``) simply contributes no edge, so the
@@ -41,7 +41,6 @@ __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "ProjectIndex",
-    "SubmitSite",
     "TypeRef",
     "build_project_index",
     "dotted_name",
@@ -105,7 +104,6 @@ class FunctionInfo:
     class_name: Optional[str] = None
     is_async: bool = False
     is_nested: bool = False
-    is_generator: bool = False
 
     @property
     def name(self) -> str:
@@ -130,9 +128,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: attribute name -> best-effort type (annotation beats inference).
     field_types: Dict[str, TypeRef] = field(default_factory=dict)
-    #: attribute name -> canonical dotted call that produced the value
-    #: (``self.x = threading.Lock()`` records ``threading.Lock``).
-    field_value_calls: Dict[str, str] = field(default_factory=dict)
     #: attribute name -> the AST node that declared it (finding anchor).
     field_sites: Dict[str, ast.AST] = field(default_factory=dict)
     slots: List[str] = field(default_factory=list)
@@ -146,15 +141,6 @@ class CallEdge:
     node: ast.AST
     #: "call" for invocations, "ref" for references passed as arguments.
     kind: str = "call"
-
-
-@dataclass
-class SubmitSite:
-    """One ``<pool>.submit(fn, *args)`` site, for the pool-boundary rules."""
-
-    caller: FunctionInfo
-    node: ast.Call
-    module: SourceModule
 
 
 class _ModuleScope:
@@ -235,7 +221,6 @@ class ProjectIndex:
         self._cls_alias: Dict[str, str] = {}
         #: caller primary qualname -> resolved edges.
         self.calls: Dict[str, List[CallEdge]] = {}
-        self.submit_sites: List[SubmitSite] = []
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -270,10 +255,6 @@ class ProjectIndex:
                 class_name=class_name,
                 is_async=isinstance(node, ast.AsyncFunctionDef),
                 is_nested=nested,
-                is_generator=any(
-                    isinstance(n, (ast.Yield, ast.YieldFrom))
-                    for n in walk_shallow(node)
-                ),
             )
             self.functions[qualname] = info
             for nested_def in walk_shallow(node):
@@ -436,18 +417,6 @@ class ProjectIndex:
                     )
                 if value is None:
                     continue
-                if isinstance(value, ast.Call):
-                    dotted = dotted_name(value.func)
-                    if dotted is not None:
-                        canonical = scope.canonical(dotted)
-                        # Prefer the resolved project-function qualname so
-                        # consumers can look the factory up directly.
-                        fn_qual = self._fn_alias.get(
-                            canonical
-                        ) or self._fn_alias.get(f"{scope.primary}.{dotted}")
-                        cls.field_value_calls.setdefault(
-                            attr, fn_qual or canonical
-                        )
                 inferred = self._infer(scope, env, value, depth=0)
                 if inferred is not None and attr not in cls.field_types:
                     cls.field_types[attr] = inferred
@@ -598,33 +567,6 @@ class ProjectIndex:
                 return self.method(cls, func.attr)
         return None
 
-    def resolve_call_target(
-        self, caller: FunctionInfo, call: ast.Call
-    ) -> Optional[FunctionInfo]:
-        """Public resolver: the project function a call site invokes."""
-        scope = self._scopes[id(caller.module)]
-        env = self._param_env(scope, caller)
-        return self._resolve_target_with_env(scope, env, caller, call)
-
-    def resolve_reference(
-        self, caller: FunctionInfo, expr: ast.AST
-    ) -> Optional[FunctionInfo]:
-        """Resolve a function *reference* expression inside ``caller``.
-
-        Handles the shapes work crosses boundaries in: a bare name or
-        attribute, a ``functools.partial(f, …)`` call, and a local name
-        previously bound to such a partial (``guarded = partial(f, …);
-        pool.submit(guarded, …)``).
-        """
-        scope = self._scopes[id(caller.module)]
-        env = self._param_env(scope, caller)
-        if isinstance(expr, ast.Call):
-            return self._resolve_target_with_env(scope, env, caller, expr)
-        target = self._resolve_callable(scope, env, caller, expr)
-        if target is None and isinstance(expr, ast.Name):
-            target = self._local_partial_target(scope, env, caller, expr.id)
-        return target
-
     def _resolve_target_with_env(
         self,
         scope: _ModuleScope,
@@ -682,17 +624,10 @@ class ProjectIndex:
         for node in walk_shallow(info.node):
             if not isinstance(node, ast.Call):
                 continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
-            ):
-                self.submit_sites.append(
-                    SubmitSite(caller=info, node=node, module=info.module)
-                )
             target = self._resolve_target_with_env(scope, env, info, node)
             if target is not None:
                 edges.append(CallEdge(callee=target.qualname, node=node))
-            # Function references passed as arguments (pool.submit(f, x),
+            # Function references passed as arguments (call_soon(f),
             # partial(f, ...), map(f, xs)) become reachability edges too.
             for arg in node.args:
                 if isinstance(arg, (ast.Name, ast.Attribute)):
@@ -715,9 +650,6 @@ class ProjectIndex:
             self.calls[info.qualname] = edges
 
     # -- convenience for the rules ----------------------------------------
-
-    def scope_for(self, module: SourceModule) -> "_ModuleScope":
-        return self._scopes[id(module)]
 
     def canonical_call(
         self, module: SourceModule, call: ast.Call

@@ -5,9 +5,6 @@ The PQ1xx rules care about *where* code runs, not just what it does:
 * **async context** — functions transitively reachable from an
   ``async def`` in ``repro.service`` run on the event loop, where one
   blocking call stalls every connection (PQ101);
-* **worker context** — functions reachable from a process-pool submit
-  target run in a forked/spawned worker, so everything they receive
-  must have crossed the pickle boundary (PQ103);
 * **lock scope** — statements lexically inside ``with <x>._lock:`` hold
   a ``threading.Lock``, which must never span an ``await`` (PQ105) and
   is what makes an obs-instrument mutation legal (PQ102).
@@ -38,7 +35,6 @@ __all__ = [
     "async_roots",
     "lock_scopes",
     "propagate",
-    "worker_roots",
 ]
 
 
@@ -75,7 +71,7 @@ def propagate(index: ProjectIndex, roots: Iterable[FunctionInfo]) -> ContextMap:
     """BFS the call graph from ``roots``, keeping shortest chains.
 
     Both "call" and "ref" edges are followed: a function passed as an
-    argument (``pool.submit(f, …)``) is treated as invoked in the same
+    argument (``loop.call_soon(f)``) is treated as invoked in the same
     context as the call site that shipped it.
     """
     reached: Dict[str, Reach] = {}
@@ -110,18 +106,6 @@ def async_roots(
         if info.is_async and package in info.module.segments[:-1]
     ]
     return sorted(roots, key=lambda info: info.qualname)
-
-
-def worker_roots(index: ProjectIndex) -> List[FunctionInfo]:
-    """Resolved targets of every ``<pool>.submit(fn, …)`` site."""
-    roots: Dict[str, FunctionInfo] = {}
-    for site in index.submit_sites:
-        if not site.node.args:
-            continue
-        target = index.resolve_reference(site.caller, site.node.args[0])
-        if target is not None:
-            roots.setdefault(target.qualname, target)
-    return sorted(roots.values(), key=lambda info: info.qualname)
 
 
 def _is_threading_lock_expr(

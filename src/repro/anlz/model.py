@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-__all__ = ["Finding", "SourceModule", "parse_module", "ParseFailure"]
+__all__ = ["Finding", "SourceModule", "parse_module"]
 
 _DIRECTIVE_RE = re.compile(
     r"#\s*pqlint:\s*(?P<kind>disable|disable-file)\s*=\s*"
@@ -50,15 +50,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-@dataclass(frozen=True)
-class ParseFailure:
-    """A file the engine could not parse (reported as a PQ000 finding)."""
-
-    path: str
-    line: int
-    message: str
 
 
 @dataclass

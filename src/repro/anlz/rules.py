@@ -1,4 +1,4 @@
-"""The pqlint rule catalogue: domain invariants PQ001–PQ005.
+"""The pqlint rule catalogue: PQ001–PQ005, PQ101–PQ102 and PQ105.
 
 Each rule protects a property the test suite can only sample:
 
@@ -25,10 +25,6 @@ PQ101     async-blocking         no blocking call transitively reachable from
 PQ102     obs-lock-discipline    every mutation of an obs instrument's state
                                  happens under that instrument's ``_lock``
                                  (audited exempt list, DESIGN §17)
-PQ103     pool-picklability      objects crossing a process-pool ``submit``
-                                 boundary are statically picklable — no
-                                 lambdas, closures, or lock/socket/generator
-                                 fields (DESIGN §15/§17)
 PQ105     await-under-lock       no ``await`` while holding a
                                  ``threading.Lock`` (lock-scope tracking)
 ========  =====================  ==================================================
@@ -51,7 +47,6 @@ from repro.anlz.callgraph import (
     ClassInfo,
     FunctionInfo,
     ProjectIndex,
-    SubmitSite,
     dotted_name as _cg_dotted_name,
     walk_shallow,
 )
@@ -973,166 +968,6 @@ class ObsLockDisciplineRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# PQ103 — everything crossing a process-pool submit() must pickle
-# ---------------------------------------------------------------------------
-
-#: Constructor calls whose product cannot cross a pickle boundary.
-_UNPICKLABLE_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Event",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "socket.socket",
-        "socket.create_connection",
-    }
-)
-
-
-class PoolPicklabilityRule(ProjectRule):
-    """PQ103: submit-site arguments must be statically picklable.
-
-    ``ParallelSweep`` ships work to a process pool; everything at a
-    ``.submit(fn, *args)`` site crosses a pickle boundary at runtime,
-    where a lambda or a lock-holding object dies with an opaque
-    ``PicklingError`` inside the pool (or worse, only under the spawn
-    start method CI doesn't run).
-    The rule checks each submit site statically: the callable must be a
-    module-level function (directly, or through a ``functools.partial``
-    — the sweep's idiom), never a lambda or a local closure;
-    and each argument whose project class is known from the index is
-    scanned transitively for fields built from lock/socket factories or
-    project generator functions.  A class that defines ``__getstate__``
-    or ``__reduce__`` opts out of the scan — it declared its own wire
-    format (``Metrics`` drops its locks there, which is exactly the
-    pattern this rule wants to encourage).
-    """
-
-    code = "PQ103"
-    name = "pool-picklability"
-    summary = "process-pool submit() arguments are statically picklable"
-
-    def check_project(
-        self, modules: Sequence[SourceModule], index: ProjectIndex
-    ) -> Iterator[Finding]:
-        for site in index.submit_sites:
-            if not site.node.args:
-                continue
-            target_expr = site.node.args[0]
-            yield from self._check_callable(index, site, target_expr)
-            for arg in site.node.args[1:]:
-                yield from self._check_argument(index, site, arg)
-            for keyword in site.node.keywords:
-                yield from self._check_argument(index, site, keyword.value)
-
-    def _check_callable(
-        self, index: ProjectIndex, site: SubmitSite, expr: ast.AST
-    ) -> Iterator[Finding]:
-        if isinstance(expr, ast.Lambda):
-            yield self.finding(
-                site.module,
-                expr,
-                "lambda submitted to a process pool; lambdas do not "
-                "pickle — use a module-level function",
-            )
-            return
-        # partial(f, captured...) — check f and the captured arguments.
-        if isinstance(expr, ast.Call):
-            target = index.resolve_reference(site.caller, expr)
-            if target is not None:
-                yield from self._check_resolved_callable(index, site, target)
-            for arg in expr.args[1:]:
-                yield from self._check_argument(index, site, arg)
-            return
-        if isinstance(expr, (ast.Name, ast.Attribute)):
-            target = index.resolve_reference(site.caller, expr)
-            if target is not None:
-                yield from self._check_resolved_callable(index, site, target)
-
-    def _check_resolved_callable(
-        self, index: ProjectIndex, site: SubmitSite, target: FunctionInfo
-    ) -> Iterator[Finding]:
-        if target.is_nested:
-            yield self.finding(
-                site.module,
-                site.node,
-                f"local closure `{target.name}` submitted to a process "
-                "pool; closures do not pickle — hoist it to module level",
-            )
-
-    def _check_argument(
-        self, index: ProjectIndex, site: SubmitSite, expr: ast.AST
-    ) -> Iterator[Finding]:
-        if isinstance(expr, ast.Lambda):
-            yield self.finding(
-                site.module,
-                expr,
-                "lambda passed across a process-pool boundary; lambdas "
-                "do not pickle",
-            )
-            return
-        if isinstance(expr, (ast.Name, ast.Attribute)):
-            fn = index.resolve_reference(site.caller, expr)
-            if fn is not None and fn.is_nested:
-                yield self.finding(
-                    site.module,
-                    site.node,
-                    f"local closure `{fn.name}` passed across a "
-                    "process-pool boundary; closures do not pickle",
-                )
-                return
-        ref = index.infer_in(site.caller, expr)
-        cls = index.class_of(ref)
-        if cls is None:
-            return
-        reason = self._unpicklable_reason(index, cls, visited=set())
-        if reason is not None:
-            yield self.finding(
-                site.module,
-                site.node,
-                f"`{cls.name}` crosses the process-pool boundary but "
-                f"{reason}; drop the field in __getstate__ or ship a "
-                "plain payload instead",
-            )
-
-    def _unpicklable_reason(
-        self, index: ProjectIndex, cls: ClassInfo, visited: Set[str]
-    ) -> Optional[str]:
-        """Why ``cls`` cannot pickle, tracing through annotated fields."""
-        if cls.qualname in visited:
-            return None
-        visited.add(cls.qualname)
-        for klass in index.mro(cls):
-            if klass.methods.keys() & {
-                "__getstate__",
-                "__reduce__",
-                "__reduce_ex__",
-            }:
-                return None
-        for attr, factory in sorted(cls.field_value_calls.items()):
-            if factory in _UNPICKLABLE_FACTORIES:
-                return f"field `{cls.name}.{attr}` holds `{factory}`"
-            producer = index.functions.get(factory)
-            if producer is not None and producer.is_generator:
-                return (
-                    f"field `{cls.name}.{attr}` holds a generator from "
-                    f"`{factory}`"
-                )
-        for attr, ref in sorted(cls.field_types.items()):
-            inner = index.class_of(ref)
-            if inner is None and ref.elem is not None:
-                inner = index.class_of(ref.elem)
-            if inner is None:
-                continue
-            reason = self._unpicklable_reason(index, inner, visited)
-            if reason is not None:
-                return f"field `{cls.name}.{attr}`: {reason}"
-        return None
-
-
-# ---------------------------------------------------------------------------
 # PQ105 — no await while holding a threading.Lock
 # ---------------------------------------------------------------------------
 
@@ -1193,14 +1028,13 @@ RULE_REGISTRY: Dict[str, Type[FileRule]] = {
         ApiSurfaceRule,
         AsyncBlockingRule,
         ObsLockDisciplineRule,
-        PoolPicklabilityRule,
         AwaitUnderLockRule,
     )
 }
 
 
 def rule_codes() -> List[str]:
-    """Every registered rule code, sorted (``PQ001`` … ``PQ005``)."""
+    """Every registered rule code, sorted (``PQ001`` … ``PQ105``)."""
     return sorted(RULE_REGISTRY)
 
 

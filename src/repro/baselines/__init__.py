@@ -16,7 +16,6 @@ from repro.baselines.conquest import ConQuest
 from repro.baselines.flowradar import FlowRadar
 from repro.baselines.hashpipe import HashPipe
 from repro.baselines.interval import FixedIntervalEstimator
-from repro.baselines.linear import LinearStorageModel
 from repro.baselines.sketches import CountMinSketch, CountSketch
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "CountMinSketch",
     "CountSketch",
     "FixedIntervalEstimator",
-    "LinearStorageModel",
 ]

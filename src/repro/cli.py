@@ -777,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run pqlint, the domain-invariant static analyser "
-        "(PQ001-PQ005 file rules, PQ101-PQ103/PQ105 concurrency rules)",
+        "(PQ001-PQ005 file rules, PQ101-PQ102/PQ105 concurrency rules)",
     )
     lint.add_argument(
         "paths",

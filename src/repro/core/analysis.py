@@ -129,9 +129,9 @@ class AnalysisProgram:
         #: hold indices into it, so a flow has one index port-wide (and
         #: the sharing survives a pickle round trip with the port).
         self.flow_table = FlowTable()
-        # partial() rather than a lambda so whole experiment runs stay
-        # picklable (the engine's process-pool sweep ships them between
-        # workers).
+        # partial() rather than a lambda so a port survives a pickle round
+        # trip with its shared flow table intact
+        # (tests/test_fused_ingest.py::test_banks_share_one_flow_index).
         self.tw_banks: BankedStructure[TimeWindowSet] = BankedStructure(
             partial(TimeWindowSet, config, self.flow_table)
         )

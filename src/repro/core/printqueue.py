@@ -836,19 +836,6 @@ class PrintQueue:
             egress.add_enqueue_hook(pq.on_enqueue)
             egress.add_egress_hook(pq.on_dequeue)
 
-    def on_packet_dequeued(self, packet: Packet) -> None:
-        """Routing shim for externally driven pipelines."""
-        if packet.egress_spec is None:
-            # No egress decision recorded: never route via a sentinel port
-            # id that could collide with a real port.
-            self.ignored_packets += 1
-            return
-        pq = self.ports.get(packet.egress_spec)
-        if pq is None:
-            self.ignored_packets += 1
-            return
-        pq.on_dequeue(packet)
-
     def finish(self, now_ns: int) -> None:
         """Final poll on every port so no register data is left unread."""
         for pq in self.ports.values():

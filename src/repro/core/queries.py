@@ -20,7 +20,7 @@ def flow_order_key(flow: FlowKey) -> Tuple[int, int, int, int, int]:
     """Deterministic secondary sort key for ranked per-flow outputs.
 
     Count ties must resolve identically no matter which code path (scalar
-    walk, columnar batch, parallel sweep) produced the estimate.
+    walk or columnar batch) produced the estimate.
     """
     return flow.sort_key()
 

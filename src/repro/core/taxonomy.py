@@ -18,20 +18,11 @@ Definitions implemented verbatim from Section 2:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.queries import FlowEstimate
 from repro.switch.packet import FlowKey
 from repro.switch.telemetry import DequeueRecord
-
-
-@dataclass(frozen=True)
-class _Event:
-    time_ns: int
-    order: int  # tie-break: enqueues before dequeues at equal time
-    is_enqueue: bool
-    record_index: int
 
 
 class CulpritTaxonomy:
@@ -80,11 +71,11 @@ class CulpritTaxonomy:
         return self._empty_times[pos - 1]
 
     def _counts_for_deq_range(
-        self, start_ns: int, end_ns: int, inclusive_end: bool, exclude: Optional[int]
+        self, start_ns: int, end_ns: int, exclude: Optional[int]
     ) -> FlowEstimate:
+        """Per-flow counts of packets dequeued in ``[start_ns, end_ns]``."""
         lo = bisect.bisect_left(self._deq_times, start_ns)
-        side = bisect.bisect_right if inclusive_end else bisect.bisect_left
-        hi = side(self._deq_times, end_ns)
+        hi = bisect.bisect_right(self._deq_times, end_ns)
         estimate = FlowEstimate()
         for pos in range(lo, hi):
             idx = self._deq_sorted[pos]
@@ -109,7 +100,6 @@ class CulpritTaxonomy:
         return self._counts_for_deq_range(
             victim.enq_timestamp,
             victim.deq_timestamp,
-            inclusive_end=True,
             exclude=self._find_record(victim),
         )
 
@@ -120,17 +110,12 @@ class CulpritTaxonomy:
         departure emptied the queue — it predates the current regime.
         """
         start = self.regime_start(victim.enq_timestamp)
-        estimate = self._counts_for_deq_range(
-            start, victim.enq_timestamp, inclusive_end=False, exclude=None
-        )
-        # Drop packets dequeued exactly at the regime-start instant.
-        trimmed = FlowEstimate()
+        estimate = FlowEstimate()
         lo = bisect.bisect_right(self._deq_times, start)
         hi = bisect.bisect_left(self._deq_times, victim.enq_timestamp)
         for pos in range(lo, hi):
-            idx = self._deq_sorted[pos]
-            trimmed.add(self._records[idx].flow, 1)
-        return trimmed
+            estimate.add(self._records[self._deq_sorted[pos]].flow, 1)
+        return estimate
 
     def original(self, at_time_ns: int) -> FlowEstimate:
         """Monotone-stack survivors just before ``at_time_ns``.

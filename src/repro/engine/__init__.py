@@ -1,4 +1,4 @@
-"""The ingest pipeline, the query plan and the parallel experiment fabric.
+"""The ingest pipeline and the query plan.
 
 ``repro.engine`` is the performance layer between the vectorised FIFO
 fast path and PrintQueue's measurement structures:
@@ -18,20 +18,9 @@ fast path and PrintQueue's measurement structures:
   (TTS array + interned flow index) form and batched multi-victim
   queries run as ``searchsorted`` slices with in-order per-flow
   accumulation — numerically identical to the scalar reference walk.
-* :class:`~repro.engine.parallel.ParallelSweep` fans independent
-  (workload, config, port) experiment cells across a process pool with
-  per-cell result caching, so figure-style sweeps scale with cores;
-  victim scoring inside each cell goes through the batch query API.
 """
 
 from repro.engine.ingest import IngestPipeline
-from repro.engine.parallel import (
-    CellResult,
-    ParallelSweep,
-    ResultCache,
-    SweepCell,
-    intern_config,
-)
 from repro.engine.queryplan import (
     CompiledQueryPlan,
     CompiledSnapshot,
@@ -42,11 +31,6 @@ from repro.engine.queryplan import (
 
 __all__ = [
     "IngestPipeline",
-    "ParallelSweep",
-    "ResultCache",
-    "SweepCell",
-    "CellResult",
-    "intern_config",
     "CompiledQueryPlan",
     "CompiledSnapshot",
     "CompiledWindow",

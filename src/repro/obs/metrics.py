@@ -178,28 +178,6 @@ class Histogram:
             self.count += 1
             self.sum += v
 
-    def quantile(self, q: float) -> int:
-        """Upper bound of the bucket holding the ``q`` quantile.
-
-        Conservative (never underestimates) because buckets quantise to
-        powers of two; exact enough for SLO tracking on log-scale
-        latency targets.  Returns 0 for an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            total = self.count
-            counts = list(self.counts)
-        if total == 0:
-            return 0
-        need = max(1, int(q * total + 0.999999))
-        cumulative = 0
-        for b, c in enumerate(counts):
-            cumulative += c
-            if cumulative >= need:
-                return (1 << b) - 1
-        return (1 << (MAX_LOG2_BUCKETS - 1)) - 1
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

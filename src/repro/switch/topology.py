@@ -184,8 +184,6 @@ class PathRecorder:
     def paths(self) -> List[PathTrace]:
         return list(self._paths.values())
 
-    def path_of(self, packet: Packet) -> Optional[PathTrace]:
-        return self._paths.get((packet.flow_id, packet.seq))
 
 
 def build_leaf_spine(

@@ -39,10 +39,6 @@ class FlowSizeDistribution:
         """Per-packet sizes; default = all typical-sized."""
         return np.full(n, self.typical_packet_bytes, dtype=np.int64)
 
-    def mean_flow_bytes(self, rng: np.random.Generator, samples: int = 20000) -> float:
-        """Monte-Carlo mean flow size, used to size Poisson arrival rates."""
-        return float(np.mean(self.sample_flow_bytes(rng, samples)))
-
 
 class EmpiricalCdfDistribution(FlowSizeDistribution):
     """A flow-size distribution given as CDF knots ``(bytes, probability)``.

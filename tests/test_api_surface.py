@@ -62,16 +62,13 @@ PUBLIC_MODULES = [
     "repro.baselines.flowradar",
     "repro.baselines.hashpipe",
     "repro.baselines.interval",
-    "repro.baselines.linear",
     "repro.baselines.sampled",
     "repro.baselines.sketches",
     "repro.metrics",
     "repro.metrics.accuracy",
-    "repro.metrics.flowstats",
     "repro.metrics.overhead",
     "repro.engine",
     "repro.engine.ingest",
-    "repro.engine.parallel",
     "repro.engine.queryplan",
     "repro.faults",
     "repro.faults.plan",
@@ -103,7 +100,6 @@ PUBLIC_MODULES = [
     "repro.experiments.reporting",
     "repro.experiments.runner",
     "repro.experiments.sampling",
-    "repro.experiments.sweep",
     "repro.cli",
 ]
 
@@ -174,3 +170,22 @@ def test_retired_multiport_names_are_gone_not_aliased():
     assert not hasattr(repro.errors, "PoolTimeoutError")
     assert not hasattr(Metrics, "merge")
     assert not hasattr(repro.store, "replay_into")
+
+
+def test_retired_sweep_pool_and_test_only_modules_are_gone_not_aliased():
+    """The Fig. 15 process pool and the modules only tests reached were
+    deleted outright."""
+    import repro.baselines
+    import repro.engine
+
+    for module in (
+        "repro.engine.parallel",
+        "repro.experiments.sweep",
+        "repro.metrics.flowstats",
+        "repro.baselines.linear",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for package in (repro, repro.engine, repro.baselines):
+        for name in ("ParallelSweep", "SweepCell", "ResultCache", "LinearStorageModel"):
+            assert not hasattr(package, name), (package.__name__, name)

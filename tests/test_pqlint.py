@@ -31,7 +31,6 @@ RULES = (
     "PQ005",
     "PQ101",
     "PQ102",
-    "PQ103",
     "PQ105",
 )
 
@@ -45,7 +44,6 @@ MIN_BAD_FINDINGS = {
     "PQ005": 3,
     "PQ101": 3,
     "PQ102": 3,
-    "PQ103": 4,
     "PQ105": 3,
 }
 
@@ -285,9 +283,9 @@ class TestLintReport:
         from repro.anlz.reporters import to_document
 
         lint_metrics = self._lint_metrics()
-        result = lint_paths([FIXTURES / "PQ103_suppressed"])
+        result = lint_paths([FIXTURES / "PQ102_suppressed"])
         entries = lint_metrics(to_document(result))
-        assert entries['pq_lint_suppressed_total{rule="PQ103"}'] >= 1
+        assert entries['pq_lint_suppressed_total{rule="PQ102"}'] >= 1
         # Zero-filled like the finding counts, so diffs stay stable.
         for code in rule_codes():
             assert f'pq_lint_suppressed_total{{rule="{code}"}}' in entries

@@ -91,6 +91,48 @@ class TestIndirect:
         # All three non-victim packets belong to the regime.
         assert union.total == 3
 
+    def test_matches_brute_force_count(self):
+        # B and C depart together at t=20 and empty the queue; every later
+        # packet shares that regime start, so each one's indirect culprits
+        # are the packets dequeued strictly inside (20, its enqueue).
+        records = [
+            rec(A, 0, 10),
+            rec(B, 2, 20),
+            rec(C, 4, 20),
+            rec(A, 21, 35),
+            rec(B, 22, 45),
+            rec(C, 23, 55),
+            rec(A, 30, 65),
+            rec(B, 50, 75),
+            rec(C, 60, 80),
+        ]
+
+        def occupancy(t):
+            return sum(r.enq_timestamp <= t < r.deq_timestamp for r in records)
+
+        def brute_force(victim):
+            start = max(
+                [0]
+                + [
+                    r.deq_timestamp
+                    for r in records
+                    if r.deq_timestamp <= victim.enq_timestamp
+                    and occupancy(r.deq_timestamp) == 0
+                ]
+            )
+            counts = {}
+            for r in records:
+                if start < r.deq_timestamp < victim.enq_timestamp:
+                    counts[r.flow] = counts.get(r.flow, 0) + 1
+            return counts
+
+        tax = build(records)
+        starts = [tax.regime_start(r.enq_timestamp) for r in records[3:]]
+        assert starts == [20] * 6
+        for victim in records:
+            assert tax.indirect(victim).as_dict() == brute_force(victim), victim
+        assert tax.indirect(records[-1]).as_dict() == {A: 1, B: 1, C: 1}
+
 
 class TestOriginal:
     def test_simple_buildup(self):

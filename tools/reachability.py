@@ -1,0 +1,124 @@
+#!/usr/bin/env python
+"""List the ``src/repro`` definitions no entry point reaches.
+
+Usage: ``python tools/reachability.py`` (exit 1 and one ``path::name``
+a line when there are hits).  Walks the pqlint call graph from
+``cli.py``, ``repro.service``, every script under ``benchmarks/`` (the
+figure benches, ``e2e/layers.py``) and ``examples/``, plus import-time
+code.  Tests are not roots, so a hit is code only tests exercise.  The
+graph is static, so the walk widens until nothing changes: a definition
+reached code names (as a name or attribute) counts as reached, and so do
+dunders of a named class and methods of a class whose bases are all
+outside the project (hooks like ``NodeVisitor.visit_*``).  Grep a hit
+before deleting it.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+from typing import Iterable, Iterator, List, Set
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.anlz.callgraph import FunctionInfo, build_project_index  # noqa: E402
+from repro.anlz.contexts import propagate  # noqa: E402
+from repro.anlz.model import SourceModule, parse_module  # noqa: E402
+
+#: Name of the synthetic function that holds a module's import-time code.
+MODULE_BODY = "__module__"
+
+
+def _import_time(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Module and class body statements (with class bases), defs aside."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from (ast.Expr(value=base) for base in node.bases)
+            yield from _import_time(node.body)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _load(path: Path, base: Path) -> SourceModule:
+    """Parse ``path`` with its import-time code wrapped in a function, so
+    that code's calls become call-graph edges like any other."""
+    module = parse_module(path, base)
+    wrapper = ast.parse(f"def {MODULE_BODY}():\n    pass\n").body[0]
+    wrapper.body = list(_import_time(module.tree.body)) or wrapper.body
+    module.tree.body.append(wrapper)
+    return module
+
+
+def _py_files(root: Path) -> List[Path]:
+    paths = root.rglob("*.py")
+    return sorted(p.resolve() for p in paths if "__pycache__" not in p.parts)
+
+
+def _is_dunder(f: FunctionInfo) -> bool:
+    return f.name.startswith("__") and f.name.endswith("__")
+
+
+def unreached(src: Path, roots: Iterable[Path]) -> List[str]:
+    """``path::name`` of every definition under ``src`` no root reaches.
+
+    ``roots`` are files whose every function is an entry point; those
+    outside ``src`` are parsed with their own directory as import root.
+    """
+    src_files = _py_files(src)
+    root_files = {p.resolve() for p in roots}
+    modules = [_load(p, src.resolve()) for p in src_files]
+    modules += [_load(p, p.parent) for p in sorted(root_files - set(src_files))]
+    index = build_project_index(modules)
+    classes = index.classes.values()
+    hooked = {c.name for c in classes if c.node.bases and not c.base_names}
+    functions = index.functions.values()
+    starts = [f for f in functions if f.module.path in root_files]
+    starts += [f for f in functions if f.name == MODULE_BODY]
+    while True:
+        reached = propagate(index, starts)
+        bodies = [index.functions[q].node for q, _ in reached.items()]
+        nodes = [n for body in bodies for n in ast.walk(body)]
+        named: Set[str] = {n.id for n in nodes if isinstance(n, ast.Name)}
+        named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        widened = [
+            f
+            for f in functions
+            if f.qualname not in reached
+            and (
+                f.name in named
+                or f.class_name in named and (_is_dunder(f) or f.class_name in hooked)
+            )
+        ]
+        if not widened:
+            break
+        starts += widened
+    hits = [
+        f.short
+        for f in functions
+        if f.qualname not in reached
+        and f.module.path in src_files
+        and not (f.is_nested or _is_dunder(f))
+    ]
+    hits += [
+        f"{c.module.rel_path}::{c.name}"
+        for c in classes
+        if c.module.path in src_files and c.name not in named
+    ]
+    return sorted(hits)
+
+
+def main() -> int:
+    package = REPO_ROOT / "src" / "repro"
+    roots = [package / "cli.py", *_py_files(package / "service")]
+    roots += _py_files(REPO_ROOT / "benchmarks") + _py_files(REPO_ROOT / "examples")
+    hits = unreached(package, roots)
+    for hit in hits:
+        print(hit)
+    print(f"{len(hits)} definitions no entry point reaches", file=sys.stderr)
+    return 1 if hits else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
