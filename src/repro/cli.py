@@ -18,9 +18,6 @@ trace
 faults
     List the built-in fault-injection profiles (``--faults`` on run/stats
     runs the control plane under one of them).
-lint
-    Run pqlint, the domain-invariant static analyser (rules
-    PQ001-PQ005), over ``src/repro`` or the given paths.
 store
     Snapshot-store tooling: ``inspect`` a recording's header and record
     counts, ``record`` a run's poll stream to disk, and ``replay`` a
@@ -535,51 +532,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Handle `repro lint`: run pqlint over the given paths."""
-    from pathlib import Path
-
-    from repro.anlz import (
-        git_changed_files,
-        lint_paths,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_codes,
-    )
-    from repro.anlz.rules import RULE_REGISTRY
-
-    if args.list_rules:
-        for code in rule_codes():
-            rule = RULE_REGISTRY[code]
-            print(f"{code}  {rule.name:<18} {rule.summary}")
-        return 0
-    only = None
-    if args.rules is not None:
-        only = [code.strip() for code in args.rules.split(",") if code.strip()]
-    changed = None
-    if args.changed is not None:
-        try:
-            changed = git_changed_files(args.changed)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-    try:
-        result = lint_paths(
-            [Path(p) for p in args.paths], only=only, changed=changed
-        )
-    except KeyError as exc:
-        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
-    else:
-        print(render_text(result))
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -773,43 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults_arg(serve)
     _add_config_args(serve)
     serve.set_defaults(func=cmd_serve)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run pqlint, the domain-invariant static analyser "
-        "(PQ001-PQ005 file rules, PQ101-PQ102/PQ105 concurrency rules)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    lint.add_argument(
-        "--changed",
-        default=None,
-        metavar="REF",
-        help="only report findings in *.py files changed vs this git ref "
-        "(call graph stays project-wide)",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    lint.set_defaults(func=cmd_lint)
 
     store = sub.add_parser(
         "store", help="inspect, record, and replay snapshot-store recordings"

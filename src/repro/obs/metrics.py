@@ -64,19 +64,11 @@ __all__ = [
     "Histogram",
     "Metrics",
     "MAX_LOG2_BUCKETS",
-    "PARITY_EXEMPT_METRICS",
 ]
 
 #: Histogram bucket count: bucket 63 absorbs anything >= 2^62, far beyond
 #: any nanosecond latency or batch size this codebase can produce.
 MAX_LOG2_BUCKETS = 64
-
-#: Audited exceptions to the PQ003 engine-parity rule (pqlint): counter
-#: names in the shared ingest namespace that are *definitionally*
-#: one-path-only.  The scalar path has no batches, so the batch count
-#: cannot tick there; everything else in ``pq_ingest_*`` must increment
-#: on both the scalar and pipeline paths (or move here, with a reason).
-PARITY_EXEMPT_METRICS = frozenset({"pq_ingest_batches_total"})
 
 #: (name, sorted (key, value) label pairs) — the registry key.
 _InstrumentKey = Tuple[str, Tuple[Tuple[str, str], ...]]

@@ -54,6 +54,7 @@ from repro.errors import (
     QueryError,
     ReproError,
     ServiceDegradedRejection,
+    ServiceError,
     ServiceShuttingDown,
 )
 from repro.faults.resilience import CoverageReport
@@ -379,8 +380,13 @@ class DiagnosisService:
                 result = self._execute(request)
                 if not future.cancelled():
                     future.set_result(result)
-            except ReproError as exc:
+            except Exception as exc:
+                # A request must never take the only worker down with it.
                 ok = False
+                if not isinstance(exc, ReproError):
+                    error = ServiceError(f"query failed: {exc!r}")
+                    error.__cause__ = exc
+                    exc = error
                 if not future.cancelled():
                     future.set_exception(exc)
             finally:
@@ -401,7 +407,7 @@ class DiagnosisService:
         args = request.get("args") or {}
         try:
             return QueryInterval(int(args["start_ns"]), int(args["end_ns"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise QueryError(f"query needs integer start_ns/end_ns args: {exc!r}")
 
     def _execute(self, request: Dict[str, Any]) -> Dict[str, Any]:

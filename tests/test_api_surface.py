@@ -15,13 +15,6 @@ import repro
 
 PUBLIC_MODULES = [
     "repro",
-    "repro.anlz",
-    "repro.anlz.callgraph",
-    "repro.anlz.contexts",
-    "repro.anlz.engine",
-    "repro.anlz.model",
-    "repro.anlz.reporters",
-    "repro.anlz.rules",
     "repro.core",
     "repro.core.advisor",
     "repro.core.analysis",
@@ -189,3 +182,16 @@ def test_retired_sweep_pool_and_test_only_modules_are_gone_not_aliased():
     for package in (repro, repro.engine, repro.baselines):
         for name in ("ParallelSweep", "SweepCell", "ResultCache", "LinearStorageModel"):
             assert not hasattr(package, name), (package.__name__, name)
+
+
+def test_analyser_left_the_package_gone_not_aliased(capsys):
+    """pqlint moved to ``tools/anlz``: the package has no ``anlz``
+    subpackage and the CLI has no ``lint`` subcommand."""
+    from repro.cli import build_parser
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(".anlz", package="repro")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["lint"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lint'" in capsys.readouterr().err

@@ -2,15 +2,20 @@
 context propagation — plus the meta-test that the live ``src/repro``
 tree satisfies every PQ1xx concurrency invariant, fast."""
 
+import sys
 import time
 from pathlib import Path
 
-from repro.anlz import lint_paths
-from repro.anlz.callgraph import build_project_index
-from repro.anlz.contexts import async_roots, propagate
-from repro.anlz.model import parse_module
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+try:
+    from anlz import lint_paths
+    from anlz.callgraph import build_project_index
+    from anlz.contexts import async_roots, propagate
+    from anlz.model import parse_module
+finally:
+    sys.path.pop(0)
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
 CONCURRENCY_RULES = ["PQ101", "PQ102", "PQ105"]

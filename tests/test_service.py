@@ -15,6 +15,7 @@ from repro.errors import (
     QueryError,
     ServiceDegradedRejection,
     ServiceOverloadError,
+    ServiceError,
     ServiceShuttingDown,
 )
 from repro.experiments.runner import simulate_workload
@@ -555,6 +556,44 @@ class TestServiceEndToEnd:
             assert "too long" in response["error"]["message"]
             with ServiceClient(host, port) as client:
                 assert client.ping() is True
+
+    def test_overflowing_interval_is_typed_and_worker_survives(self):
+        # JSON reads 1e400 as inf, and int(inf) raises OverflowError.
+        with ServiceHarness(config=_service_config()) as harness:
+            host, port = harness.service.address
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                hostile_line = '{"op":"query","id":1,"args":{"start_ns":1e400,"end_ns":1}}'
+                valid_line = protocol.encode(
+                    {"op": "query", "id": 2, "args": {"start_ns": 0, "end_ns": 1}}
+                )
+                sock.sendall(hostile_line.encode() + b"\n" + valid_line)
+                with sock.makefile("rb") as replies:
+                    hostile = protocol.decode(replies.readline())
+                    valid = protocol.decode(replies.readline())
+            assert hostile["id"] == 1 and hostile["ok"] is False
+            assert hostile["error"]["type"] == "QueryError"
+            assert valid["id"] == 2 and valid["ok"] is True
+            assert not harness.service._worker_task.done()
+
+    def test_unexpected_execute_error_is_typed_and_worker_survives(self, monkeypatch):
+        with ServiceHarness(config=_service_config()) as harness:
+            service = harness.service
+            execute = service._execute
+            calls = []
+
+            def flaky(request):
+                calls.append(request)
+                if len(calls) == 1:
+                    raise ZeroDivisionError("boom")
+                return execute(request)
+
+            monkeypatch.setattr(service, "_execute", flaky)
+            host, port = service.address
+            with ServiceClient(host, port, timeout_s=10.0) as client:
+                with pytest.raises(ServiceError, match="ZeroDivisionError"):
+                    client.query(0, SERVICE_DURATION_NS)
+                assert "estimate" in client.query(0, SERVICE_DURATION_NS)
+            assert not service._worker_task.done()
 
     def test_slo_section_populated_after_queries(self):
         with ServiceHarness(config=_service_config()) as harness:

@@ -46,11 +46,12 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from anlz.reporters import JSON_VERSION
+from anlz.rules import rule_codes
 
-from repro.anlz.reporters import JSON_VERSION  # noqa: E402
-from repro.anlz.rules import rule_codes  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# ``append_to_report`` loads RunReport from the uninstalled package.
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
 def lint_metrics(document: Dict[str, Any]) -> Dict[str, int]:

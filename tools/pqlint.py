@@ -1,20 +1,18 @@
 #!/usr/bin/env python
-"""pqlint — the repo's domain-invariant static analyser (CI entry point).
+"""pqlint — the repo's domain-invariant static analyser.
 
 Usage::
 
-    python tools/pqlint.py [PATHS...] [--format text|json|sarif]
-                           [--rules PQ001,PQ101] [--changed REF]
+    python tools/pqlint.py [PATHS...] [--format text|json]
+                           [--rules PQ002,PQ101] [--changed REF]
                            [--list-rules]
 
 With no paths, lints ``src/repro``.  Exit code 0 means no findings; 1
 means at least one finding; 2 means bad invocation.  ``--changed REF``
 restricts *reported* findings to ``*.py`` files touched vs the git ref
-(plus untracked files) while the call graph stays project-wide — the
-fast pre-commit mode.  The same engine is reachable as ``repro lint``
-once ``src`` is on ``PYTHONPATH`` — this script only bootstraps
-``sys.path`` so CI can call it from the repo root without installing
-the package.
+(plus untracked files) in this repository, while the call graph stays
+project-wide — the fast pre-commit mode.  This script is the analyser's
+only entry point; the engine is the ``anlz`` package next to it.
 """
 
 from __future__ import annotations
@@ -24,18 +22,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.anlz import (  # noqa: E402
+from anlz import (
+    RULE_REGISTRY,
     git_changed_files,
     lint_paths,
     render_json,
-    render_sarif,
     render_text,
     rule_codes,
 )
-from repro.anlz.rules import RULE_REGISTRY  # noqa: E402
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -50,7 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -100,8 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.format == "json":
         print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
     else:
         print(render_text(result))
     return 0 if result.ok else 1

@@ -20,12 +20,11 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Set
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from anlz.callgraph import FunctionInfo, build_project_index
+from anlz.contexts import propagate
+from anlz.model import SourceModule, parse_module
 
-from repro.anlz.callgraph import FunctionInfo, build_project_index  # noqa: E402
-from repro.anlz.contexts import propagate  # noqa: E402
-from repro.anlz.model import SourceModule, parse_module  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Name of the synthetic function that holds a module's import-time code.
 MODULE_BODY = "__module__"
