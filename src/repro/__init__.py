@@ -50,10 +50,8 @@ from repro.faults import profile as fault_profile
 from repro.faults import profile_names as fault_profile_names
 from repro.obs import Metrics, RunReport
 from repro.store import (
-    CompressedStore,
     MemoryStore,
     MmapStore,
-    Recorder,
     RetentionPolicy,
     SnapshotStore,
     replay_analysis,
@@ -92,9 +90,7 @@ __all__ = [
     "SnapshotStore",
     "MemoryStore",
     "MmapStore",
-    "CompressedStore",
     "RetentionPolicy",
-    "Recorder",
     "replay_analysis",
     "FlowKey",
     "Packet",

@@ -19,10 +19,10 @@ faults
     List the built-in fault-injection profiles (``--faults`` on run/stats
     runs the control plane under one of them).
 store
-    Snapshot-store tooling: ``inspect`` a recording's header and record
-    counts, ``record`` a run's poll stream to disk, and ``replay`` a
-    recording through any store backend, re-running the same
-    deterministic probe queries (``run --store mmap`` records too).
+    Snapshot-store tooling: ``record`` a run's poll stream to a PQSTORE1
+    file (the run writes through an ``MmapStore``), ``inspect`` a file's
+    header and record counts, and ``replay`` a file through either store
+    backend, re-running the same deterministic probe queries.
 """
 
 from __future__ import annotations
@@ -125,17 +125,6 @@ def _config_from(args: argparse.Namespace) -> PrintQueueConfig:
     )
 
 
-def _resolve_store(args: argparse.Namespace):
-    """The --store/--store-path pair as a SnapshotStore (or None)."""
-    backend = getattr(args, "store", None)
-    if backend in (None, "memory"):
-        return None
-    from repro.store import MmapStore
-
-    path = getattr(args, "store_path", None) or "run.pqstore"
-    return MmapStore(path)
-
-
 def _build_trace(args: argparse.Namespace):
     if args.scenario == "microburst":
         return microburst_scenario(seed=args.seed)
@@ -157,11 +146,7 @@ def _maybe_write_report(run, args: argparse.Namespace) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     """Handle `repro run`: simulate a workload and diagnose victims."""
     config = _config_from(args)
-    store = _resolve_store(args)
     metrics = Metrics() if args.metrics_out else None
-    if store is not None:
-        # An interrupt mid-run still leaves a valid (partial) recording.
-        on_interrupt(store.flush)
     if metrics is not None:
         out = args.metrics_out
 
@@ -187,18 +172,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         engine=args.engine,
         metrics=metrics,
         faults=_resolve_faults(args),
-        store=store,
     )
     _interrupt_hooks.clear()  # run finished; nothing partial to flush
     _report(run, args.victims)
     _maybe_print_faults(run)
     _maybe_write_report(run, args)
-    if store is not None:
-        store.flush()
-        print(
-            f"store: recorded poll stream to {store.path} "
-            f"({store.tw_added} tw + {store.qm_added} qm snapshots)"
-        )
     return 0
 
 
@@ -403,27 +381,33 @@ def _store_stats_line(store) -> str:
         f"store ({stats['backend']}): version={stats['version']} "
         f"tw={stats['tw_snapshots']} qm={stats['qm_snapshots']} "
         f"evicted={stats['tw_evictions']}+{stats['qm_evictions']} "
-        f"thinned={stats['tw_thinned']} bytes={stats['bytes_total']}"
+        f"replaced={stats['quarantine_replacements']} "
+        f"bytes={stats['bytes_total']}"
     )
 
 
 def cmd_store(args: argparse.Namespace) -> int:
-    """Handle `repro store`: inspect / record / replay recordings."""
+    """Handle `repro store`: record / inspect / replay PQSTORE1 files."""
     import json
+    from pathlib import Path
 
-    from repro.store import (
-        MemoryStore,
-        Recorder,
-        read_recording,
-        replay_analysis,
-        replay_store,
-    )
+    from repro.store import MmapStore, replay_analysis
 
     if args.action == "inspect":
-        info = read_recording(args.path)
+        store = MmapStore.open(args.path)
+        try:
+            info = {
+                "meta": store.meta,
+                "bytes": Path(args.path).stat().st_size,
+                "records": store.replay_position,
+                "tw_records": store.tw_added,
+                "qm_records": store.qm_added,
+                "replace_records": store.quarantine_replacements,
+                "stats": store.stats(),
+            }
+        finally:
+            store.close()
         if args.json:
-            store = replay_store(args.path, backend="memory")
-            info = dict(info, stats=store.stats())
             print(json.dumps(info, indent=2, sort_keys=True))
             return 0
         meta = info["meta"]
@@ -439,9 +423,9 @@ def cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "record":
-        store = MemoryStore()
-        recorder = Recorder(args.path)
-        store.attach_recorder(recorder)
+        store = MmapStore(args.path)
+        # An interrupt mid-run still leaves a valid prefix of the file.
+        on_interrupt(store.flush)
         run = simulate_workload(
             args.workload,
             duration_ns=int(args.duration_ms * 1e6),
@@ -451,10 +435,11 @@ def cmd_store(args: argparse.Namespace) -> int:
             faults=_resolve_faults(args),
             store=store,
         )
+        _interrupt_hooks.clear()
         for line in _probe_digest(run.pq.analysis, args.queries):
             print(line)
         print(_store_stats_line(store))
-        recorder.close()
+        store.close()
         print(f"recorded {len(run.records)} packets' poll stream to {args.path}")
         return 0
 
@@ -558,19 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="save a JSON RunReport of the run to PATH",
-    )
-    run.add_argument(
-        "--store",
-        choices=["memory", "mmap"],
-        default="memory",
-        help="snapshot-store backend; `mmap` writes a replayable "
-        "recording to --store-path (default: in-memory)",
-    )
-    run.add_argument(
-        "--store-path",
-        default=None,
-        metavar="PATH",
-        help="backing file for --store mmap (default: run.pqstore)",
     )
     _add_faults_arg(run)
     _add_config_args(run)
@@ -727,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve)
 
     store = sub.add_parser(
-        "store", help="inspect, record, and replay snapshot-store recordings"
+        "store", help="record, inspect, and replay PQSTORE1 snapshot files"
     )
     store_sub = store.add_subparsers(dest="action", required=True)
 
@@ -738,13 +710,14 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument(
         "--json",
         action="store_true",
-        help="emit JSON (meta + counts + replayed store stats; feed to "
-        "tools/lint_report.py --store-json)",
+        help="emit JSON (meta + counts + the reopened store's stats; feed "
+        "to tools/lint_report.py --store-json)",
     )
     inspect.set_defaults(func=cmd_store)
 
     record = store_sub.add_parser(
-        "record", help="run a workload and record its poll stream to disk"
+        "record",
+        help="run a workload writing its poll stream to PATH (an MmapStore)",
     )
     record.add_argument("path", help="recording file to write (.pqstore)")
     record.add_argument("--workload", choices=["ws", "dm", "uw"], default="ws")
@@ -765,12 +738,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = store_sub.add_parser(
         "replay",
-        help="rebuild a recorded run in any backend and re-run its probes",
+        help="rebuild a recorded run in either backend and re-run its probes",
     )
     replay.add_argument("path", help="recording file (.pqstore)")
     replay.add_argument(
         "--backend",
-        choices=["memory", "mmap", "compressed"],
+        choices=["memory", "mmap"],
         default="memory",
         help="store backend to replay into (default: memory)",
     )

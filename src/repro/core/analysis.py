@@ -34,14 +34,8 @@ from repro.core.queries import FlowEstimate, QueryInterval
 from repro.core.queuemonitor import QueueMonitor, QueueMonitorSnapshot
 from repro.core.registers import BankedStructure
 from repro.core.windowset import TimeWindowSet
-from repro.errors import ConfigError, QueryError
-from repro.store import (
-    MemoryStore,
-    RetentionPolicy,
-    SnapshotStore,
-    SnapshotView,
-    build_meta,
-)
+from repro.errors import QueryError
+from repro.store import MemoryStore, SnapshotStore, SnapshotView, build_meta
 from repro.switch.packet import FlowKey
 from repro.switch.records import FlowColumn, FlowTable
 from repro.units import PCIE_REGISTER_READS_PER_SEC, NS_PER_SEC
@@ -116,12 +110,10 @@ class AnalysisProgram:
         self,
         config: PrintQueueConfig,
         d_ns: Optional[float] = None,
-        max_snapshots: int = 4096,
         fractional_cells: bool = False,
         apply_coefficients: bool = True,
         model_dp_read_cost: bool = True,
         store: Optional[SnapshotStore] = None,
-        retention: Optional[RetentionPolicy] = None,
     ) -> None:
         self.config = config
         self.coefficients = coefficients(config, d_ns)
@@ -139,17 +131,11 @@ class AnalysisProgram:
             config.qm_levels, config.qm_granularity, self.flow_table
         )
         if store is None:
-            if retention is None:
-                retention = RetentionPolicy(max_snapshots=max_snapshots)
-            store = MemoryStore(retention=retention)
-        elif retention is not None:
-            raise ConfigError(
-                "pass the retention policy to the store, not alongside it"
-            )
+            store = MemoryStore()
         #: the snapshot store: owns every stored snapshot and the version
-        #: counter the compiled-plan cache keys on.
+        #: counter the compiled-plan cache keys on; its retention policy
+        #: is the run's one retention setting.
         self.store = store
-        self.max_snapshots = store.retention.max_snapshots
         store.bind(
             build_meta(
                 config,

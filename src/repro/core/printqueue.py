@@ -39,7 +39,7 @@ from repro.faults.injector import FaultInjector, as_injector
 from repro.faults.plan import FaultPlan, profile
 from repro.faults.resilience import CoverageReport, ResilientPoller, RetryPolicy
 from repro.obs.metrics import Metrics
-from repro.store import RetentionPolicy, SnapshotStore
+from repro.store import SnapshotStore
 from repro.switch.packet import FlowKey, Packet
 from repro.switch.port import EgressPort
 from repro.switch.records import FlowColumn
@@ -189,7 +189,6 @@ class PrintQueuePort:
         retry_policy: Optional[RetryPolicy] = None,
         faults_strict: bool = False,
         store: Optional[SnapshotStore] = None,
-        retention: Optional[RetentionPolicy] = None,
     ) -> None:
         self.config = config
         self.analysis = AnalysisProgram(
@@ -197,7 +196,6 @@ class PrintQueuePort:
             d_ns=d_ns,
             model_dp_read_cost=model_dp_read_cost,
             store=store,
-            retention=retention,
         )
         self.trigger = trigger
         #: optional repro.obs registry.  The structure counters are plain

@@ -136,7 +136,7 @@ def collect_port_counters(pq: "PrintQueuePort") -> Dict[str, Any]:
         # Backend-independent store counters: identical between a live
         # run and its replay, whatever tier either side used.
         "store": analysis.store.deterministic_stats(),
-        # Tier-specific gauges (bytes, recording state): excluded from
+        # Tier-specific gauges (bytes, replay position): excluded from
         # the deterministic view — a memory run and its mmap replay
         # legitimately differ here.
         "store_backend": {
@@ -144,7 +144,6 @@ def collect_port_counters(pq: "PrintQueuePort") -> Dict[str, Any]:
             "tw_bytes": analysis.store.tw_bytes,
             "qm_bytes": analysis.store.qm_bytes,
             "bytes_total": analysis.store.tw_bytes + analysis.store.qm_bytes,
-            "recording": int(analysis.store.recording),
             "replay_position": analysis.store.replay_position,
         },
     }
@@ -310,9 +309,6 @@ class RunReport:
             registry.counter("pq_store_evictions_total", kind="qm").inc(
                 store.get("qm_evictions", 0)
             )
-            registry.counter("pq_store_thinned_total").inc(
-                store.get("tw_thinned", 0)
-            )
             registry.counter("pq_store_quarantine_replacements_total").inc(
                 store.get("quarantine_replacements", 0)
             )
@@ -331,9 +327,6 @@ class RunReport:
             )
             registry.gauge("pq_store_bytes", tier=tier, kind="qm").set(
                 backend.get("qm_bytes", 0)
-            )
-            registry.gauge("pq_store_recording").set(
-                backend.get("recording", 0)
             )
             registry.gauge("pq_store_replay_position").set(
                 backend.get("replay_position", 0)
@@ -431,11 +424,9 @@ class RunReport:
                 f"qm={store.get('qm_snapshots', 0)} "
                 f"evicted={store.get('tw_evictions', 0)}+"
                 f"{store.get('qm_evictions', 0)} "
-                f"thinned={store.get('tw_thinned', 0)} "
+                f"replaced={store.get('quarantine_replacements', 0)} "
                 f"bytes={backend.get('bytes_total', 0)}"
             )
-            if backend.get("recording"):
-                line += " [recording]"
             if backend.get("replay_position"):
                 line += f" [replayed {backend['replay_position']} records]"
             lines.append(line)

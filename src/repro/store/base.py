@@ -4,17 +4,17 @@ The store owns every control-plane snapshot (time-window and
 queue-monitor) **and the version counter** that the compiled-plan cache
 keys on.  Centralising the counter here is the point of the design: any
 mutation that can change a query answer — poll ingest, an on-demand
-read, a retention eviction, thinning, a fault quarantine — flows through
-exactly one of the mutating methods below, each of which bumps the
-version, so ``engine/queryplan.py``'s cache invalidation contract cannot
-be bypassed by a new write path.
+read, a retention eviction, a fault quarantine — flows through exactly
+one of the mutating methods below, each of which bumps the version, so
+``engine/queryplan.py``'s cache invalidation contract cannot be bypassed
+by a new write path.
 
-Backends supply four encode/decode primitives; everything with
-behavioural weight — ascending-at-insert ordering, retention caps,
-thinning, quarantine replacement, recording — lives here so all backends
-share one history of store mutations and therefore one version
-evolution.  That shared history is what makes record/replay exact: a
-replayed store re-derives the same version sequence, eviction pattern,
+Backends supply the encode/decode primitives; everything with
+behavioural weight — ascending-at-insert ordering, the retention cap,
+quarantine replacement — lives here so both backends share one history
+of store mutations and therefore one version evolution.  That shared
+history is what makes record/replay exact: a store rebuilt from a
+PQSTORE1 file re-derives the same version sequence, eviction pattern,
 and per-snapshot compile memo behaviour as the live run.
 """
 
@@ -37,25 +37,22 @@ from typing import (
 
 from repro.core.filtering import FilteredWindow
 from repro.core.queuemonitor import QueueMonitorSnapshot
-from repro.errors import StoreError
 from repro.store.retention import RetentionPolicy
 
 if TYPE_CHECKING:
     from repro.core.analysis import TimeWindowSnapshot
-    from repro.store.recording import Recorder
 
 
 class _TWEntry:
     """One stored time-window snapshot: key, token, and decode cache."""
 
-    __slots__ = ("seq", "key", "token", "nbytes", "thinned", "cached")
+    __slots__ = ("seq", "key", "token", "nbytes", "cached")
 
     def __init__(self, seq: int, key: int, token: Any, nbytes: int) -> None:
         self.seq = seq
         self.key = key
         self.token = token
         self.nbytes = nbytes
-        self.thinned = False
         self.cached: Optional["TimeWindowSnapshot"] = None
 
 
@@ -120,7 +117,7 @@ class SnapshotView(Sequence[Any]):
 
 
 class SnapshotStore(ABC):
-    """Abstract snapshot store: retention, versioning, record/replay glue.
+    """Abstract snapshot store: ordering, retention, versioning.
 
     Subclasses implement the storage primitives (``_encode_tw`` /
     ``_decode_tw`` / ``_encode_qm`` / ``_decode_qm`` and optionally the
@@ -140,14 +137,12 @@ class SnapshotStore(ABC):
         self._next_seq = 0
         self._bound = False
         self.meta: Dict[str, Any] = {}
-        self._recorder: Optional["Recorder"] = None
         #: events consumed when this store was built by replay (0 = live).
         self.replay_position = 0
         self.tw_added = 0
         self.qm_added = 0
         self.tw_evictions = 0
         self.qm_evictions = 0
-        self.tw_thinned = 0
         self.quarantine_replacements = 0
         self.tw_bytes = 0
         self.qm_bytes = 0
@@ -192,10 +187,6 @@ class SnapshotStore(ABC):
         snapshot = entry.cached
         if snapshot is None:
             snapshot = self._decode_tw(entry.token)
-            if entry.thinned:
-                # Stores ingested from disk decode lazily; retention
-                # thinning recorded on the entry applies at first touch.
-                snapshot.windows = self.retention.thin_windows(snapshot.windows)
             snapshot._store_seq = entry.seq  # type: ignore[attr-defined]
             entry.cached = snapshot
         return snapshot
@@ -227,15 +218,13 @@ class SnapshotStore(ABC):
         """Ingest one time-window snapshot (a poll or an on-demand read).
 
         Keeps the store ascending by read time at insert (appends are
-        the common case), applies the retention cap and thinning, and
-        bumps the version exactly once.
+        the common case), applies the retention cap, and bumps the
+        version exactly once.
         """
         self._ensure_bound()
         seq = self._next_seq
         self._next_seq += 1
         snapshot._store_seq = seq  # type: ignore[attr-defined]
-        if self._recorder is not None:
-            self._recorder.record_tw(snapshot)
         token = self._encode_tw(snapshot)
         entry = _TWEntry(seq, snapshot.read_time_ns, token, self._nbytes(token))
         entry.cached = snapshot
@@ -244,9 +233,9 @@ class SnapshotStore(ABC):
     def _insert_tw_entry(self, entry: _TWEntry) -> None:
         """Ordering, retention, and versioning for one time-window entry.
 
-        Shared by the live ingest path (:meth:`add_tw`) and backends that
-        rebuild entries from a recorded stream, so both produce the same
-        version/eviction/thinning history.
+        Shared by the live ingest path (:meth:`add_tw`) and
+        :meth:`MmapStore.open`, which rebuilds entries from a file, so both
+        produce the same version/eviction history.
         """
         entries, keys = self._tw_entries, self._tw_keys
         if entries and entry.key < keys[-1]:
@@ -261,7 +250,6 @@ class SnapshotStore(ABC):
         self.tw_bytes += entry.nbytes
         if len(entries) > self.retention.max_snapshots:
             self._evict_tw(0)
-        self._apply_thinning()
         self._version += 1
 
     def add_qm(self, snapshot: QueueMonitorSnapshot, *, bounded: bool = True) -> None:
@@ -273,8 +261,6 @@ class SnapshotStore(ABC):
         compiled plan only covers time-window state.
         """
         self._ensure_bound()
-        if self._recorder is not None:
-            self._recorder.record_qm(snapshot, bounded)
         token = self._encode_qm(snapshot, bounded)
         entry = _QMEntry(snapshot.time_ns, token, self._nbytes(token))
         entry.cached = snapshot
@@ -284,7 +270,7 @@ class SnapshotStore(ABC):
         self._qm_entries.append(entry)
         self.qm_added += 1
         self.qm_bytes += entry.nbytes
-        if bounded and len(self._qm_entries) > self.retention.effective_qm_max:
+        if bounded and len(self._qm_entries) > self.retention.max_snapshots:
             old = self._qm_entries.pop(0)
             self.qm_bytes -= old.nbytes
             self.qm_evictions += 1
@@ -295,23 +281,19 @@ class SnapshotStore(ABC):
         """Replace a snapshot's windows (fault quarantine).
 
         Mutates the snapshot in place, drops its per-snapshot columnar
-        memo, re-encodes the stored copy when the snapshot is (still)
-        stored, and bumps the version so the compiled-plan cache rebuilds
-        without the quarantined cells.
+        memo, hands the backend the replacement (with the stored entry,
+        or ``None`` when the snapshot was never stored or is already
+        evicted), and bumps the version so the compiled-plan cache
+        rebuilds without the quarantined cells.
         """
         snapshot.windows = windows
         if hasattr(snapshot, "_columnar_cache"):
             del snapshot._columnar_cache  # type: ignore[attr-defined]
-        seq = getattr(snapshot, "_store_seq", -1)
-        entry = self._seq_index.get(seq)
+        entry = self._seq_index.get(getattr(snapshot, "_store_seq", -1))
         if entry is not None:
             entry.cached = snapshot
-            self._note_replaced(entry, snapshot)
+        self._note_replaced(entry, snapshot)
         self.quarantine_replacements += 1
-        if self._recorder is not None:
-            self._recorder.record_replace(
-                seq if entry is not None else -1, snapshot
-            )
         self._version += 1
 
     # -- retention ---------------------------------------------------------
@@ -323,34 +305,16 @@ class SnapshotStore(ABC):
         self.tw_bytes -= old.nbytes
         self.tw_evictions += 1
 
-    def _apply_thinning(self) -> None:
-        horizon = self.retention.full_window_horizon
-        if horizon is None:
-            return
-        limit = len(self._tw_entries) - horizon
-        for entry in self._tw_entries[:limit]:
-            if entry.thinned:
-                continue
-            snapshot = entry.cached
-            if snapshot is not None:
-                thinned = self.retention.thin_windows(snapshot.windows)
-                if len(thinned) != len(snapshot.windows):
-                    snapshot.windows = thinned
-                    if hasattr(snapshot, "_columnar_cache"):
-                        del snapshot._columnar_cache  # type: ignore[attr-defined]
-                    self._note_thinned(entry, snapshot)
-            entry.thinned = True
-            self.tw_thinned += 1
-
-    def _note_thinned(self, entry: _TWEntry, snapshot: "TimeWindowSnapshot") -> None:
-        """Hook: a stored snapshot's windows were thinned in place."""
-
     def _note_replaced(
-        self, entry: _TWEntry, snapshot: "TimeWindowSnapshot"
+        self, entry: Optional[_TWEntry], snapshot: "TimeWindowSnapshot"
     ) -> None:
-        """Hook: a stored snapshot's windows were replaced (quarantine)."""
+        """Hook: a snapshot's windows were replaced (quarantine).
 
-    # -- binding and recording ---------------------------------------------
+        ``entry`` is the stored entry, or ``None`` for a snapshot the
+        store does not hold; the version bumps either way.
+        """
+
+    # -- binding -----------------------------------------------------------
 
     def _ensure_bound(self) -> None:
         if not self._bound:
@@ -360,7 +324,7 @@ class SnapshotStore(ABC):
         """Attach the run metadata (config fields, flags, retention).
 
         The first bind wins; later binds are no-ops so a replayed store
-        (bound from the recording's header) can be handed to a fresh
+        (bound from its file's header) can be handed to a fresh
         ``AnalysisProgram`` without losing the recorded metadata.
         """
         if self._bound:
@@ -368,24 +332,6 @@ class SnapshotStore(ABC):
         self.meta = dict(meta)
         self._bound = True
         self._on_bind()
-        if self._recorder is not None:
-            self._recorder.write_header(self.meta)
-
-    def attach_recorder(self, recorder: "Recorder") -> None:
-        """Mirror every future mutation into ``recorder``'s file."""
-        if self._recorder is not None:
-            raise StoreError("a recorder is already attached to this store")
-        if self.tw_added or self.qm_added:
-            raise StoreError(
-                "cannot attach a recorder after snapshots were stored"
-            )
-        self._recorder = recorder
-        if self._bound:
-            recorder.write_header(self.meta)
-
-    @property
-    def recording(self) -> bool:
-        return self._recorder is not None
 
     # -- read access -------------------------------------------------------
 
@@ -415,7 +361,6 @@ class SnapshotStore(ABC):
             tw_bytes=self.tw_bytes,
             qm_bytes=self.qm_bytes,
             bytes_total=self.tw_bytes + self.qm_bytes,
-            recording=int(self.recording),
             replay_position=self.replay_position,
         )
         return out
@@ -432,6 +377,5 @@ class SnapshotStore(ABC):
             "qm_added": self.qm_added,
             "tw_evictions": self.tw_evictions,
             "qm_evictions": self.qm_evictions,
-            "tw_thinned": self.tw_thinned,
             "quarantine_replacements": self.quarantine_replacements,
         }

@@ -1,11 +1,17 @@
-"""The binary register-dump format shared by MmapStore and recordings.
+"""The PQSTORE1 binary register-dump format.
+
+:class:`~repro.store.mmapstore.MmapStore` is its one writer (every frame
+goes through ``MmapStore._append_record``); ``MmapStore.open`` and
+:func:`~repro.store.replay.replay_store` are its two readers.
 
 Layout (all integers little-endian, every record padded to 8 bytes so
 ``np.frombuffer`` views stay aligned):
 
 * **File header** — magic ``b"PQSTORE1"``, ``u32 format_version``,
   ``u32 meta_len``, then ``meta_len`` bytes of UTF-8 JSON (the run
-  metadata: config fields, flags, retention), padded to 8.
+  metadata: config fields, flags, and ``"retention":
+  {"max_snapshots": N}``, the one retention setting every reader
+  re-derives evictions from), padded to 8.
 * **Records** — ``u32 record_magic``, ``u32 kind``, ``u64 payload_len``,
   then the payload, padded to 8.  Kinds: ``TW_ADD`` (a stored
   time-window snapshot), ``QM_ADD`` (a queue-monitor snapshot), and

@@ -11,7 +11,7 @@ without ever serializing (the zero-overhead-when-off invariant).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.queuemonitor import QueueMonitorSnapshot
 from repro.store.base import SnapshotStore, _TWEntry
@@ -56,15 +56,11 @@ class MemoryStore(SnapshotStore):
             return _qm_estimate(token)
         return _tw_estimate(token)
 
-    def _note_thinned(self, entry: _TWEntry, snapshot: "TimeWindowSnapshot") -> None:
-        self._update_nbytes(entry, snapshot)
-
     def _note_replaced(
-        self, entry: _TWEntry, snapshot: "TimeWindowSnapshot"
+        self, entry: Optional[_TWEntry], snapshot: "TimeWindowSnapshot"
     ) -> None:
-        self._update_nbytes(entry, snapshot)
-
-    def _update_nbytes(self, entry: _TWEntry, snapshot: "TimeWindowSnapshot") -> None:
+        if entry is None:
+            return
         nbytes = _tw_estimate(snapshot)
         self.tw_bytes += nbytes - entry.nbytes
         entry.nbytes = nbytes

@@ -1,12 +1,15 @@
 """The disk tier: an append-only PQSTORE1 file read through ``mmap``.
 
-In write mode the store journals every ingest event (adds and quarantine
-replacements) to its file as it happens, so **the file is itself a
-recording** — ``repro store replay`` accepts it directly, and attaching
-a second recorder is rejected as redundant.  Retention never rewrites
-the log: evictions and thinning only drop in-memory entries, keeping the
-on-disk stream a pure ingest history that replay can re-derive retention
-from.
+This is the one writer of the format.  In write mode
+(``MmapStore(path)``) the store journals every ingest event to its file
+as it happens — adds, and every quarantine replacement, including one of
+a snapshot it never stored (target ``-1``) — so **the file is the run's
+recording**: ``repro store replay`` and :meth:`MmapStore.open` accept it
+directly, and a flushed prefix of it is a valid recording too.  All
+frames go through :meth:`MmapStore._append_record`.  Retention never
+rewrites the log: evictions only drop in-memory entries, keeping the
+on-disk stream a pure ingest history from which every reader re-derives
+retention (the header carries the policy).
 
 In read mode (:meth:`MmapStore.open`) the file is mapped read-only and
 the record stream is ingested *without decoding*: each entry is a
@@ -30,7 +33,6 @@ from repro.store.retention import RetentionPolicy
 
 if TYPE_CHECKING:
     from repro.core.analysis import TimeWindowSnapshot
-    from repro.store.recording import Recorder
 
 Token = Tuple[int, int]  # (payload offset, payload length) within the file
 
@@ -54,16 +56,12 @@ class MmapStore(SnapshotStore):
         self._write_pos = 0
 
     @classmethod
-    def open(
-        cls,
-        path: Union[str, Path],
-        retention: Optional[RetentionPolicy] = None,
-    ) -> "MmapStore":
+    def open(cls, path: Union[str, Path]) -> "MmapStore":
         """Open an existing PQSTORE1 file read-only and ingest its stream.
 
-        The retention policy defaults to the one in the file's header, so
-        the rebuilt store's version counter, evictions, and thinning
-        match the run that wrote the file.
+        The retention policy is the one in the file's header, so the
+        rebuilt store's version counter and evictions match the run that
+        wrote the file.
         """
         fh: IO[bytes] = open(Path(path), "rb")
         fh.seek(0, 2)
@@ -73,8 +71,7 @@ class MmapStore(SnapshotStore):
             raise StoreError(f"empty store file: {path}")
         mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
         meta, first = fmt.read_header(mapped)
-        if retention is None:
-            retention = RetentionPolicy(**meta.get("retention", {}))
+        retention = RetentionPolicy(**meta.get("retention", {}))
         store = cls.__new__(cls)
         SnapshotStore.__init__(store, retention)
         store.path = Path(path)
@@ -96,12 +93,6 @@ class MmapStore(SnapshotStore):
         self._fh.write(header)
         self._write_pos = len(header)
 
-    def attach_recorder(self, recorder: "Recorder") -> None:
-        raise StoreError(
-            "MmapStore's backing file is already a recording; "
-            "replay it directly instead of attaching a recorder"
-        )
-
     def _append_record(self, kind: int, payload: bytes) -> Token:
         if self.readonly:
             raise StoreError("store opened read-only")
@@ -118,13 +109,18 @@ class MmapStore(SnapshotStore):
         return self._append_record(fmt.REC_QM_ADD, fmt.encode_qm(snapshot, bounded))
 
     def _note_replaced(
-        self, entry: _TWEntry, snapshot: "TimeWindowSnapshot"
+        self, entry: Optional[_TWEntry], snapshot: "TimeWindowSnapshot"
     ) -> None:
         if self.readonly:
             return
+        # Journal every replacement: readers re-derive the version bump
+        # even when the target (-1) was never stored.
+        target = entry.seq if entry is not None else -1
         offset, length = self._append_record(
-            fmt.REC_TW_REPLACE, fmt.encode_replace(entry.seq, snapshot)
+            fmt.REC_TW_REPLACE, fmt.encode_replace(target, snapshot)
         )
+        if entry is None:
+            return
         self.tw_bytes += (length - 8) - entry.nbytes
         entry.token = (offset + 8, length - 8)
         entry.nbytes = length - 8
@@ -184,6 +180,7 @@ class MmapStore(SnapshotStore):
     # -- lifecycle ---------------------------------------------------------
 
     def flush(self) -> None:
+        """Write buffered frames through, so the file is a valid prefix."""
         if not self.readonly:
             self._fh.flush()
 

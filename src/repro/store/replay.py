@@ -1,13 +1,13 @@
 """Deterministic replay of a recorded snapshot stream.
 
-A recording (written by :class:`~repro.store.recording.Recorder` or by a
-write-mode :class:`~repro.store.mmapstore.MmapStore`) is the run's exact
-ingest history.  Replaying feeds that history through a fresh store of
-any backend; because retention is re-derived from the policy in the
-header, the rebuilt store ends with the same version counter, eviction
-pattern, and snapshot contents as the live run — so queries, fault
-coverage reports, and benches re-run against it produce byte-identical
-answers.
+A PQSTORE1 file, written by a write-mode
+:class:`~repro.store.mmapstore.MmapStore`, is the run's exact ingest
+history.  Replaying reopens it as an ``MmapStore`` or feeds that history
+through a fresh :class:`~repro.store.memory.MemoryStore`; because
+retention is re-derived from the policy in the header, the rebuilt store
+ends with the same version counter, eviction pattern, and snapshot
+contents as the live run — so queries, fault coverage reports, and
+benches re-run against it produce byte-identical answers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.queries import QueryInterval
 from repro.errors import StoreError
 from repro.store import format as fmt
 from repro.store.base import SnapshotStore
-from repro.store.cold import CompressedStore
 from repro.store.memory import MemoryStore
 from repro.store.mmapstore import MmapStore
 from repro.store.retention import RetentionPolicy
@@ -28,7 +27,7 @@ from repro.store.retention import RetentionPolicy
 if TYPE_CHECKING:
     from repro.core.analysis import AnalysisProgram
 
-BACKENDS = ("memory", "mmap", "compressed")
+BACKENDS = ("memory", "mmap")
 
 _CONFIG_FIELDS = (
     "m0",
@@ -53,7 +52,7 @@ def build_meta(
     apply_coefficients: bool,
     model_dp_read_cost: bool,
 ) -> Dict[str, Any]:
-    """The header metadata a run binds to its store (and recordings)."""
+    """The metadata a run binds to its store (a PQSTORE1 file's header)."""
     return {
         "kind": "printqueue-run",
         "config": {name: getattr(config, name) for name in _CONFIG_FIELDS},
@@ -61,12 +60,7 @@ def build_meta(
         "fractional_cells": fractional_cells,
         "apply_coefficients": apply_coefficients,
         "model_dp_read_cost": model_dp_read_cost,
-        "retention": {
-            "max_snapshots": retention.max_snapshots,
-            "qm_max_snapshots": retention.qm_max_snapshots,
-            "full_window_horizon": retention.full_window_horizon,
-            "thin_below_window": retention.thin_below_window,
-        },
+        "retention": {"max_snapshots": retention.max_snapshots},
     }
 
 
@@ -79,25 +73,6 @@ def config_from_meta(meta: Dict[str, Any]) -> PrintQueueConfig:
             "through AnalysisProgram?"
         )
     return PrintQueueConfig(**fields)
-
-
-def read_recording(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse a recording's header and count its records (for `inspect`)."""
-    buf = Path(path).read_bytes()
-    meta, offset = fmt.read_header(buf)
-    counts = {fmt.REC_TW_ADD: 0, fmt.REC_QM_ADD: 0, fmt.REC_TW_REPLACE: 0}
-    for kind, _, _ in fmt.iter_records(buf, offset):
-        if kind not in counts:
-            raise StoreError(f"unknown record kind in {path}: {kind}")
-        counts[kind] += 1
-    return {
-        "meta": meta,
-        "bytes": len(buf),
-        "tw_records": counts[fmt.REC_TW_ADD],
-        "qm_records": counts[fmt.REC_QM_ADD],
-        "replace_records": counts[fmt.REC_TW_REPLACE],
-        "records": sum(counts.values()),
-    }
 
 
 def _replay_into(store: SnapshotStore, buf: bytes, offset: int) -> int:
@@ -131,40 +106,29 @@ def _replay_into(store: SnapshotStore, buf: bytes, offset: int) -> int:
     return position
 
 
-def replay_store(
-    path: Union[str, Path],
-    backend: str = "memory",
-    retention: Optional[RetentionPolicy] = None,
-) -> SnapshotStore:
-    """Rebuild a store of ``backend`` from a recorded ingest stream."""
+def replay_store(path: Union[str, Path], backend: str = "memory") -> SnapshotStore:
+    """Rebuild a store of ``backend`` (``"memory"`` or ``"mmap"``) from a
+    PQSTORE1 file, under the retention policy in its header."""
     if backend == "mmap":
-        return MmapStore.open(path, retention)
-    if backend == "memory":
-        store_cls: type = MemoryStore
-    elif backend == "compressed":
-        store_cls = CompressedStore
-    else:
+        return MmapStore.open(path)
+    if backend != "memory":
         raise StoreError(f"unknown store backend: {backend!r}")
     buf = Path(path).read_bytes()
     meta, offset = fmt.read_header(buf)
-    if retention is None:
-        retention = RetentionPolicy(**meta.get("retention", {}))
-    store: SnapshotStore = store_cls(retention=retention)
+    store = MemoryStore(RetentionPolicy(**meta.get("retention", {})))
     store.bind(meta)
     store.replay_position = _replay_into(store, buf, offset)
     return store
 
 
 def replay_analysis(
-    path: Union[str, Path],
-    backend: str = "memory",
-    retention: Optional[RetentionPolicy] = None,
+    path: Union[str, Path], backend: str = "memory"
 ) -> "AnalysisProgram":
     """Rebuild a queryable :class:`AnalysisProgram` from a recording."""
     # Local import: repro.core.analysis imports repro.store at module load.
     from repro.core.analysis import AnalysisProgram
 
-    store = replay_store(path, backend, retention)
+    store = replay_store(path, backend)
     meta = store.meta
     config = config_from_meta(meta)
     return AnalysisProgram(

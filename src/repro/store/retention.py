@@ -1,83 +1,35 @@
-"""Retention policies for the snapshot store.
+"""The snapshot store's retention policy: one count cap.
 
-PrintQueue's time windows already encode an exponential-coverage story:
-window ``i`` is shifted by ``m0 + alpha * i``, so deeper windows cover
-exponentially longer spans at exponentially coarser resolution.  The
-retention policy extends that story across *snapshots*: recent snapshots
-keep every window (full resolution for fresh queries, where recency bias
-matters most), while snapshots older than ``full_window_horizon`` polls
-are *thinned* down to their deep/coarse windows — the shallow windows'
-fine-grained coverage is long gone from any query interval that far back,
-but the coarse windows still answer long-range queries.
-
-The default policy reproduces the pre-store behaviour exactly: a pure
-count cap (``max_snapshots``) with no thinning.
+``max_snapshots`` bounds both the stored time-window snapshots and the
+periodically polled queue-monitor snapshots; the oldest is evicted when
+a new one lands.  A PQSTORE1 file records the policy in its header, so
+every reader of the file re-derives the same evictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
-from repro.core.filtering import FilteredWindow
 from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
 class RetentionPolicy:
-    """How long, and at what resolution, a store keeps snapshots.
+    """How many snapshots a store keeps.
 
     Attributes
     ----------
     max_snapshots:
-        Hard cap on stored time-window snapshots; the oldest is evicted
-        when a new one lands (the historic ``AnalysisProgram`` bound).
-    qm_max_snapshots:
-        Cap for queue-monitor snapshots; ``None`` means "same as
-        ``max_snapshots``" (the historic coupling).
-    full_window_horizon:
-        Number of newest snapshots kept at full resolution.  ``None``
-        (the default) disables thinning entirely.  Snapshots older than
-        the horizon are thinned: shallow windows are dropped, deep/coarse
-        windows retained.
-    thin_below_window:
-        When thinning, drop windows with ``window_index`` below this
-        value (window 0 is the newest/shallowest; higher indices are
-        coarser and cover exponentially more time).
+        Hard cap on stored time-window snapshots and, separately, on
+        periodically polled queue-monitor snapshots (on-demand monitor
+        reads are never evicted).  The oldest is evicted when a new one
+        lands.
     """
 
     max_snapshots: int = 4096
-    qm_max_snapshots: Optional[int] = None
-    full_window_horizon: Optional[int] = None
-    thin_below_window: int = 1
 
     def __post_init__(self) -> None:
         if self.max_snapshots < 1:
             raise ConfigError(
                 f"max_snapshots must be >= 1, got {self.max_snapshots}"
             )
-        if self.qm_max_snapshots is not None and self.qm_max_snapshots < 1:
-            raise ConfigError(
-                f"qm_max_snapshots must be >= 1, got {self.qm_max_snapshots}"
-            )
-        if self.full_window_horizon is not None and self.full_window_horizon < 0:
-            raise ConfigError(
-                "full_window_horizon must be >= 0, got "
-                f"{self.full_window_horizon}"
-            )
-        if self.thin_below_window < 0:
-            raise ConfigError(
-                f"thin_below_window must be >= 0, got {self.thin_below_window}"
-            )
-
-    @property
-    def effective_qm_max(self) -> int:
-        return (
-            self.max_snapshots
-            if self.qm_max_snapshots is None
-            else self.qm_max_snapshots
-        )
-
-    def thin_windows(self, windows: List[FilteredWindow]) -> List[FilteredWindow]:
-        """The windows that survive thinning (deep/coarse ones)."""
-        return [w for w in windows if w.window_index >= self.thin_below_window]

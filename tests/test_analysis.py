@@ -7,6 +7,7 @@ from repro.core.analysis import AnalysisProgram
 from repro.core.config import PrintQueueConfig
 from repro.core.queries import QueryInterval
 from repro.errors import QueryError
+from repro.store import MemoryStore, RetentionPolicy
 from repro.switch.packet import FlowKey
 
 FLOWS = [
@@ -43,7 +44,9 @@ class TestPolling:
         assert len(analysis.qm_snapshots) == 1
 
     def test_snapshot_ring_bounded(self):
-        analysis = AnalysisProgram(cfg(), max_snapshots=3)
+        analysis = AnalysisProgram(
+            cfg(), store=MemoryStore(RetentionPolicy(max_snapshots=3))
+        )
         for i in range(10):
             analysis.periodic_poll(i * 1000)
         assert len(analysis.tw_snapshots) == 3

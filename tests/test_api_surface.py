@@ -72,11 +72,9 @@ PUBLIC_MODULES = [
     "repro.obs.report",
     "repro.store",
     "repro.store.base",
-    "repro.store.cold",
     "repro.store.format",
     "repro.store.memory",
     "repro.store.mmapstore",
-    "repro.store.recording",
     "repro.store.replay",
     "repro.store.retention",
     "repro.service",
@@ -195,3 +193,25 @@ def test_analyser_left_the_package_gone_not_aliased(capsys):
         build_parser().parse_args(["lint"])
     assert exc.value.code == 2
     assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+
+def test_second_writer_and_cold_tier_are_gone_not_aliased(capsys):
+    """``MmapStore`` is the one PQSTORE1 writer and the store has two
+    tiers: the recorder, the compressed tier and the recording reader
+    were deleted outright, and ``repro run`` records nothing."""
+    import repro.store
+    from repro.cli import build_parser
+    from repro.store.base import SnapshotStore
+
+    for module in ("repro.store.cold", "repro.store.recording"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for package in (repro, repro.store):
+        for name in ("Recorder", "CompressedStore", "read_recording"):
+            assert not hasattr(package, name), (package.__name__, name)
+    assert not hasattr(SnapshotStore, "attach_recorder")
+    assert repro.store.BACKENDS == ("memory", "mmap")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--store-path", "x.pqstore"])
+    assert exc.value.code == 2
+    assert "--store-path" in capsys.readouterr().err

@@ -2,15 +2,16 @@
 
 Three invariant families:
 
-* **Backend conformance** — every backend (memory / mmap / compressed)
-  exposes the same views, version-counter semantics, retention
-  behaviour, and quarantine contract.
-* **Retention** — eviction and deep-window thinning follow the policy,
-  and eviction rides the add's single version bump.
-* **Record/replay determinism** — a recorded run's ingest stream,
-  replayed through any backend, reproduces the exact same snapshots,
-  version evolution, query results, plan-cache hit pattern, and
-  deterministic RunReport view as the live run.
+* **Backend conformance** — both backends (memory / mmap) expose the
+  same views, version-counter semantics, retention behaviour, and
+  quarantine contract.
+* **Retention** — eviction follows the one count cap, for time-window
+  and polled queue-monitor snapshots alike, and rides the add's single
+  version bump.
+* **Record/replay determinism** — a run recorded through ``MmapStore``,
+  reopened or replayed through either backend, reproduces the exact same
+  snapshots, version evolution, query results, plan-cache hit pattern,
+  and deterministic RunReport view as the live run.
 """
 
 import hashlib
@@ -18,25 +19,23 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.analysis import AnalysisProgram, TimeWindowSnapshot
+from repro.core.analysis import TimeWindowSnapshot
 from repro.core.config import PrintQueueConfig
 from repro.core.filtering import FilteredWindow
+from repro.core.queries import QueryInterval
 from repro.core.queuemonitor import QueueMonitorSnapshot
-from repro.errors import ConfigError, StoreError
+from repro.errors import ConfigError
 from repro.experiments.runner import simulate_workload
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.report import RunReport
 from repro.store import (
     BACKENDS,
-    CompressedStore,
     MemoryStore,
     MmapStore,
-    Recorder,
     RetentionPolicy,
     SnapshotView,
     default_probe_intervals,
-    read_recording,
     replay_analysis,
     replay_store,
 )
@@ -80,8 +79,6 @@ def make_qm(time_ns):
 def make_store(backend, tmp_path, retention=None, name="s.pqstore"):
     if backend == "memory":
         return MemoryStore(retention=retention)
-    if backend == "compressed":
-        return CompressedStore(retention=retention)
     return MmapStore(tmp_path / name, retention=retention)
 
 
@@ -137,10 +134,9 @@ class TestBackendConformance:
         assert store.version == 3
 
     def test_qm_retention_bounded_vs_hardware(self, backend, tmp_path):
+        # The one cap bounds the polled monitor snapshots too.
         store = make_store(
-            backend,
-            tmp_path,
-            retention=RetentionPolicy(max_snapshots=8, qm_max_snapshots=2),
+            backend, tmp_path, retention=RetentionPolicy(max_snapshots=2)
         )
         for t in (100, 200, 300):
             store.add_qm(make_qm(t))
@@ -149,22 +145,6 @@ class TestBackendConformance:
         store.add_qm(make_qm(400), bounded=False)
         assert [s.time_ns for s in store.qm_view()] == [200, 300, 400]
         assert store.deterministic_stats()["qm_evictions"] == 1
-
-    def test_thinning_beyond_horizon(self, backend, tmp_path):
-        store = make_store(
-            backend,
-            tmp_path,
-            retention=RetentionPolicy(
-                max_snapshots=8, full_window_horizon=1, thin_below_window=1
-            ),
-        )
-        store.add_tw(make_tw(1000))
-        store.add_tw(make_tw(2000))
-        old, new = list(store.tw_view())
-        assert [w.window_index for w in new.windows] == [0, 1]
-        # The older snapshot kept only its deep (coarse) windows.
-        assert [w.window_index for w in old.windows] == [1]
-        assert store.deterministic_stats()["tw_thinned"] == 1
 
     def test_quarantine_replacement_bumps_version(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
@@ -207,34 +187,6 @@ class TestRetentionPolicy:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RetentionPolicy(max_snapshots=0)
-        with pytest.raises(ConfigError):
-            RetentionPolicy(qm_max_snapshots=-1)
-        with pytest.raises(ConfigError):
-            RetentionPolicy(full_window_horizon=-2)
-        with pytest.raises(ConfigError):
-            RetentionPolicy(thin_below_window=-1)
-
-    def test_effective_qm_max_defaults_to_tw_cap(self):
-        assert RetentionPolicy(max_snapshots=7).effective_qm_max == 7
-        assert (
-            RetentionPolicy(max_snapshots=7, qm_max_snapshots=3).effective_qm_max
-            == 3
-        )
-
-    def test_store_and_retention_are_mutually_exclusive(self):
-        with pytest.raises(ConfigError):
-            AnalysisProgram(
-                CONFIG,
-                store=MemoryStore(),
-                retention=RetentionPolicy(max_snapshots=4),
-            )
-
-    def test_retention_reaches_analysis_default_store(self):
-        analysis = AnalysisProgram(
-            CONFIG, retention=RetentionPolicy(max_snapshots=5)
-        )
-        assert analysis.max_snapshots == 5
-        assert analysis.store.retention.max_snapshots == 5
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +235,11 @@ class TestFormat:
 
     def test_qm_bytes_match_parent_commit(self, tmp_path):
         """PQSTORE1 is unchanged by the columnar monitor: the seed-1 uw
-        20 ms run writes the file the list-register encoder wrote."""
+        20 ms run writes the file the list-register encoder wrote.
+
+        The pin moved once since, when the header's ``retention`` object
+        shrank to ``{"max_snapshots": 4096}``; every record frame after
+        the header stayed byte-identical."""
         path = tmp_path / "golden.pqstore"
         run = simulate_workload(
             "uw", duration_ns=20_000_000, seed=1, store=MmapStore(path)
@@ -291,7 +247,7 @@ class TestFormat:
         run.pq.analysis.store.close()
         assert len(run.pq.analysis.qm_snapshots) > 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "247e1ff3358b2374daec9f0c911b4920ed0c5c781be3e9ae3c0f6f41bc1154b5"
+            "72c7c278b6ac05b6476123c376203a24e0e604312fcab064456cc6b8a220f854"
         )
 
     def test_header_round_trip(self):
@@ -318,9 +274,7 @@ class TestFormat:
 
 def recorded_run(path, **kwargs):
     """One faulted workload run with its poll stream recorded to path."""
-    store = MemoryStore()
-    recorder = Recorder(path)
-    store.attach_recorder(recorder)
+    store = MmapStore(path)
     run = simulate_workload(
         "ws",
         duration_ns=1_200_000,
@@ -331,7 +285,7 @@ def recorded_run(path, **kwargs):
         store=store,
         **kwargs,
     )
-    recorder.close()
+    store.flush()
     return run, store
 
 
@@ -346,11 +300,14 @@ class TestRecordReplay:
     def test_inspect_counts(self, tmp_path):
         path = tmp_path / "run.pqstore"
         _, store = recorded_run(path)
-        info = read_recording(path)
-        assert info["tw_records"] == store.tw_added
-        assert info["qm_records"] == store.qm_added
-        assert info["records"] >= 2
-        assert info["meta"]["config"]["k"] == CONFIG.k
+        reopened = MmapStore.open(path)
+        assert reopened.tw_added == store.tw_added
+        assert reopened.qm_added == store.qm_added
+        assert reopened.replay_position == (
+            store.tw_added + store.qm_added + store.quarantine_replacements
+        )
+        assert reopened.replay_position >= 2
+        assert reopened.meta["config"]["k"] == CONFIG.k
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_replay_matches_live_store(self, backend, tmp_path):
@@ -360,7 +317,7 @@ class TestRecordReplay:
         assert replayed.deterministic_stats() == live.deterministic_stats()
         assert list(replayed.tw_view()) == list(live.tw_view())
         assert list(replayed.qm_view()) == list(live.qm_view())
-        assert replayed.replay_position == read_recording(path)["records"]
+        assert replayed.replay_position == MmapStore.open(path).replay_position
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_replayed_queries_match_live(self, backend, tmp_path):
@@ -424,25 +381,52 @@ class TestRecordReplay:
 
     def test_replace_records_replay(self, tmp_path):
         path = tmp_path / "q.pqstore"
-        store = MemoryStore()
-        recorder = Recorder(path)
-        store.attach_recorder(recorder)
+        store = MmapStore(path)
         store.bind({"retention": {"max_snapshots": 8}})
         store.add_tw(make_tw(1000))
         store.add_tw(make_tw(2000))
         victim = store.tw_view()[0]
         store.replace_windows(victim, [victim.windows[1]])
-        recorder.close()
+        unstored = make_tw(3000)
+        store.replace_windows(unstored, [unstored.windows[0]])
+        store.flush()
         for backend in BACKENDS:
             replayed = replay_store(path, backend=backend)
             assert replayed.deterministic_stats() == store.deterministic_stats()
             assert list(replayed.tw_view()) == list(store.tw_view())
 
+    def test_unstored_replacement_is_journaled(self, tmp_path):
+        """A failed on-demand read (free reads, as the service and the
+        benchmark ports run) quarantines a snapshot the store never held.
+        The file must journal it with target -1, or the reopened file
+        replays to a different store version than the live run."""
+        path = tmp_path / "dp.pqstore"
+        store = MmapStore(path)
+        run = simulate_workload(
+            "ws",
+            duration_ns=4_000_000,
+            seed=11,
+            config=PrintQueueConfig(m0=6, k=6, T=3),
+            faults=FaultPlan(name="all-rpc", rpc_failure_rate=1.0),
+            store=store,
+        )
+        victims = sorted(run.records, key=lambda r: -r.queuing_delay)[:21]
+        for v in victims:
+            run.pq.query(
+                interval=QueryInterval.for_victim(v.enq_timestamp, v.deq_timestamp),
+                mode="data_plane",
+                at_ns=v.deq_timestamp,
+            )
+        store.flush()
+        live = store.deterministic_stats()
+        assert live["version"] == 22 and live["quarantine_replacements"] == 21
+        assert MmapStore.open(path).deterministic_stats() == live
+        for backend in BACKENDS:
+            assert replay_store(path, backend=backend).deterministic_stats() == live
+
     def test_mmap_write_store_is_its_own_recording(self, tmp_path):
         path = tmp_path / "w.pqstore"
         store = MmapStore(path)
-        with pytest.raises(StoreError):
-            store.attach_recorder(Recorder(tmp_path / "other.pqstore"))
         store.bind({"retention": {"max_snapshots": 8}})
         store.add_tw(make_tw(1000))
         store.add_qm(make_qm(1100))
@@ -453,22 +437,11 @@ class TestRecordReplay:
 
     def test_replay_derives_retention_from_header(self, tmp_path):
         path = tmp_path / "r.pqstore"
-        store = MemoryStore(retention=RetentionPolicy(max_snapshots=2))
-        recorder = Recorder(path)
-        store.attach_recorder(recorder)
-        store.bind(
-            {
-                "retention": {
-                    "max_snapshots": 2,
-                    "qm_max_snapshots": None,
-                    "full_window_horizon": None,
-                    "thin_below_window": 1,
-                }
-            }
-        )
+        store = MmapStore(path, retention=RetentionPolicy(max_snapshots=2))
+        store.bind({"retention": {"max_snapshots": 2}})
         for t in (1000, 2000, 3000):
             store.add_tw(make_tw(t))
-        recorder.close()
+        store.flush()
         for backend in BACKENDS:
             replayed = replay_store(path, backend=backend)
             assert replayed.retention.max_snapshots == 2
@@ -522,6 +495,21 @@ class TestStoreCli:
             ]
             assert replay_probes == record_probes
 
+    def test_interrupted_record_leaves_a_valid_prefix(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        def interrupted(*args, store, **kwargs):
+            store.add_tw(make_tw(1000))
+            store.add_qm(make_qm(1100))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "simulate_workload", interrupted)
+        path = tmp_path / "cut.pqstore"
+        assert cli.main(["store", "record", str(path)]) == 130
+        reopened = MmapStore.open(path)
+        assert (reopened.tw_added, reopened.qm_added) == (1, 1)
+        assert list(reopened.tw_view()) == [make_tw(1000)]
+
     def test_inspect_json_feeds_store_metrics(self, tmp_path, capsys):
         import json
 
@@ -532,7 +520,8 @@ class TestStoreCli:
         capsys.readouterr()
         assert main(["store", "inspect", path, "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["stats"]["backend"] == "memory"
+        assert document["stats"]["backend"] == "mmap"
+        assert document["records"] == document["stats"]["replay_position"]
         import sys
         from pathlib import Path
 

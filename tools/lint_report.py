@@ -30,8 +30,8 @@ rendering):
 ``--store-json`` additionally folds a snapshot-store stats document
 (``repro store inspect --json``, or any ``SnapshotStore.stats()`` dump)
 into the same section as ``pq_store_*`` entries — bytes per tier,
-evictions, thinning, and replay position ride alongside the lint
-counters.
+evictions, quarantine replacements, and replay position ride alongside
+the lint counters.
 
 Exit code 0 on success, 2 on bad invocation or malformed input.  The
 lint *verdict* does not affect the exit code — gating belongs to
@@ -102,7 +102,6 @@ def store_metrics(document: Dict[str, Any]) -> Dict[str, int]:
         'pq_store_evictions_total{kind="qm"}': int(
             stats.get("qm_evictions", 0)
         ),
-        "pq_store_thinned_total": int(stats.get("tw_thinned", 0)),
         "pq_store_quarantine_replacements_total": int(
             stats.get("quarantine_replacements", 0)
         ),
@@ -115,7 +114,6 @@ def store_metrics(document: Dict[str, Any]) -> Dict[str, int]:
         f'pq_store_bytes{{tier="{tier}",kind="qm"}}': int(
             stats.get("qm_bytes", 0)
         ),
-        "pq_store_recording": int(stats.get("recording", 0)),
         "pq_store_replay_position": int(stats.get("replay_position", 0)),
     }
 
