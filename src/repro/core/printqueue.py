@@ -315,21 +315,26 @@ class PrintQueuePort:
         flows: FlowColumn,
         times_ns: "np.ndarray",
         depth_after: "np.ndarray",
+        deq_flows: FlowColumn,
+        deq_times_ns: "np.ndarray",
     ) -> None:
         """Batched equivalent of ``process_enqueue``/``process_dequeue``.
 
         ``flows`` is the per-event flow column over this port's flow
-        table (``analysis.flow_table``).  The caller
+        table (``analysis.flow_table``); ``deq_flows``/``deq_times_ns``
+        are the batch's dequeue events alone, in event order (the
+        pipeline passes slices of the log's own columns, since the merged
+        stream keeps dequeues in log order).  The caller
         (:class:`repro.engine.IngestPipeline`) guarantees that no poll
         boundary falls strictly inside the batch, so the whole batch
         lands in the same active bank and the same monitor epoch; polls
         due at or before the first event fire here, exactly as the
         scalar path would have fired them.
         """
-        n = len(times_ns)
-        if n == 0:
+        if len(times_ns) == 0:
             return
-        if flows.table is not self.analysis.flow_table.flows:
+        table = self.analysis.flow_table.flows
+        if flows.table is not table or deq_flows.table is not table:
             raise SimulationError(
                 "flow column does not index this port's flow table"
             )
@@ -342,13 +347,9 @@ class PrintQueuePort:
             t1 = perf_counter_ns()
             self._obs_apply_ns.observe(t1 - t0)
             self._obs_stage_qm_ns.observe(t1 - t0)
-        deq = ~is_enqueue
-        num_deq = int(deq.sum())
+        num_deq = len(deq_times_ns)
         if num_deq:
-            if num_deq == n:
-                self.analysis.on_dequeue_batch(flows, times_ns)
-            else:
-                self.analysis.on_dequeue_batch(flows[deq], times_ns[deq])
+            self.analysis.on_dequeue_batch(deq_flows, deq_times_ns)
             self.packets_seen += num_deq
             if timing:
                 dt = perf_counter_ns() - t1

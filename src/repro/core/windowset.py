@@ -120,11 +120,13 @@ class TimeWindowSet:
         collision/pass rule is evaluated on adjacent pairs of each group
         plus the group head against the pre-batch cell contents.
 
-        A pass always evicts a record whose cycle ID is exactly one less
-        than the evictor's, so the passed TTS is a monotone function of
-        the evicting TTS; re-sorting pass events by the evictor's batch
-        position therefore reproduces the order in which the scalar loop
-        would have inserted them into the next window.
+        A pass always evicts a record from the evictor's own cell with a
+        cycle ID exactly one less, so the passed TTS is the evicting TTS
+        minus ``2**k``.  The scalar loop inserts passed records into the
+        next window in the order of their evictors, so marking each
+        evictor at its position in this window's stream and reading the
+        marks back in order yields the next window's stream with no
+        second sort; only the per-cell grouping sorts.
 
         The pre-batch reads, the eviction stream and the final cell
         writes are all fancy-indexed array operations: no Python executes
@@ -192,35 +194,35 @@ class TimeWindowSet:
             self.level_passes[level] += level_pass
             self.level_drops[level] += level_drop
 
+            ev_pos: Optional[np.ndarray] = None
             if level + 1 < cfg.T:
-                # Pass stream for the next window, ordered by the
-                # evicting write's batch position (= scalar insert
-                # order).  Evicted flow indices are read before this
-                # window's final state is scattered below.
-                hp = np.flatnonzero(head_pass)
-                head_ev_pos = perm[starts[hp]]
-                head_ev_tts = (old_cycles[hp] << k) | head_index[hp]
-                head_ev_fid = old_fids[hp]
+                # Pass stream for the next window, in the order of the
+                # evicting writes (= scalar insert order): mark each
+                # evictor at its position in this level's stream and read
+                # the marks back in order.  The evicted record's TTS is
+                # the evictor's minus 2^k (same cell, cycle one less);
+                # its flow index is the cell's previous writer, read
+                # before this window's final state is scattered below.
+                head_ev = perm[starts[head_pass]]
                 mp = np.flatnonzero(mid_pass)
-                mid_ev_pos = perm[mp + 1]
-                mid_ev_tts = (s_cycle[mp] << k) | s_index[mp]
-                mid_ev_fid = fids[perm[mp]]
-                ev_pos = np.concatenate([head_ev_pos, mid_ev_pos])
-                ev_tts = np.concatenate([head_ev_tts, mid_ev_tts]) >> alpha
-                ev_fid = np.concatenate([head_ev_fid, mid_ev_fid])
-                order = np.argsort(ev_pos, kind="stable")
-            else:
-                order = None
+                mid_ev = perm[mp + 1]
+                evictor = np.zeros(m, dtype=bool)
+                evictor[head_ev] = True
+                evictor[mid_ev] = True
+                evicted_fid = np.empty(m, dtype=np.int64)
+                evicted_fid[head_ev] = old_fids[head_pass]
+                evicted_fid[mid_ev] = fids[perm[mp]]
+                ev_pos = np.flatnonzero(evictor)
 
             # The last write of each group is this window's final state:
             # one fancy-indexed scatter per register array.
             cycle_arr[head_index] = s_cycle[ends]
             fid_arr[head_index] = fids[perm[ends]]
 
-            if order is None:
+            if ev_pos is None:
                 break
-            tts = ev_tts[order]
-            fids = ev_fid[order]
+            tts = (tts[ev_pos] - (1 << k)) >> alpha
+            fids = evicted_fid[ev_pos]
 
         self.passes += passes
         self.drops += drops

@@ -16,7 +16,9 @@ event stream in slices:
    control-plane action can occur;
 4. feed each slice to :meth:`PrintQueuePort.process_batch`, which updates
    the queue monitor via ``apply_batch`` and the active time-window bank
-   via ``absorb_indexed`` — both array-at-a-time.
+   via ``absorb_indexed`` — both array-at-a-time.  The merge keeps the
+   dequeues in log order, so a slice's dequeue side is a slice of the
+   log's own ``deq_ts``/flow columns.
 
 Because slices never straddle a poll boundary and triggers still fire at
 their exact dequeue instants, the resulting snapshots, counters, and
@@ -117,22 +119,23 @@ class IngestPipeline:
         if n == 0:
             return
 
-        # Contiguous copies of the structured columns: the merge sorts
-        # and searches them heavily, and a strided field view would pay
-        # the gather on every pass.
         data = records.data
-        stream = merge_event_streams(
-            np.ascontiguousarray(data["enq_ts"]),
-            np.ascontiguousarray(data["deq_ts"]),
-        )
+        deq_ts = data["deq_ts"]
+        stream = merge_event_streams(data["enq_ts"], deq_ts)
         times = stream.time_ns
         is_enq = stream.is_enqueue
         rec_idx = stream.record_index
         depth = stream.depth_after
-        ev_fid = data["flow"][rec_idx].astype(np.int64)
+        flow = data["flow"]
         if self._flow_remap is not None:
-            ev_fid = self._flow_remap[ev_fid]
-        ev_flows = FlowColumn(self._flow_table, ev_fid)
+            flow = self._flow_remap[flow]
+        ev_flows = FlowColumn(
+            self._flow_table, flow[rec_idx].astype(np.int64, copy=False)
+        )
+        # The merge keeps dequeues in log order, so a step's dequeue side
+        # is the slice [d0, d1) of the log's own columns: field views, read
+        # once by the kernel, with no gather and no copy held for the drive.
+        deq_flows = FlowColumn(self._flow_table, flow)
         num_events = len(times)
 
         # Merged positions at which a data-plane trigger fires (after the
@@ -148,6 +151,7 @@ class IngestPipeline:
             trig_pos = np.empty(0, dtype=np.int64)
 
         cur = 0
+        d0 = 0  # dequeue events before `cur`
         tp = 0
         while cur < num_events:
             boundary = pq.next_poll_boundary_ns
@@ -164,16 +168,24 @@ class IngestPipeline:
                 end = int(trig_pos[tp]) + 1
                 fire_trigger = True
             sl = slice(cur, end)
+            # The first `end` events hold e enqueues and d dequeues with
+            # e + d = end and e - d = depth after event end - 1.
+            d1 = (end - int(depth[end - 1])) // 2
             pq.process_batch(
-                is_enq[sl], ev_flows[sl], times[sl], depth[sl]
+                is_enq[sl],
+                ev_flows[sl],
+                times[sl],
+                depth[sl],
+                deq_flows[d0:d1],
+                deq_ts[d0:d1],
             )
             self.batches_processed += 1
             if self._obs_batches is not None:
                 self._obs_batches.inc()
                 self._obs_batch_events.observe(end - cur)
             if self.baselines:
-                for pos in np.flatnonzero(~is_enq[sl]):
-                    record = records[int(rec_idx[cur + pos])]
+                for d in range(d0, d1):
+                    record = records[d]
                     for baseline in self.baselines:
                         baseline.update(record.flow, record.deq_timestamp)
             if fire_trigger:
@@ -187,6 +199,7 @@ class IngestPipeline:
                     dp_results[d] = result
                 tp += 1
             cur = end
+            d0 = d1
             yield end - sl.start
 
         end_ns = records[-1].deq_timestamp + 1

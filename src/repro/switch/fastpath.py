@@ -36,7 +36,12 @@ exact (``a`` arrivals, ``c = ceil(tx_ps / 1000)`` whole-ns wire times,
    whole and shrinks to twice the committed prefix when they do not (a
    fixed large block would be quadratic for a small buffer).
 
-Cost: O(n) array work plus one Python iteration per block.  A saturated
+Cost: O(n) array work plus one Python iteration per block.  The
+departures before each arrival of a block (the ``searchsorted`` counts
+above) come from :func:`departures_before`: the block's arrivals and the
+pending dequeue times are two sorted runs, so one stable argsort of their
+concatenation is a single linear merge, where a search costs a binary
+search per arrival.  A saturated
 block holds about ``cap * load`` arrivals, so buffers under ~32 packets
 make blocks shorter than numpy's per-call overhead and run slower than a
 per-packet loop would (cap 8: about 2x slower, cap 1: about 15x).  Nothing
@@ -84,6 +89,8 @@ def merge_event_streams(
     dequeues keep the log order, and an enqueue wins a tie against a
     dequeue at the same instant — the same discipline as the scalar
     event loop in :func:`repro.experiments.runner.drive_printqueue_scalar`.
+    Because dequeues keep the log order, the ``j``-th dequeue event of the
+    stream is record ``j``'s.
     """
     enq_timestamp = np.asarray(enq_timestamp, dtype=np.int64)
     deq_timestamp = np.asarray(deq_timestamp, dtype=np.int64)
@@ -91,32 +98,34 @@ def merge_event_streams(
         raise ValueError("expected matching 1-D timestamp arrays")
     n = len(enq_timestamp)
     if n and np.any(enq_timestamp[1:] < enq_timestamp[:-1]):
-        enq_order = np.argsort(enq_timestamp, kind="stable")
+        enq_order: Optional[np.ndarray] = np.argsort(enq_timestamp, kind="stable")
         enq_sorted = enq_timestamp[enq_order]
     else:
         # FIFO logs arrive enqueue-sorted already (dequeue order equals
         # enqueue order), so the sort usually costs one comparison pass.
-        enq_order = np.arange(n, dtype=np.int64)
+        enq_order = None
         enq_sorted = enq_timestamp
     if n and np.any(deq_timestamp[1:] < deq_timestamp[:-1]):
         raise ValueError("dequeue log must be in dequeue order")
-    ranks = np.arange(n, dtype=np.int64)
-    # Merge the two sorted streams by rank arithmetic: an enqueue's merged
-    # position is its own rank plus the count of dequeues that precede it.
-    # side="left" encodes the tie rule (an enqueue wins a tie against a
-    # dequeue at the same instant).  The dequeues keep their order and
-    # fill the positions the enqueues left, in order.
-    pos_enq = ranks + np.searchsorted(deq_timestamp, enq_sorted, side="left")
-    times = np.empty(2 * n, dtype=np.int64)
-    is_enqueue = np.zeros(2 * n, dtype=bool)
-    record_index = np.empty(2 * n, dtype=np.int64)
-    is_enqueue[pos_enq] = True
-    pos_deq = np.flatnonzero(~is_enqueue)
-    times[pos_enq] = enq_sorted
-    times[pos_deq] = deq_timestamp
-    record_index[pos_enq] = enq_order
-    record_index[pos_deq] = ranks
-    depth_after = np.cumsum(np.where(is_enqueue, 1, -1))
+    # Both sides are now sorted runs, so the stable argsort of their
+    # concatenation is one timsort merge.  Enqueues go first, which is the
+    # tie rule (an enqueue wins a tie against a dequeue at the same
+    # instant); stability keeps each side in its own order, so the
+    # dequeues stay in log order.  Position p < n in the concatenation is
+    # the p-th enqueue, p >= n the record p - n's dequeue.
+    both = np.concatenate((enq_sorted, deq_timestamp))
+    order = np.argsort(both, kind="stable")
+    times = both[order]
+    del both  # before record_index and depth_after exist: peak memory
+    is_enqueue = order < n
+    record_index = order - n * ~is_enqueue
+    if enq_order is not None:
+        record_index[is_enqueue] = enq_order[record_index[is_enqueue]]
+    # +1 per enqueue, -1 per dequeue, summed in place.
+    depth_after = is_enqueue.astype(np.int64)
+    depth_after *= 2
+    depth_after -= 1
+    np.cumsum(depth_after, out=depth_after)
     return MergedEventStream(
         time_ns=times,
         is_enqueue=is_enqueue,
@@ -144,6 +153,20 @@ class FifoResult:
 #: First speculative block size; doubles while blocks commit whole and
 #: falls back to twice the committed prefix (at least this) when not.
 _SPECULATE_START = 256
+
+
+def departures_before(arrivals: np.ndarray, pending: np.ndarray) -> np.ndarray:
+    """Per arrival, how many ``pending`` departures are strictly earlier.
+
+    Equal to ``np.searchsorted(pending, arrivals, "left")`` for two sorted
+    int64 runs.  Their concatenation is two sorted runs, so the stable
+    argsort is a single timsort merge; arrivals go first, so a departure
+    at an arrival's own instant sorts after it (strict ``<``).  An
+    arrival's merged position is its rank plus the departures before it.
+    """
+    m = len(arrivals)
+    order = np.argsort(np.concatenate((arrivals, pending)), kind="stable")
+    return np.flatnonzero(order < m) - np.arange(m)
 
 
 def fifo_timestamps(
@@ -226,7 +249,7 @@ def fifo_timestamps(
             else 0
         )
         if m >= room:
-            dep = np.searchsorted(deq[head:out], arrival_ns[i : i + m], "left")
+            dep = departures_before(arrival_ns[i : i + m], deq[head:out])
             # Post-arrival depth over cap had nothing been dropped.  Entry
             # 0 is the empty prefix, so the running peak is never negative:
             # it is the number of tail drops so far.
@@ -257,7 +280,7 @@ def fifo_timestamps(
                 wire_free, np.maximum.accumulate(arrivals - busy)
             )
             deq[out : out + size] = start
-            dep = np.searchsorted(deq[head : out + size], arrivals, "left")
+            dep = departures_before(arrivals, deq[head : out + size])
             depth = pending + np.arange(size) - dep
             full = np.flatnonzero(depth >= cap)
             v = int(full[0]) if len(full) else size

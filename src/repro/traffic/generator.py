@@ -69,6 +69,30 @@ class WorkloadConfig:
             raise ValueError("non-positive flow pacing rate")
 
 
+def sort_arrivals(arrival: np.ndarray) -> np.ndarray:
+    """Sort an int64 arrival column in place; return the order applied.
+
+    The order is ``np.argsort(arrival, kind="stable")``.  Packed
+    ``(arrival << bits) | position`` keys are unique, so one plain sort of
+    them, built in ``arrival``'s own buffer, yields the same order without
+    an index sort.  Packing needs ``|arrival| < 2**(63 - bits)``; a trace
+    whose observed arrivals do not fit (long and sparse) is argsorted.
+    """
+    n = len(arrival)
+    bits = max(0, n - 1).bit_length()
+    limit = 1 << (63 - bits)
+    if n and -limit <= int(arrival.min()) and int(arrival.max()) < limit:
+        arrival <<= bits
+        arrival |= np.arange(n, dtype=np.int64)
+        arrival.sort()
+        order = arrival & ((1 << bits) - 1)
+        arrival >>= bits
+        return order
+    order = np.argsort(arrival, kind="stable")
+    arrival[:] = arrival[order]
+    return order
+
+
 class PoissonWorkload:
     """Generates traces with Poisson flow arrivals.
 
@@ -115,7 +139,7 @@ class PoissonWorkload:
         flows: List[FlowKey] = []
         arrival_parts: List[np.ndarray] = []
         size_parts: List[np.ndarray] = []
-        index_parts: List[np.ndarray] = []
+        counts: List[int] = []
         total_bytes = 0.0
         while total_bytes < target_bytes and len(flows) < self.MAX_FLOWS:
             start_ns = int(rng.integers(0, cfg.duration_ns))
@@ -136,15 +160,24 @@ class PoissonWorkload:
             flows.append(self._flow_key(rng, index))
             arrival_parts.append(arrivals.astype(np.int64))
             size_parts.append(sizes)
-            index_parts.append(np.full(len(sizes), index, dtype=np.int64))
+            counts.append(len(sizes))
             total_bytes += float(sizes.sum())
 
+        # Packets go in arrival order, ties in flow order: the stable
+        # argsort of the flow-by-flow concatenation.  The arrival column is
+        # sorted in place, the per-flow parts are dropped once concatenated,
+        # and the flow column is one repeat of the per-flow packet counts.
         arrival = np.concatenate(arrival_parts)
-        order = np.argsort(arrival, kind="stable")
+        del arrival_parts
+        order = sort_arrivals(arrival)
+        size = np.concatenate(size_parts)
+        del size_parts
+        size = size[order]
+        flow_index = np.repeat(np.arange(len(flows), dtype=np.int64), counts)[order]
         trace = Trace(
-            arrival_ns=arrival[order],
-            size_bytes=np.concatenate(size_parts)[order],
-            flow_index=np.concatenate(index_parts)[order],
+            arrival_ns=arrival,
+            size_bytes=size,
+            flow_index=flow_index,
             flows=flows,
             priority=None,
             name=f"poisson-{getattr(self.distribution, 'name', 'flows')}",

@@ -7,6 +7,8 @@ Whole-path equivalence (production pipeline == scalar oracle) lives in
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
@@ -128,6 +130,29 @@ def test_merge_event_streams_matches_naive_merge():
     depth = np.cumsum(np.where(stream.is_enqueue, 1, -1))
     assert np.array_equal(depth, stream.depth_after)
     assert depth.min() >= 0 and depth[-1] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stamps=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
+    enqueues_sorted=st.booleans(),
+)
+def test_merge_event_streams_matches_naive_merge_property(stamps, enqueues_sorted):
+    """Any log, ties within and across the two sides, FIFO-sorted enqueues
+    or not (the priority-scheduler case), empty included."""
+    enq = np.array([s[0] for s in stamps], dtype=np.int64)
+    if enqueues_sorted:
+        enq = np.sort(enq)
+    deq = np.sort(np.array([s[1] for s in stamps], dtype=np.int64))
+    stream = merge_event_streams(enq, deq)
+    expected = _naive_merge(enq, deq)
+    got = [
+        (int(t), 0 if e else 1, int(r))
+        for t, e, r in zip(stream.time_ns, stream.is_enqueue, stream.record_index)
+    ]
+    assert got == expected
+    steps = [1 if side == 0 else -1 for _, side, _ in expected]
+    assert stream.depth_after.tolist() == np.cumsum(steps, dtype=np.int64).tolist()
 
 
 def test_merge_event_streams_enqueue_wins_ties():

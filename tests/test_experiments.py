@@ -64,18 +64,24 @@ class TestRunner:
         pq = PrintQueuePort(small_config(), model_dp_read_cost=False)
 
         seen = []
+        dequeues = []
         original = pq.process_batch
 
-        def spy(is_enq, flows, times, depths):
+        def spy(is_enq, flows, times, depths, deq_flows, deq_times):
             seen.extend(
                 int(d) for e, d in zip(is_enq, depths) if e
             )
-            original(is_enq, flows, times, depths)
+            # The dequeue side is the batch's dequeue events, in order.
+            assert list(deq_times) == [t for e, t in zip(is_enq, times) if not e]
+            assert list(deq_flows) == [f for e, f in zip(is_enq, flows) if not e]
+            dequeues.extend(zip(deq_flows, deq_times.tolist()))
+            original(is_enq, flows, times, depths, deq_flows, deq_times)
 
         pq.process_batch = spy
         drive_printqueue(records, pq)
         by_enq = sorted(records, key=lambda r: r.enq_timestamp)
         assert seen == [r.enq_qdepth + 1 for r in by_enq]
+        assert dequeues == [(r.flow, r.deq_timestamp) for r in records]
 
     def test_simulate_workload_end_to_end(self):
         run = simulate_workload(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.switch import fastpath
 from repro.switch.fastpath import fifo_timestamps
 from repro.switch.packet import FlowKey, Packet
 from repro.switch.port import EgressPort
@@ -211,20 +212,34 @@ class TestBlockBoundaries:
     def test_python_iterations_scale_with_blocks_not_packets(self, monkeypatch):
         n, capacity = 200_000, 2_000
         arrivals, sizes = poisson_trace(32, n, 1.5)
-        calls = 0
-        real = np.searchsorted
+        blocks = 0
+        real = fastpath.departures_before
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
+        def counting(block, pending):
+            nonlocal blocks
+            blocks += 1
+            return real(block, pending)
 
-        monkeypatch.setattr(np, "searchsorted", counting)
+        monkeypatch.setattr(fastpath, "departures_before", counting)
         result = fifo_timestamps(arrivals, sizes, 10 * GBPS, capacity)
         assert result.drops > n // 10
-        # Three lookups a block, ~capacity * load arrivals a saturated
-        # block: a few hundred calls, where a per-packet loop makes 200 k.
-        assert calls < n // 100
+        # One departure count a block, ~capacity * load arrivals a
+        # saturated block: a few hundred blocks, where a per-packet loop
+        # makes 200 k turns.
+        assert 0 < blocks < n // 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrivals=st.lists(st.integers(0, 40), max_size=60),
+        pending=st.lists(st.integers(0, 40), max_size=60),
+    )
+    def test_departure_count_is_a_left_search(self, arrivals, pending):
+        # Values in 0..40 force equal-ns ties on both sides and across
+        # them; empty lists give an empty block or nothing pending.
+        arrivals = np.sort(np.array(arrivals, dtype=np.int64))
+        pending = np.sort(np.array(pending, dtype=np.int64))
+        got = fastpath.departures_before(arrivals, pending)
+        assert np.array_equal(got, np.searchsorted(pending, arrivals, "left"))
 
 
 class TestConservation:

@@ -370,11 +370,21 @@ def test_fused_matches_scalar_end_to_end(seed):
 
 def test_fused_matches_scalar_collision_heavy():
     # 16-cell windows: nearly every insert collides, so the pass stream
-    # (head + mid evictions, recompressed TTS) is fully exercised.
-    config = PrintQueueConfig(m0=4, k=4, alpha=1, T=3, qm_levels=256)
-    _, fused = assert_matches_oracle(_ws_batch(3, 400_000), config)
-    bank = fused.analysis.tw_banks.active
-    assert bank.drops + bank.passes > 0
+    # (head + mid evictions, recompressed TTS, passes ordered by evictor)
+    # is fully exercised: alpha 1 and 2, records passed into all four
+    # windows of T = 4, and (m0 = 12: 4096 ns per TTS against 1200 ns per
+    # 1500 B packet) runs of dequeues sharing one TTS.
+    batch = _ws_batch(3, 400_000)
+    tts = batch.deq_timestamp >> 12
+    assert np.count_nonzero(tts[1:] == tts[:-1]) > len(batch) // 2
+    for m0, alpha, T in ((10, 1, 3), (10, 2, 4), (12, 2, 4)):
+        config = PrintQueueConfig(m0=m0, k=4, alpha=alpha, T=T, qm_levels=256)
+        _, fused = assert_matches_oracle(batch, config)
+        banks = fused.analysis.tw_banks.banks
+        passes = [sum(b.level_passes[i] for b in banks) for i in range(T)]
+        assert passes[0] > 0 and passes[1] > 0, (m0, alpha, T)
+        if (m0, T) == (10, 4):
+            assert passes[2] > 0  # the last window takes inserts
 
 
 def test_store_encoding_is_engine_independent():
@@ -448,12 +458,19 @@ def test_absorb_indexed_length_mismatch_raises():
 
 
 def test_foreign_flow_column_is_rejected():
+    # Either column — the per-event one the monitor reads or the
+    # dequeue-side one the time windows read — must index the port's table.
     pq = PrintQueuePort(PrintQueueConfig(m0=2, k=4, alpha=1, T=1))
-    foreign = FlowColumn([_flow(0)], np.zeros(1, dtype=np.int64))
-    with pytest.raises(SimulationError):
-        pq.process_batch(
-            np.array([False]), foreign, np.array([10]), np.array([0])
-        )
+    idx = np.zeros(1, dtype=np.int64)
+    own = FlowColumn(pq.analysis.flow_table.flows, idx)
+    foreign = FlowColumn([_flow(0)], idx)
+    for flows, deq_flows in ((foreign, own), (own, foreign)):
+        with pytest.raises(SimulationError):
+            pq.process_batch(
+                np.array([False]), flows, np.array([10]), np.array([0]),
+                deq_flows, np.array([10]),
+            )
+    assert pq.packets_seen == 0 and pq.analysis.queue_monitor.drains == 0
 
 
 # ---------------------------------------------------------------------------
