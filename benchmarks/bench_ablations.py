@@ -15,7 +15,7 @@ mechanisms on the UW workload:
 from common import all_victim_indices, fmt, get_run, get_victims, print_table
 from repro.core.printqueue import PrintQueuePort
 from repro.experiments.evaluation import evaluate_async_queries
-from repro.experiments.runner import drive_printqueue
+from repro.experiments.runner import drive_printqueue, measured_d_ns
 from repro.metrics.accuracy import summarize_scores
 
 
@@ -30,7 +30,7 @@ def build_variant(records, config, d_ns, **analysis_flags):
 def run_ablations():
     run, _ = get_run("uw")
     config = run.pq.config
-    d_ns = run.mean_packet_interval_ns
+    d_ns = measured_d_ns(run.records, config)
     victims = sorted(all_victim_indices(get_victims("uw")))
 
     variants = {

@@ -34,10 +34,11 @@ from common import (
 from repro.core.printqueue import PrintQueue, PrintQueuePort
 from repro.core.taxonomy import CulpritTaxonomy
 from repro.experiments.evaluation import victim_interval
-from repro.experiments.runner import drive_printqueue, run_trace_through_fifo_batch
+from repro.experiments.runner import drive_printqueue, measured_d_ns
 from repro.experiments.sampling import sample_victims_by_band
 from repro.metrics.accuracy import precision_recall, summarize_scores
 from repro.metrics.overhead import sram_utilization
+from repro.switch.fastpath import fifo_record_batch
 from repro.traffic.distributions import distribution_by_name
 from repro.traffic.generator import PoissonWorkload, WorkloadConfig
 from repro.traffic.trace import partition_trace_by_port
@@ -57,7 +58,7 @@ def _drive_fleet(trace, ports, config):
     subs = partition_trace_by_port(trace, ports)
     assert sum(len(sub) for sub in subs) == len(trace)
     for pq, sub in zip(fleet.ports.values(), subs):
-        records, drops = run_trace_through_fifo_batch(sub)
+        records, drops = fifo_record_batch(sub)
         drive_printqueue(records, pq)
         # Every packet of the partitioned trace reached its port.
         assert pq.packets_seen == len(records) == len(sub) - drops
@@ -72,9 +73,7 @@ def run_fig15():
         WorkloadConfig(load=spec["load"], duration_ns=spec["duration_ns"]),
         seed=spec["seed"],
     ).generate()
-    records, _ = run_trace_through_fifo_batch(trace)
-    # The measured inter-departure time is the coefficients' d.
-    d_ns = (records[-1].deq_timestamp - records[0].deq_timestamp) / (len(records) - 1)
+    records, _ = fifo_record_batch(trace)
     taxonomy = CulpritTaxonomy(records)
     victims = sample_victims_by_band(records, per_band=VICTIMS_PER_BAND)
     union = sorted({i for indices in victims.values() for i in indices})
@@ -85,8 +84,11 @@ def run_fig15():
     for ports, params in SWEEP:
         # Accuracy is per-port: the full-load port carries the structural
         # parameters only, the fleet carries the port count.
+        port_config = workload_config("ws", **params)
         pq = PrintQueuePort(
-            workload_config("ws", **params), d_ns=d_ns, model_dp_read_cost=False
+            port_config,
+            d_ns=measured_d_ns(records, port_config),
+            model_dp_read_cost=False,
         )
         drive_printqueue(records, pq)
         estimates = pq.query(intervals=intervals).estimates

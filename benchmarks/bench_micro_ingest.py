@@ -21,7 +21,7 @@ way the batch query engine tracks QPS in ``BENCH_query.json``.  Timing
 covers ingest only: the dequeue log (object list for the oracle, record
 array for production) is built once outside the timed region, since both
 are what the switch layer hands the engine
-(:func:`run_trace_through_fifo` / :func:`run_trace_through_fifo_batch`).
+(:func:`run_trace_through_fifo` / :func:`fifo_record_batch`).
 
 At full scale (``REPRO_SCALE=1``) production must ingest at least 6x
 faster than the oracle on the primary configuration (4x on the paper's
@@ -38,13 +38,10 @@ import time
 from common import SCALE, print_table
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
-from repro.experiments.runner import (
-    drive_printqueue,
-    run_trace_through_fifo,
-    run_trace_through_fifo_batch,
-)
+from repro.experiments.runner import drive_printqueue, run_trace_through_fifo
 from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
+from repro.switch.fastpath import fifo_record_batch
 from repro.traffic.distributions import distribution_by_name
 from repro.traffic.generator import PoissonWorkload, WorkloadConfig
 
@@ -84,7 +81,7 @@ def _inputs():
     )
     trace = workload.generate()
     records, _ = run_trace_through_fifo(trace)
-    batch, _ = run_trace_through_fifo_batch(trace)
+    batch, _ = fifo_record_batch(trace)
     assert len(batch) == len(records)
     return records, batch
 

@@ -3,21 +3,20 @@
 Commands
 --------
 run
-    Generate a workload, push it through the simulated bottleneck port
-    with PrintQueue attached, and diagnose the worst victims.
+    Generate a workload (or replay a saved .pqtrace), push it through the
+    simulated bottleneck port with PrintQueue attached, and diagnose the
+    worst victims — or, with ``--format summary|json|prom``, print the
+    run's RunReport (collision/pass rates per window level, stale-filter
+    and queue-monitor counters) instead.
 scenario
     Same, for the named scenarios (microburst / incast / burst-case-study).
 overhead
     Print the SRAM and control-plane bandwidth of a configuration.
-stats
-    Run a workload (or a saved .pqtrace) and print the RunReport —
-    collision/pass rates per window level, stale-filter and
-    queue-monitor counters — as a summary, JSON, or Prometheus text.
 trace
     Generate a workload and save it as a .pqtrace file (or inspect one).
 faults
-    List the built-in fault-injection profiles (``--faults`` on run/stats
-    runs the control plane under one of them).
+    List the built-in fault-injection profiles (``--faults`` on run/serve/store
+    record runs the control plane under one of them).
 store
     Snapshot-store tooling: ``record`` a run's poll stream to a PQSTORE1
     file (the run writes through an ``MmapStore``), ``inspect`` a file's
@@ -125,6 +124,18 @@ def _config_from(args: argparse.Namespace) -> PrintQueueConfig:
     )
 
 
+def _run_kwargs(args: argparse.Namespace) -> dict:
+    """The shared run flags as ``build_run`` arguments (run, record, serve)."""
+    return dict(
+        workload=args.workload,
+        duration_ns=int(args.duration_ms * 1e6),
+        load=args.load,
+        seed=args.seed,
+        config=_config_from(args),
+        faults=_resolve_faults(args),
+    )
+
+
 def _build_trace(args: argparse.Namespace):
     if args.scenario == "microburst":
         return microburst_scenario(seed=args.seed)
@@ -135,19 +146,19 @@ def _build_trace(args: argparse.Namespace):
     raise SystemExit(f"unknown scenario {args.scenario!r}")
 
 
-def _maybe_write_report(run, args: argparse.Namespace) -> None:
+def _maybe_write_report(run, args: argparse.Namespace, file=None) -> None:
     """Save the run's RunReport when ``--metrics-out`` was given."""
     out = getattr(args, "metrics_out", None)
     if out:
         run.report().save(out)
-        print(f"metrics: wrote RunReport to {out}")
+        print(f"metrics: wrote RunReport to {out}", file=file)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Handle `repro run`: simulate a workload and diagnose victims."""
-    config = _config_from(args)
-    metrics = Metrics() if args.metrics_out else None
-    if metrics is not None:
+    """Handle `repro run`: simulate a workload, then diagnose or report."""
+    diagnose = args.format == "diagnosis"
+    metrics = Metrics() if args.metrics_out or not diagnose else None
+    if args.metrics_out:
         out = args.metrics_out
 
         def _flush_metrics() -> None:
@@ -164,19 +175,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         on_interrupt(_flush_metrics)
     run = simulate_workload(
-        args.workload,
-        duration_ns=int(args.duration_ms * 1e6),
-        load=args.load,
-        config=config,
-        seed=args.seed,
+        **_run_kwargs(args),
+        trace=pcaplike.read_trace(args.trace) if args.trace else None,
         engine=args.engine,
         metrics=metrics,
-        faults=_resolve_faults(args),
     )
     _interrupt_hooks.clear()  # run finished; nothing partial to flush
-    _report(run, args.victims)
-    _maybe_print_faults(run)
-    _maybe_write_report(run, args)
+    if args.queries > 0 and run.records:
+        from repro.core.queries import QueryInterval
+
+        victims = sorted(run.records, key=lambda r: -r.queuing_delay)
+        run.pq.query(
+            intervals=[
+                QueryInterval.for_victim(v.enq_timestamp, v.deq_timestamp)
+                for v in victims[: args.queries]
+            ]
+        )
+    if diagnose:
+        _report(run, args.victims)
+        _maybe_print_faults(run)
+    elif args.format == "json":
+        print(run.report().to_json())
+    elif args.format == "prom":
+        print(run.report().to_prometheus(), end="")
+    else:
+        print(run.report().summary())
+    # A report format owns stdout: the notice goes to stderr there.
+    _maybe_write_report(run, args, file=None if diagnose else sys.stderr)
     return 0
 
 
@@ -199,45 +224,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(timeline(times, depths))
     _report(run, args.victims)
     _maybe_write_report(run, args)
-    return 0
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    """Handle `repro stats`: run a workload and print its RunReport."""
-    config = _config_from(args)
-    trace = pcaplike.read_trace(args.trace) if args.trace else None
-    run = simulate_workload(
-        args.workload,
-        duration_ns=int(args.duration_ms * 1e6),
-        load=args.load,
-        config=config,
-        seed=args.seed,
-        trace=trace,
-        engine=args.engine,
-        metrics=Metrics(),
-        faults=_resolve_faults(args),
-    )
-    if args.queries > 0 and run.records:
-        from repro.core.queries import QueryInterval
-
-        victims = sorted(run.records, key=lambda r: -r.queuing_delay)
-        victims = victims[: args.queries]
-        run.pq.query(
-            intervals=[
-                QueryInterval.for_victim(v.enq_timestamp, v.deq_timestamp)
-                for v in victims
-            ]
-        )
-    report = run.report()
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "prom":
-        print(report.to_prometheus(), end="")
-    else:
-        print(report.summary())
-    if args.metrics_out:
-        report.save(args.metrics_out)
-        print(f"metrics: wrote RunReport to {args.metrics_out}", file=sys.stderr)
     return 0
 
 
@@ -426,15 +412,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         store = MmapStore(args.path)
         # An interrupt mid-run still leaves a valid prefix of the file.
         on_interrupt(store.flush)
-        run = simulate_workload(
-            args.workload,
-            duration_ns=int(args.duration_ms * 1e6),
-            load=args.load,
-            config=_config_from(args),
-            seed=args.seed,
-            faults=_resolve_faults(args),
-            store=store,
-        )
+        run = simulate_workload(**_run_kwargs(args), store=store)
         _interrupt_hooks.clear()
         for line in _probe_digest(run.pq.analysis, args.queries):
             print(line)
@@ -469,13 +447,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import DiagnosisService, ServiceConfig
 
+    run_kwargs = _run_kwargs(args)
     config = ServiceConfig(
-        workload=args.workload,
-        duration_ns=int(args.duration_ms * 1e6),
-        load=args.load,
-        seed=args.seed,
-        faults=_resolve_faults(args),
-        pq_config=_config_from(args),
+        pq_config=run_kwargs.pop("config"),
+        **run_kwargs,
         port=args.port,
         max_pending=args.max_pending,
         rate_limit_qps=args.rate_limit_qps,
@@ -525,7 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate a workload and diagnose victims")
+    run = sub.add_parser(
+        "run", help="simulate a workload and diagnose victims (or report)"
+    )
+    run.add_argument(
+        "trace",
+        nargs="?",
+        default=None,
+        help="optional .pqtrace file to replay (default: generate --workload)",
+    )
     run.add_argument("--workload", choices=["ws", "dm", "uw"], default="ws")
     run.add_argument("--duration-ms", type=float, default=40.0)
     run.add_argument("--load", type=float, default=1.2)
@@ -536,7 +519,22 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fused", "scalar"],
         default="fused",
         help="ingest engine: the production record-array pipeline or the "
-        "scalar reference (byte-identical diagnoses)",
+        "scalar reference (byte-identical diagnoses, counter-identical reports)",
+    )
+    run.add_argument(
+        "--format",
+        choices=["diagnosis", "summary", "json", "prom"],
+        default="diagnosis",
+        help="print the victims' diagnoses (default), or the run's "
+        "RunReport as a human summary, JSON, or Prometheus text",
+    )
+    run.add_argument(
+        "--queries",
+        type=int,
+        default=0,
+        metavar="N",
+        help="batch-query the N worst victims before reporting, so the "
+        "report includes query/plan-cache activity",
     )
     run.add_argument(
         "--metrics-out",
@@ -563,49 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_args(scenario)
     scenario.set_defaults(func=cmd_scenario)
-
-    stats = sub.add_parser(
-        "stats", help="run a workload and print its observability RunReport"
-    )
-    stats.add_argument(
-        "trace",
-        nargs="?",
-        default=None,
-        help="optional .pqtrace file to replay (default: generate --workload)",
-    )
-    stats.add_argument("--workload", choices=["ws", "dm", "uw"], default="ws")
-    stats.add_argument("--duration-ms", type=float, default=40.0)
-    stats.add_argument("--load", type=float, default=1.2)
-    stats.add_argument("--seed", type=int, default=1)
-    stats.add_argument(
-        "--engine",
-        choices=["fused", "scalar"],
-        default="fused",
-        help="ingest engine (reports are counter-identical across engines)",
-    )
-    stats.add_argument(
-        "--format",
-        choices=["summary", "json", "prom"],
-        default="summary",
-        help="output format: human summary, JSON, or Prometheus text",
-    )
-    stats.add_argument(
-        "--queries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="batch-query the N worst victims before reporting, so the "
-        "report includes query/plan-cache activity",
-    )
-    stats.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="also save the JSON RunReport to PATH",
-    )
-    _add_faults_arg(stats)
-    _add_config_args(stats)
-    stats.set_defaults(func=cmd_stats)
 
     overhead = sub.add_parser("overhead", help="SRAM / bandwidth of a config")
     overhead.add_argument("--ports", type=int, default=1)

@@ -59,15 +59,6 @@ def delay_threshold_trigger(min_delay_ns: int) -> TriggerPolicy:
     return policy
 
 
-def depth_threshold_trigger(min_depth: int) -> TriggerPolicy:
-    """Trigger on packets that observed a deep queue at enqueue."""
-
-    def policy(packet: Packet) -> bool:
-        return (packet.enq_qdepth or 0) >= min_depth
-
-    return policy
-
-
 @dataclass
 class DataPlaneQueryResult:
     """One completed on-demand query."""

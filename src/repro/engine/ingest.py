@@ -53,7 +53,7 @@ class IngestPipeline:
     records:
         The dequeue log, in dequeue order: a
         :class:`~repro.switch.records.RecordBatch` (as produced by
-        :func:`repro.experiments.runner.run_trace_through_fifo_batch`) or
+        :func:`repro.switch.fastpath.fifo_record_batch`) or
         any sequence of :class:`DequeueRecord` objects.
     dp_trigger_indices:
         Record positions at whose dequeue instant an on-demand

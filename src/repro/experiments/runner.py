@@ -31,7 +31,6 @@ from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
 from repro.store import SnapshotStore
 from repro.switch.fastpath import fifo_record_batch
-from repro.switch.records import RecordBatch
 from repro.switch.telemetry import DequeueRecord
 from repro.traffic.distributions import distribution_by_name
 from repro.traffic.generator import PoissonWorkload, WorkloadConfig
@@ -51,14 +50,6 @@ class ExperimentRun:
     dp_results: Dict[int, DataPlaneQueryResult] = field(default_factory=dict)
     metrics: Optional[Metrics] = None
 
-    @property
-    def mean_packet_interval_ns(self) -> float:
-        """Mean inter-departure time during the run (for coefficient z)."""
-        if len(self.records) < 2:
-            return float("inf")
-        span = self.records[-1].deq_timestamp - self.records[0].deq_timestamp
-        return span / (len(self.records) - 1)
-
     def report(self) -> RunReport:
         """Build a :class:`~repro.obs.report.RunReport` for this run."""
         return RunReport.from_port(
@@ -77,20 +68,6 @@ def run_trace_through_fifo(
     """Vectorised FIFO pass; returns dequeue records in dequeue order."""
     batch, drops = fifo_record_batch(trace, rate_bps, capacity_pkts)
     return batch.to_records(), drops
-
-
-def run_trace_through_fifo_batch(
-    trace: Trace,
-    rate_bps: int = DEFAULT_LINK_RATE_BPS,
-    capacity_pkts: Optional[int] = None,
-) -> Tuple[RecordBatch, int]:
-    """FIFO pass returning a :class:`~repro.switch.records.RecordBatch`.
-
-    Same simulation as :func:`run_trace_through_fifo`, but the dequeue
-    log stays columnar (one structured record array) instead of a list
-    of per-packet objects — the input the ingest pipeline consumes.
-    """
-    return fifo_record_batch(trace, rate_bps, capacity_pkts)
 
 
 def drive_printqueue(
@@ -183,97 +160,133 @@ def drive_printqueue_scalar(
     return dp_results
 
 
-def simulate_workload(
+def measured_d_ns(
+    records: Sequence[DequeueRecord], config: PrintQueueConfig
+) -> float:
+    """The coefficients' d: the measured mean inter-departure time.
+
+    This matches the paper's line-rate-forwarding assumption during
+    congestion.  Fewer than two records have no spacing to measure, so d
+    falls back to ``config.min_pkt_tx_delay_ns``.
+    """
+    if len(records) < 2:
+        return float(config.min_pkt_tx_delay_ns)
+    span = records[-1].deq_timestamp - records[0].deq_timestamp
+    return span / (len(records) - 1)
+
+
+def build_run(
     workload: str,
     duration_ns: int,
     load: float = 1.1,
     config: Optional[PrintQueueConfig] = None,
     seed: int = 1,
-    rate_bps: int = DEFAULT_LINK_RATE_BPS,
-    dp_trigger_indices: Optional[Set[int]] = None,
-    baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
+    *,
     trace: Optional[Trace] = None,
     engine: str = "fused",
     metrics: Optional[Metrics] = None,
     faults: Optional[object] = None,
-    retry_policy: Optional[object] = None,
     store: Optional[SnapshotStore] = None,
-) -> ExperimentRun:
-    """End-to-end run: generate (or take) a trace, queue it, measure it.
+) -> Tuple[Trace, Sequence[DequeueRecord], int, PrintQueuePort]:
+    """Build the pipeline: ``(trace, records, drops, pq)``, nothing driven.
 
-    ``workload`` is one of ``ws`` / ``dm`` / ``uw`` (ignored when a
-    ``trace`` is passed).  The PrintQueue coefficient ``z`` is derived
-    from the measured mean packet interval, matching the paper's
-    line-rate-forwarding assumption during congestion.  ``engine``
-    selects the ingest path (see :func:`drive_printqueue`).  Passing a
-    ``metrics`` registry attaches timing/tally instrumentation to the
-    port; structure-level counters are collected either way via
-    :meth:`ExperimentRun.report`.  ``faults`` (a profile name,
-    :class:`~repro.faults.FaultPlan`, or injector) runs the control
-    plane under seeded fault injection with the resilient read path;
-    the default ``None`` keeps the perfect channel and bit-identical
-    outputs.  ``store`` selects the snapshot-store backend the port's
-    analysis program writes to (default: in-memory); passing a
-    write-mode :class:`~repro.store.MmapStore` makes the run's poll
-    stream a replayable on-disk recording.
+    Generates the ``workload`` trace (or takes ``trace``), runs the FIFO
+    and constructs the port with the measured d (:func:`measured_d_ns`).
+    ``records`` is the object list for ``engine="scalar"`` (the oracle
+    reads record attributes event by event) and a columnar
+    :class:`~repro.switch.records.RecordBatch` otherwise.  With
+    ``metrics`` attached, generation and the FIFO are timed into
+    ``pq_ingest_stage_generate_ns`` / ``pq_ingest_stage_fifo_ns``.
+    ``faults`` (a profile name, :class:`~repro.faults.FaultPlan`, or
+    injector) runs the control plane under seeded fault injection with
+    the resilient read path; ``store`` is the snapshot-store backend the
+    port writes to (default: in-memory).  Offline runs, the live service
+    and the profiler all build here, so the same arguments give the same
+    port state whoever drives it.
     """
     if trace is None:
-        distribution = distribution_by_name(workload)
-        wl_config = WorkloadConfig(
-            load=load, link_rate_bps=rate_bps, duration_ns=duration_ns
+        generator = PoissonWorkload(
+            distribution_by_name(workload),
+            WorkloadConfig(load=load, duration_ns=duration_ns),
+            seed=seed,
         )
-        generator = PoissonWorkload(distribution, wl_config, seed=seed)
-        if metrics is None:
-            trace = generator.generate()
-        else:
-            t0 = perf_counter_ns()
-            trace = generator.generate()
+        t0 = perf_counter_ns() if metrics is not None else 0
+        trace = generator.generate()
+        if metrics is not None:
             metrics.histogram("pq_ingest_stage_generate_ns").observe(
                 perf_counter_ns() - t0
             )
     records: Sequence[DequeueRecord]
     t0 = perf_counter_ns() if metrics is not None else 0
     if engine == "scalar":
-        # The oracle reads record attributes event by event.
-        records, drops = run_trace_through_fifo(trace, rate_bps)
+        records, drops = run_trace_through_fifo(trace)
     else:
-        # Stay columnar end-to-end: the batch is a Sequence of lazily
-        # materialised DequeueRecords, so the taxonomy oracle and report
-        # still read it like the object list.
-        records, drops = run_trace_through_fifo_batch(trace, rate_bps)
+        records, drops = fifo_record_batch(trace)
     if metrics is not None:
         metrics.histogram("pq_ingest_stage_fifo_ns").observe(
             perf_counter_ns() - t0
         )
-
     cfg = config or PrintQueueConfig()
-    # Use the measured inter-departure time as d for the coefficients.
-    if len(records) >= 2:
-        span = records[-1].deq_timestamp - records[0].deq_timestamp
-        d_ns = span / (len(records) - 1)
-    else:
-        d_ns = float(cfg.min_pkt_tx_delay_ns)
     # Instant on-demand reads: every sampled victim gets a DQ result.  The
     # realistic read-cost model (trigger rejection under PCIe pressure) is
     # exercised by the query-throughput micro-benchmark instead.
     pq = PrintQueuePort(
         cfg,
-        d_ns=d_ns,
+        d_ns=measured_d_ns(records, cfg),
         model_dp_read_cost=False,
         metrics=metrics,
         faults=faults,
-        retry_policy=retry_policy,
+        store=store,
+    )
+    return trace, records, drops, pq
+
+
+def simulate_workload(
+    workload: str,
+    duration_ns: int,
+    load: float = 1.1,
+    config: Optional[PrintQueueConfig] = None,
+    seed: int = 1,
+    dp_trigger_indices: Optional[Set[int]] = None,
+    baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
+    trace: Optional[Trace] = None,
+    engine: str = "fused",
+    metrics: Optional[Metrics] = None,
+    faults: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
+) -> ExperimentRun:
+    """End-to-end run: :func:`build_run`, drive, then the ground truth.
+
+    ``workload`` is one of ``ws`` / ``dm`` / ``uw`` (ignored when a
+    ``trace`` is passed); ``config``, ``seed``, ``engine``, ``metrics``,
+    ``faults`` and ``store`` are :func:`build_run`'s.  ``engine`` also
+    selects the ingest path (see :func:`drive_printqueue`).  Structure
+    counters are collected with or without ``metrics`` via
+    :meth:`ExperimentRun.report`; the default ``faults=None`` keeps the
+    perfect channel and bit-identical outputs; a write-mode
+    :class:`~repro.store.MmapStore` as ``store`` makes the run's poll
+    stream a replayable on-disk recording.
+    """
+    trace, records, drops, pq = build_run(
+        workload,
+        duration_ns,
+        load,
+        config,
+        seed,
+        trace=trace,
+        engine=engine,
+        metrics=metrics,
+        faults=faults,
         store=store,
     )
     dp_results = drive_printqueue(
         records, pq, dp_trigger_indices, baselines, engine=engine
     )
-    taxonomy = CulpritTaxonomy(records)
     return ExperimentRun(
         trace=trace,
         records=records,
         pq=pq,
-        taxonomy=taxonomy,
+        taxonomy=CulpritTaxonomy(records),
         drops=drops,
         dp_results=dp_results,
         metrics=metrics,

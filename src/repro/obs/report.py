@@ -376,7 +376,7 @@ class RunReport:
     # -- presentation ----------------------------------------------------
 
     def summary(self) -> str:
-        """A short human-readable digest (used by ``repro stats``)."""
+        """A short human-readable digest (``repro run --format summary``)."""
         tw = self.data["time_windows"]
         qm = self.data["queue_monitor"]
         filt = self.data["filter"]

@@ -71,7 +71,7 @@ from repro.store.memory import MemoryStore
 class ServiceConfig:
     """Everything one service instance needs, with serve-ready defaults."""
 
-    # -- the live workload the ingest task replays ------------------------
+    # -- the live workload: build_run's arguments, read only by _build ----
     workload: str = "ws"
     duration_ns: int = 50_000_000
     load: float = 1.2
@@ -81,6 +81,7 @@ class ServiceConfig:
     #: a fault-profile name, FaultPlan, or injector (see repro.faults).
     faults: Optional[object] = None
     pq_config: Optional[PrintQueueConfig] = None
+    #: events per live ingest chunk (the drive cadence).
     chunk_events: int = 8192
 
     # -- front door -------------------------------------------------------
@@ -178,43 +179,29 @@ class DiagnosisService:
     # -- build -------------------------------------------------------------
 
     def _build(self) -> None:
-        """Generate the live log and wire up port + pipeline + supervisor.
+        """Build the live pipeline and wire up ingest + supervisor.
 
-        Deliberately mirrors :func:`repro.experiments.runner.simulate_workload`
-        so a service run's snapshots are bit-identical to an offline run
-        of the same (workload, seed, config) — the service adds a *drive
-        cadence*, not new math.
+        The port comes from :func:`repro.experiments.runner.build_run`,
+        the same call an offline run makes, so a service run's snapshots
+        are those of an offline run of the same (workload, seed, config)
+        — the service adds a *drive cadence*, not new math.
         """
-        from repro.experiments.runner import run_trace_through_fifo_batch
-        from repro.traffic.distributions import distribution_by_name
-        from repro.traffic.generator import PoissonWorkload, WorkloadConfig
+        from repro.engine.ingest import IngestPipeline
+        from repro.experiments.runner import build_run
 
         cfg = self.config
         if cfg.engine != "fused":
             raise ConfigError(f"unsupported service engine {cfg.engine!r}")
-        generator = PoissonWorkload(
-            distribution_by_name(cfg.workload),
-            WorkloadConfig(load=cfg.load, duration_ns=cfg.duration_ns),
-            seed=cfg.seed,
-        )
-        trace = generator.generate()
-        records, _drops = run_trace_through_fifo_batch(trace)
-        pq_config = cfg.pq_config or PrintQueueConfig()
-        if len(records) >= 2:
-            span = records[-1].deq_timestamp - records[0].deq_timestamp
-            d_ns = span / (len(records) - 1)
-        else:
-            d_ns = float(pq_config.min_pkt_tx_delay_ns)
-        self.pq = PrintQueuePort(
-            pq_config,
-            d_ns=d_ns,
-            model_dp_read_cost=False,
+        _trace, records, _drops, self.pq = build_run(
+            cfg.workload,
+            cfg.duration_ns,
+            cfg.load,
+            cfg.pq_config,
+            cfg.seed,
             metrics=self.metrics,
             faults=cfg.faults,
             store=self.store,
         )
-        from repro.engine.ingest import IngestPipeline
-
         self.ingest = LiveIngest(
             IngestPipeline(self.pq, records),
             chunk_events=cfg.chunk_events,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -66,6 +67,9 @@ class _QMEntry:
         self.token = token
         self.nbytes = nbytes
         self.cached: Optional[QueueMonitorSnapshot] = None
+
+
+_qm_key = attrgetter("key")
 
 
 class SnapshotView(Sequence[Any]):
@@ -132,6 +136,9 @@ class SnapshotStore(ABC):
         self._tw_entries: List[_TWEntry] = []
         self._tw_keys: List[int] = []
         self._qm_entries: List[_QMEntry] = []
+        #: whether the monitor keys are non-decreasing in storage order
+        #: (see :meth:`nearest_qm`).
+        self._qm_sorted = True
         self._seq_index: Dict[int, _TWEntry] = {}
         self._version = 0
         self._next_seq = 0
@@ -267,7 +274,10 @@ class SnapshotStore(ABC):
         self._insert_qm_entry(entry, bounded)
 
     def _insert_qm_entry(self, entry: _QMEntry, bounded: bool) -> None:
-        self._qm_entries.append(entry)
+        entries = self._qm_entries
+        if entries and entry.key < entries[-1].key:
+            self._qm_sorted = False
+        entries.append(entry)
         self.qm_added += 1
         self.qm_bytes += entry.nbytes
         if bounded and len(self._qm_entries) > self.retention.max_snapshots:
@@ -345,11 +355,29 @@ class SnapshotStore(ABC):
 
     def nearest_qm(self, time_ns: int) -> Optional[QueueMonitorSnapshot]:
         """The queue-monitor snapshot closest to ``time_ns`` (the earliest
-        stored on a tie), chosen on the entry keys: only it is decoded."""
-        if not self._qm_entries:
+        stored on a tie), chosen on the entry keys: only it is decoded.
+
+        Polls and the reads a drive triggers store monitor snapshots in
+        time order, so the keys are bisected.  A data-plane query issued
+        after the fact (``mode="data_plane"`` at an earlier ``at_ns``)
+        appends a key below the last one; from then on the store scans.
+        """
+        entries = self._qm_entries
+        if not entries:
             return None
-        entry = min(self._qm_entries, key=lambda e: abs(e.key - time_ns))
-        return self._decode_entry_qm(entry)
+        if not self._qm_sorted:
+            entry = min(entries, key=lambda e: abs(e.key - time_ns))
+            return self._decode_entry_qm(entry)
+        # Equal keys sit in storage order, so a key's first index is its
+        # earliest stored entry; the smaller key wins a tie.
+        hi = bisect.bisect_left(entries, time_ns, key=_qm_key)
+        if hi == 0:
+            return self._decode_entry_qm(entries[0])
+        lo = bisect.bisect_left(entries, entries[hi - 1].key, hi=hi, key=_qm_key)
+        below = entries[lo]
+        if hi < len(entries) and entries[hi].key - time_ns < time_ns - below.key:
+            return self._decode_entry_qm(entries[hi])
+        return self._decode_entry_qm(below)
 
     # -- observability -----------------------------------------------------
 

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.units import PS_PER_NS
+from repro.units import DEFAULT_LINK_RATE_BPS, PS_PER_NS
 
 if TYPE_CHECKING:  # runtime imports would cycle through repro.switch
     from repro.switch.records import RecordBatch
@@ -304,7 +304,7 @@ def fifo_timestamps(
 
 def fifo_record_batch(
     trace: "Trace",
-    rate_bps: int,
+    rate_bps: int = DEFAULT_LINK_RATE_BPS,
     capacity_pkts: Optional[int] = None,
 ) -> "Tuple[RecordBatch, int]":
     """FIFO pass returning the structured record-array dequeue log.

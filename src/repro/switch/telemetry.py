@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.switch.packet import FlowKey, Packet
@@ -105,27 +105,3 @@ class GroundTruthRecorder:
             counts[record.flow] = counts.get(record.flow, 0) + 1
         return counts
 
-    def records_in(self, start_ns: int, end_ns: int) -> Sequence[DequeueRecord]:
-        lo, hi = self.index_range(start_ns, end_ns)
-        return self._records[lo:hi]
-
-    # -- victim selection ---------------------------------------------------
-
-    def victims_by_depth(
-        self,
-        min_depth: int,
-        max_depth: Optional[int] = None,
-    ) -> List[DequeueRecord]:
-        """All records whose enqueue-time queue depth fell in a band."""
-        out = []
-        for record in self._records:
-            if record.enq_qdepth >= min_depth and (
-                max_depth is None or record.enq_qdepth < max_depth
-            ):
-                out.append(record)
-        return out
-
-    def depth_timeline(self) -> Tuple[List[int], List[int]]:
-        """(enqueue timestamps, enqueue-time depths) for plotting Fig. 16a."""
-        pairs = sorted((r.enq_timestamp, r.enq_qdepth) for r in self._records)
-        return [t for t, _ in pairs], [d for _, d in pairs]

@@ -10,7 +10,6 @@ and queue-monitor case-study experiments.
 
 from repro.traffic.arrivals import (
     ArrivalProcess,
-    ConstantArrivals,
     OnOffArrivals,
     PoissonArrivals,
 )
@@ -33,7 +32,6 @@ from repro.traffic.trace import Trace, partition_trace_by_port
 
 __all__ = [
     "ArrivalProcess",
-    "ConstantArrivals",
     "PoissonArrivals",
     "OnOffArrivals",
     "ClosedLoopSender",

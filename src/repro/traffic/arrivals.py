@@ -10,7 +10,6 @@ provides pluggable inter-arrival generators:
   periods emit packets back-to-back-ish at a high rate, OFF periods are
   silent; heavy-tailed (Pareto) period lengths yield self-similar-ish
   aggregates,
-* :class:`ConstantArrivals` — CBR gaps (used by the scenario builders).
 
 All generators are deterministic for a given numpy Generator and produce
 integer-nanosecond gap arrays for a vector of packet sizes.
@@ -30,22 +29,6 @@ class ArrivalProcess:
 
     def gaps_ns(self, rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-class ConstantArrivals(ArrivalProcess):
-    """CBR: each packet's gap is exactly its serialization at ``rate``."""
-
-    def __init__(self, rate_bps: float) -> None:
-        if rate_bps <= 0:
-            raise ValueError(f"non-positive rate: {rate_bps}")
-        self.rate_bps = rate_bps
-
-    def gaps_ns(self, rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
-        gaps = sizes * 8 * (NS_PER_SEC / self.rate_bps)
-        out = gaps.astype(np.int64)
-        if len(out):
-            out[0] = 0
-        return out
 
 
 class PoissonArrivals(ArrivalProcess):

@@ -215,3 +215,19 @@ def test_second_writer_and_cold_tier_are_gone_not_aliased(capsys):
         build_parser().parse_args(["run", "--store-path", "x.pqstore"])
     assert exc.value.code == 2
     assert "--store-path" in capsys.readouterr().err
+
+
+def test_build_path_aliases_and_stats_command_are_gone_not_aliased(capsys):
+    """One build path: the FIFO alias and the odd-one-out d accessor were
+    deleted outright, and ``repro stats`` folded into ``repro run``."""
+    import repro.experiments
+    import repro.experiments.runner as runner
+    from repro.cli import build_parser
+
+    for module in (repro, repro.experiments, runner):
+        assert not hasattr(module, "run_trace_through_fifo_batch"), module.__name__
+    assert not hasattr(runner.ExperimentRun, "mean_packet_interval_ns")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["stats"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'stats'" in capsys.readouterr().err

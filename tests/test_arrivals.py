@@ -3,24 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.traffic.arrivals import ConstantArrivals, OnOffArrivals, PoissonArrivals
+from repro.traffic.arrivals import OnOffArrivals, PoissonArrivals
 from repro.units import GBPS, NS_PER_SEC
 
 
 def sizes(n, b=1500):
     return np.full(n, b, dtype=np.int64)
-
-
-class TestConstant:
-    def test_exact_cbr_gaps(self):
-        proc = ConstantArrivals(10 * GBPS)
-        gaps = proc.gaps_ns(np.random.default_rng(1), sizes(5))
-        assert gaps[0] == 0
-        assert all(g == 1200 for g in gaps[1:])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConstantArrivals(0)
 
 
 class TestPoisson:

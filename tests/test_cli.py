@@ -107,10 +107,12 @@ class TestAdviseCommand:
 
 
 class TestStatsCommand:
+    """``repro run --format summary|json|prom``: the run's RunReport."""
+
     ARGS = ["--workload", "ws", "--duration-ms", "2", "--k", "10"]
 
     def test_summary_format(self, capsys):
-        assert main(["stats", *self.ARGS]) == 0
+        assert main(["run", *self.ARGS, "--format", "summary"]) == 0
         out = capsys.readouterr().out
         assert "time windows" in out
         assert "queue monitor" in out
@@ -119,7 +121,7 @@ class TestStatsCommand:
         reports = {}
         for engine in ("scalar", "fused"):
             code = main(
-                ["stats", *self.ARGS, "--format", "json", "--engine", engine]
+                ["run", *self.ARGS, "--format", "json", "--engine", engine]
             )
             assert code == 0
             reports[engine] = json.loads(capsys.readouterr().out)
@@ -132,14 +134,17 @@ class TestStatsCommand:
         assert reports["scalar"]["filter"] == reports["fused"]["filter"]
 
     def test_prometheus_format(self, capsys):
-        assert main(["stats", *self.ARGS, "--format", "prom"]) == 0
+        assert main(["run", *self.ARGS, "--format", "prom"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE pq_tw_inserts_total counter" in out
         assert 'pq_tw_inserts_total{level="0"}' in out
 
     def test_metrics_out_writes_loadable_report(self, tmp_path, capsys):
         path = str(tmp_path / "report.json")
-        assert main(["stats", *self.ARGS, "--metrics-out", path]) == 0
+        assert (
+            main(["run", *self.ARGS, "--format", "summary", "--metrics-out", path])
+            == 0
+        )
         report = RunReport.load(path)
         assert report.section("packets")["seen"] > 0
 
@@ -147,7 +152,7 @@ class TestStatsCommand:
         trace_path = str(tmp_path / "t.pqtrace")
         assert main(["trace", trace_path, "--duration-ms", "2"]) == 0
         capsys.readouterr()
-        assert main(["stats", trace_path, "--k", "10"]) == 0
+        assert main(["run", trace_path, "--k", "10", "--format", "summary"]) == 0
         assert "packets seen" in capsys.readouterr().out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.baselines.interval import FixedIntervalEstimator
+from repro.core.coefficient import coefficients
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
 from repro.experiments.evaluation import (
@@ -11,7 +12,9 @@ from repro.experiments.evaluation import (
     evaluate_dataplane_queries,
 )
 from repro.experiments.runner import (
+    build_run,
     drive_printqueue,
+    measured_d_ns,
     run_trace_through_fifo,
     simulate_workload,
 )
@@ -19,6 +22,7 @@ from repro.experiments.sampling import band_label, sample_victims_by_band
 from repro.switch.packet import FlowKey
 from repro.switch.telemetry import DequeueRecord
 from repro.traffic.scenarios import microburst_scenario
+from repro.traffic.trace import Trace
 
 
 def small_config():
@@ -36,6 +40,26 @@ class TestRunner:
         assert deqs == sorted(deqs)
         assert drops == 0
         assert len(records) == len(trace)
+
+    def test_build_run_below_two_records_falls_back_to_min_tx_delay(self):
+        """Zero or one record has no spacing to measure: d falls back to
+        the configured minimum transmission delay, on both engines."""
+        config = small_config()
+        fallback = coefficients(config, float(config.min_pkt_tx_delay_ns))
+        for n in (0, 1):
+            trace = Trace(
+                arrival_ns=np.arange(n, dtype=np.int64),
+                size_bytes=np.full(n, 1500, dtype=np.int64),
+                flow_index=np.zeros(n, dtype=np.int64),
+                flows=[FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)],
+            )
+            for engine in ("fused", "scalar"):
+                _, records, drops, pq = build_run(
+                    "ws", 1, config=config, trace=trace, engine=engine
+                )
+                assert (len(records), drops) == (n, 0)
+                assert measured_d_ns(records, config) == config.min_pkt_tx_delay_ns
+                assert np.array_equal(pq.analysis.coefficients, fallback)
 
     def test_drive_merges_events_consistently(self):
         """The replayed depth must match the recorded enq_qdepth."""

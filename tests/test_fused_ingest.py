@@ -34,8 +34,8 @@ from repro.core.windowset import TimeWindowSet
 from repro.errors import SimulationError
 from repro.experiments.runner import (
     drive_printqueue,
+    measured_d_ns,
     run_trace_through_fifo,
-    run_trace_through_fifo_batch,
     simulate_workload,
 )
 from repro.faults import profile_names
@@ -43,6 +43,7 @@ from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
 from repro.store import MmapStore
 from repro.store import format as storefmt
+from repro.switch.fastpath import fifo_record_batch
 from repro.switch.packet import FlowKey
 from repro.switch.records import (
     PACKET_RECORD_DTYPE,
@@ -133,10 +134,9 @@ def _flow(i: int) -> FlowKey:
 
 def _drive_cut(records, config, engines, cuts, triggers, faults, store):
     """One port fed ``records`` in segments, segment ``i`` by ``engines[i]``."""
-    span = records[-1].deq_timestamp - records[0].deq_timestamp
     pq = PrintQueuePort(
         config,
-        d_ns=span / max(1, len(records) - 1),
+        d_ns=measured_d_ns(records, config),
         model_dp_read_cost=False,
         faults=faults,
         store=store,
@@ -255,7 +255,7 @@ def _batch_from(packets):
         flow_index=flow_ids,
         flows=[_flow(i) for i in range(12)],
     )
-    batch, _ = run_trace_through_fifo_batch(trace)
+    batch, _ = fifo_record_batch(trace)
     return batch
 
 
@@ -485,7 +485,7 @@ def _small_batch():
     )
     trace = workload.generate()
     records, drops = run_trace_through_fifo(trace)
-    batch, drops2 = run_trace_through_fifo_batch(trace)
+    batch, drops2 = fifo_record_batch(trace)
     assert drops == drops2
     return records, batch
 
@@ -591,7 +591,7 @@ def test_mmap_replay_compiles_and_queries_zero_copy(tmp_path):
 
     analysis = AnalysisProgram(
         config,
-        d_ns=live.mean_packet_interval_ns,
+        d_ns=measured_d_ns(live.records, config),
         model_dp_read_cost=False,
         store=replay,
     )

@@ -8,13 +8,13 @@ from repro.core.printqueue import (
     PrintQueue,
     PrintQueuePort,
     delay_threshold_trigger,
-    depth_threshold_trigger,
 )
 from repro.core.queries import QueryInterval
 from repro.errors import ConfigError
-from repro.experiments.runner import drive_printqueue, run_trace_through_fifo_batch
+from repro.experiments.runner import drive_printqueue
 from repro.obs.report import RunReport
 from repro.store import MmapStore
+from repro.switch.fastpath import fifo_record_batch
 from repro.switch.packet import FlowKey, Packet
 from repro.switch.port import EgressPort
 from repro.switch.switchsim import Switch
@@ -80,19 +80,11 @@ class TestTriggers:
         p.deq_timedelta = 1500
         assert trig(p)
 
-    def test_depth_threshold(self):
-        trig = depth_threshold_trigger(3)
-        p = Packet(FLOW_A, 100, 0)
-        p.enq_qdepth = 2
-        assert not trig(p)
-        p.enq_qdepth = 3
-        assert trig(p)
-
     def test_trigger_fires_dp_query(self):
         config = small_config()
         pq_port = PrintQueuePort(
             config,
-            trigger=depth_threshold_trigger(3),
+            trigger=lambda packet: (packet.enq_qdepth or 0) >= 3,
             model_dp_read_cost=False,
         )
         port = EgressPort(0, 10 * GBPS)
@@ -169,7 +161,7 @@ class TestMultiPort:
             seed=13,
         ).generate()
         logs = [
-            run_trace_through_fifo_batch(sub)[0]
+            fifo_record_batch(sub)[0]
             for sub in partition_trace_by_port(trace, 4)
         ]
         d_ns = 1200.0

@@ -28,3 +28,14 @@ def test_lists_only_the_orphan(tmp_path):
         "from pkg.core import helper\n\n\ndef main():\n    return helper()\n"
     )
     assert _unreached()(src, [root]) == ["core.py::orphan"]
+
+
+def test_live_tree_has_no_unreached_definition_outside_the_allowlist():
+    """Every ``src/repro`` definition is reached from an entry point or
+    allowlisted with a reason, and every allowlist entry is still a hit."""
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        from reachability import live_tree_findings
+    finally:
+        sys.path.pop(0)
+    assert live_tree_findings() == []

@@ -209,20 +209,10 @@ class TestSLO:
 
 
 def _tiny_pipeline():
-    run = simulate_workload("uw", 4_000_000, load=1.2, seed=7)
     from repro.engine.ingest import IngestPipeline
-    from repro.experiments.runner import run_trace_through_fifo_batch
+    from repro.experiments.runner import build_run
 
-    records, _ = run_trace_through_fifo_batch(run.trace)
-    from repro.core.config import PrintQueueConfig
-    from repro.core.printqueue import PrintQueuePort
-
-    span = records[-1].deq_timestamp - records[0].deq_timestamp
-    pq = PrintQueuePort(
-        PrintQueueConfig(),
-        d_ns=span / (len(records) - 1),
-        model_dp_read_cost=False,
-    )
+    _trace, records, _drops, pq = build_run("uw", 4_000_000, load=1.2, seed=7)
     return IngestPipeline(pq, records)
 
 
@@ -405,6 +395,46 @@ class TestServiceEndToEnd:
         assert answer["estimate"] == pytest.approx(expected_map)
         assert len(answer["estimate"]) > 0
         assert harness.service.state == "stopped"
+
+    def test_live_serving_matches_offline_run_under_faults(self):
+        """Live == offline holds under fault injection too: the drained
+        service port reports the same deterministic state as an offline
+        run with the same fault profile, and answers the same batch."""
+        from repro.core.config import PrintQueueConfig
+        from repro.obs.report import RunReport
+
+        # A fast poll cadence, so chaos has many reads to fault.
+        pq_config = PrintQueueConfig(m0=8, k=8, alpha=1, T=3)
+        offline = simulate_workload(
+            "ws",
+            SERVICE_DURATION_NS,
+            load=1.2,
+            config=pq_config,
+            seed=3,
+            metrics=Metrics(),
+            faults="chaos",
+        )
+        end = offline.records[-1].deq_timestamp
+        intervals = [
+            QueryInterval(end - span, end) for span in (500_000, 2_000_000)
+        ]
+        expected = offline.pq.query(intervals=intervals).estimates
+        config = _service_config(faults="chaos", pq_config=pq_config)
+        with ServiceHarness(config=config) as harness:
+            host, port = harness.service.address
+            with ServiceClient(host, port) as client:
+                _wait_drained(client)
+                answer = client.query(intervals[1].start_ns, end)
+        live = harness.service.pq
+        assert sum(live.faults.injected.values()) > 0
+        assert (
+            RunReport.from_port(live).deterministic_view()
+            == RunReport.from_port(offline.pq).deterministic_view()
+        )
+        got = live.query(intervals=intervals).estimates
+        assert [list(e.items()) for e in got] == [list(e.items()) for e in expected]
+        expected_map = {str(f): v for f, v in expected[1].items()}
+        assert answer["estimate"] == pytest.approx(expected_map)
 
     def test_overload_gets_typed_rejection_with_retry_hint(self):
         config = _service_config(rate_limit_qps=0.001, burst=1.0)

@@ -18,6 +18,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analysis import TimeWindowSnapshot
 from repro.core.config import PrintQueueConfig
@@ -27,6 +29,7 @@ from repro.core.queuemonitor import QueueMonitorSnapshot
 from repro.errors import ConfigError
 from repro.experiments.runner import simulate_workload
 from repro.faults.injector import FaultInjector
+from repro.faults import profile_names
 from repro.faults.plan import FaultPlan
 from repro.obs.report import RunReport
 from repro.store import (
@@ -187,6 +190,63 @@ class TestRetentionPolicy:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RetentionPolicy(max_snapshots=0)
+
+
+def _assert_nearest_is_linear_min(store, probes):
+    """``nearest_qm`` picks the entry the linear ``min`` over the stored
+    keys picks: the closest, the earliest stored on a tie."""
+    for t in probes:
+        if not store._qm_entries:
+            assert store.nearest_qm(t) is None
+            continue
+        entry = min(store._qm_entries, key=lambda e: abs(e.key - t))
+        assert store.nearest_qm(t) is store._decode_entry_qm(entry), t
+
+
+class TestNearestQm:
+    @given(
+        adds=st.lists(
+            st.tuples(st.integers(0, 40), st.booleans()), max_size=40
+        ).map(sorted),
+        cap=st.integers(1, 12),
+        probes=st.lists(st.integers(-5, 50), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bisect_equals_linear_min(self, adds, cap, probes):
+        """Duplicate keys, bounded and unbounded adds, front eviction."""
+        store = MemoryStore(retention=RetentionPolicy(max_snapshots=cap))
+        for key, bounded in adds:
+            store.add_qm(make_qm(key), bounded=bounded)
+        assert store._qm_sorted
+        _assert_nearest_is_linear_min(store, probes)
+
+    @pytest.mark.parametrize("faults", profile_names())
+    def test_fault_profiles_store_monitor_keys_in_time_order(self, faults):
+        """Delayed, dropped and faulted polls and the data-plane reads a
+        drive triggers all append in time order, so the store bisects."""
+        run = simulate_workload(
+            "ws",
+            3_000_000,
+            load=1.3,
+            config=CONFIG,
+            seed=5,
+            dp_trigger_indices=set(range(0, 2_000, 97)),
+            faults=faults,
+        )
+        store = run.pq.analysis.store
+        assert store._qm_sorted and len(store._qm_entries) > 10
+        end = run.records[-1].deq_timestamp
+        _assert_nearest_is_linear_min(store, range(-1_000, end + 2_000, 997))
+
+    def test_late_data_plane_read_falls_back_to_the_scan(self):
+        """A data-plane query at an earlier instant after the drive stores
+        its monitor snapshot below the last key: the store scans."""
+        run = simulate_workload("ws", 3_000_000, load=1.3, config=CONFIG, seed=5)
+        store = run.pq.analysis.store
+        run.pq.query(interval=QueryInterval(1_000_000, 1_500_000), mode="data_plane")
+        assert not store._qm_sorted
+        assert store._qm_entries[-1].key == 1_499_999
+        _assert_nearest_is_linear_min(store, range(0, 3_000_000, 4_999))
 
 
 # ---------------------------------------------------------------------------

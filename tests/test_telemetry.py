@@ -78,21 +78,3 @@ class TestIntervalQueries:
         recorder = self._recorder()
         assert recorder.flow_counts(100, 200) == {}
 
-    def test_records_in(self):
-        recorder = self._recorder()
-        assert len(recorder.records_in(20, 20)) == 2
-
-    def test_victims_by_depth(self):
-        recorder = GroundTruthRecorder()
-        for depth, deq in [(0, 10), (5, 20), (12, 30)]:
-            p = Packet(FLOW_A, 100, 0)
-            p.enq_timestamp, p.deq_timedelta, p.enq_qdepth = 0, deq, depth
-            recorder.hook(p)
-        assert len(recorder.victims_by_depth(5)) == 2
-        assert len(recorder.victims_by_depth(5, 10)) == 1
-
-    def test_depth_timeline_sorted_by_enqueue(self):
-        recorder = self._recorder()
-        times, depths = recorder.depth_timeline()
-        assert times == sorted(times)
-        assert len(depths) == 5

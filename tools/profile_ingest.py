@@ -71,45 +71,22 @@ def profile_run(
 ) -> Dict[str, object]:
     """One measured run; returns the stage table as a JSON-ready dict."""
     from repro.core.config import PrintQueueConfig
-    from repro.core.printqueue import PrintQueuePort
-    from repro.experiments.runner import (
-        drive_printqueue,
-        run_trace_through_fifo,
-        run_trace_through_fifo_batch,
-    )
+    from repro.experiments.runner import build_run, drive_printqueue
     from repro.obs.metrics import Metrics
-    from repro.traffic.distributions import distribution_by_name
-    from repro.traffic.generator import PoissonWorkload, WorkloadConfig
 
     config = PrintQueueConfig(**config_args)
     metrics = Metrics()
-
-    t0 = perf_counter_ns()
-    trace = PoissonWorkload(
-        distribution_by_name(workload),
-        WorkloadConfig(load=load, duration_ns=int(duration_ms * 1e6)),
-        seed=seed,
-    ).generate()
-    generate_ns = perf_counter_ns() - t0
-    metrics.histogram("pq_ingest_stage_generate_ns").observe(generate_ns)
-
-    t0 = perf_counter_ns()
-    if engine == "scalar":
-        records, _ = run_trace_through_fifo(trace)
-    else:
-        records, _ = run_trace_through_fifo_batch(trace)
-    fifo_ns = perf_counter_ns() - t0
-    metrics.histogram("pq_ingest_stage_fifo_ns").observe(fifo_ns)
-
-    # Mirror simulate_workload: measured mean inter-departure time as d.
-    if len(records) >= 2:
-        span = records[-1].deq_timestamp - records[0].deq_timestamp
-        d_ns = span / (len(records) - 1)
-    else:
-        d_ns = float(config.min_pkt_tx_delay_ns)
-    pq = PrintQueuePort(
-        config, d_ns=d_ns, model_dp_read_cost=False, metrics=metrics
+    _trace, records, _drops, pq = build_run(
+        workload,
+        int(duration_ms * 1e6),
+        load,
+        config,
+        seed,
+        engine=engine,
+        metrics=metrics,
     )
+    generate_ns = metrics.find("pq_ingest_stage_generate_ns").sum
+    fifo_ns = metrics.find("pq_ingest_stage_fifo_ns").sum
 
     t0 = perf_counter_ns()
     drive_printqueue(records, pq, engine=engine)

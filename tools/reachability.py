@@ -2,7 +2,9 @@
 """List the ``src/repro`` definitions no entry point reaches.
 
 Usage: ``python tools/reachability.py`` (exit 1 and one ``path::name``
-a line when there are hits).  Walks the pqlint call graph from
+a line for each hit outside :data:`ALLOWED`, or allowlist entry that no
+longer is a hit).  ``tests/test_reachability.py`` runs the same check
+over the real tree, so new dead code fails tier-1.  Walks the pqlint call graph from
 ``cli.py``, ``repro.service``, every script under ``benchmarks/`` (the
 figure benches, ``e2e/layers.py``) and ``examples/``, plus import-time
 code.  Tests are not roots, so a hit is code only tests exercise.  The
@@ -18,7 +20,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, List, Set
+from typing import Dict, Iterable, Iterator, List, Set
 
 from anlz.callgraph import FunctionInfo, build_project_index
 from anlz.contexts import propagate
@@ -28,6 +30,57 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Name of the synthetic function that holds a module's import-time code.
 MODULE_BODY = "__module__"
+
+_DEFERRED = "unit-tested only; deleted with its tests in a later change"
+
+#: Unreached definitions kept on purpose, each with its reason.
+ALLOWED: Dict[str, str] = {
+    # specification helpers
+    "core/queuemonitor.py::QueueMonitorSnapshot.walk":
+        "the Section 5 walk, the executable specification scan() is tested against",
+    "core/queuemonitor.py::MonitorEntry": "walk()'s result type",
+    "switch/packet.py::FlowKey.reversed":
+        "the reverse-direction 5-tuple, part of the flow-key spec",
+    # baseline accessors the baselines' tests check against their papers
+    "baselines/conquest.py::ConQuest.is_contributor":
+        "ConQuest's own contributor predicate",
+    "baselines/conquest.py::ConQuest.sram_entries": "ConQuest's SRAM footprint",
+    "baselines/flowradar.py::DecodeResult.fully_decoded":
+        "FlowRadar's decode-success flag",
+    "baselines/flowradar.py::FlowRadar.sram_entries": "FlowRadar's SRAM footprint",
+    "baselines/hashpipe.py::HashPipe.heavy_hitters":
+        "HashPipe's own heavy-hitter query",
+    "baselines/hashpipe.py::HashPipe.sram_entries": "HashPipe's SRAM footprint",
+    "baselines/interval.py::FixedIntervalEstimator.periods":
+        "read-only view of the baseline's closed periods",
+    # one-line accessors
+    "core/multiqueue.py::ClassedQueueMonitor.active_classes":
+        "which per-class monitors exist",
+    "core/queries.py::QueryInterval.intersect":
+        "half-open interval algebra beside overlaps()",
+    "experiments/reporting.py::ResultTable.add_row":
+        "width-checked row append of the results table",
+    "faults/plan.py::FaultPlan.enabled": "whether a plan can fire at all",
+    "metrics/accuracy.py::AccuracyScore.f1": "F1 beside precision and recall",
+    "obs/metrics.py::Histogram.mean": "mean beside the histogram's sum and count",
+    "switch/buffer.py::SharedBuffer.occupied_bytes": "buffer occupancy read-out",
+    "switch/buffer.py::SharedBuffer.queue_bytes": "per-queue occupancy read-out",
+    "switch/events.py::EventQueue.peek_time": "next event time without popping",
+    "switch/queue.py::EgressQueue.buffered_bytes": "queue occupancy read-out",
+    "switch/switchsim.py::Switch.single_port": "one-port switch constructor",
+    "traffic/trace.py::Trace.flow_packet_counts": "per-flow packet totals of a trace",
+    "traffic/trace.py::Trace.slice_time": "time-range sub-trace",
+    "units.py::bits_to_bytes": "unit conversion beside its inverse",
+    "units.py::ns_to_sec": "unit conversion beside its inverse",
+    # whole definitions whose deletion is spread over later changes
+    "baselines/sketches.py::CountSketch": _DEFERRED,
+    "experiments/figures.py::cdf": _DEFERRED,
+    "experiments/figures.py::sparkline": _DEFERRED,
+    "switch/buffer.py::BufferedQueue": _DEFERRED,
+    "switch/scheduler.py::DeficitRoundRobinScheduler": _DEFERRED,
+    "traffic/arrivals.py::OnOffArrivals": _DEFERRED,
+    "traffic/arrivals.py::OnOffArrivals.mean_rate_bps": _DEFERRED,
+}
 
 
 def _import_time(body: List[ast.stmt]) -> Iterator[ast.stmt]:
@@ -108,15 +161,24 @@ def unreached(src: Path, roots: Iterable[Path]) -> List[str]:
     return sorted(hits)
 
 
-def main() -> int:
+def live_tree_findings() -> List[str]:
+    """Hits outside :data:`ALLOWED`, then allowlist entries that are no
+    longer hits, over ``src/repro`` and the real entry points."""
     package = REPO_ROOT / "src" / "repro"
     roots = [package / "cli.py", *_py_files(package / "service")]
     roots += _py_files(REPO_ROOT / "benchmarks") + _py_files(REPO_ROOT / "examples")
     hits = unreached(package, roots)
-    for hit in hits:
-        print(hit)
-    print(f"{len(hits)} definitions no entry point reaches", file=sys.stderr)
-    return 1 if hits else 0
+    stale = sorted(set(ALLOWED) - set(hits))
+    findings = [hit for hit in hits if hit not in ALLOWED]
+    return findings + [f"{name} (allowlisted, not a hit)" for name in stale]
+
+
+def main() -> int:
+    findings = live_tree_findings()
+    for finding in findings:
+        print(finding)
+    print(f"{len(findings)} findings outside the allowlist", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
