@@ -16,13 +16,12 @@ from repro.baselines.conquest import ConQuest
 from repro.baselines.flowradar import FlowRadar
 from repro.baselines.hashpipe import HashPipe
 from repro.baselines.interval import FixedIntervalEstimator
-from repro.baselines.sketches import CountMinSketch, CountSketch
+from repro.baselines.sketches import CountMinSketch
 
 __all__ = [
     "HashPipe",
     "FlowRadar",
     "ConQuest",
     "CountMinSketch",
-    "CountSketch",
     "FixedIntervalEstimator",
 ]

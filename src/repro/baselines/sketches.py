@@ -1,4 +1,4 @@
-"""Sketch substrates: Count-Min and Count sketches.
+"""Sketch substrate: the Count-Min sketch.
 
 The paper explicitly does *not* compare PrintQueue against sketches —
 "they cannot provide flow IDs, only aggregate byte counts" (Section 7.1)
@@ -24,12 +24,6 @@ def _hash(flow_id: int, row: int, width: int) -> int:
     return x % width
 
 
-def _sign(flow_id: int, row: int) -> int:
-    x = (flow_id ^ ((row + 1) * 0xD6E8FEB86659FD93)) & _MASK64
-    x ^= x >> 33
-    return 1 if x & 1 else -1
-
-
 class CountMinSketch:
     """Classic Count-Min: per-row hashed counters, min on read."""
 
@@ -52,37 +46,6 @@ class CountMinSketch:
             self._rows[row][_hash(flow_id, row, self.width)]
             for row in range(self.depth)
         )
-
-    def reset(self) -> None:
-        self._rows = [[0] * self.width for _ in range(self.depth)]
-
-
-class CountSketch:
-    """Count sketch: signed updates, median on read (unbiased)."""
-
-    def __init__(self, width: int = 4096, depth: int = 5) -> None:
-        if width < 1 or depth < 1:
-            raise ValueError("width and depth must be positive")
-        self.width = width
-        self.depth = depth
-        self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
-
-    def update(self, flow: FlowKey, count: int = 1) -> None:
-        flow_id = flow.flow_id()
-        for row in range(self.depth):
-            slot = _hash(flow_id, row, self.width)
-            self._rows[row][slot] += _sign(flow_id, row) * count
-
-    def estimate(self, flow: FlowKey) -> float:
-        flow_id = flow.flow_id()
-        values = sorted(
-            _sign(flow_id, row) * self._rows[row][_hash(flow_id, row, self.width)]
-            for row in range(self.depth)
-        )
-        mid = self.depth // 2
-        if self.depth % 2:
-            return float(values[mid])
-        return (values[mid - 1] + values[mid]) / 2
 
     def reset(self) -> None:
         self._rows = [[0] * self.width for _ in range(self.depth)]

@@ -291,10 +291,18 @@ class AnalysisProgram:
         The queue-monitor query returns the snapshot closest to the query
         point, so its useful resolution equals its polling cadence; the
         stack is far smaller than a full time-window set, so the control
-        plane can afford to read it more often.
+        plane can afford to read it more often.  Timed, like every
+        store write, into the encode stage.
         """
-        snapshot = self.queue_monitor.snapshot(now_ns)
-        self.store.add_qm(snapshot)
+        observe = self._stage_encode_observe
+        if observe is None:
+            snapshot = self.queue_monitor.snapshot(now_ns)
+            self.store.add_qm(snapshot)
+        else:
+            t0 = perf_counter_ns()
+            snapshot = self.queue_monitor.snapshot(now_ns)
+            self.store.add_qm(snapshot)
+            observe(perf_counter_ns() - t0)
         return snapshot
 
     def dp_read(self, now_ns: int) -> Optional[TimeWindowSnapshot]:

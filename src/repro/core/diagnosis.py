@@ -45,21 +45,13 @@ class Diagnoser:
         """Last observed drained instant at/before ``enq_timestamp``.
 
         Resolution is the queue-monitor polling cadence; with no drained
-        snapshot on record the regime extends to the earliest snapshot
-        (or 0 when none exists yet).
+        snapshot on record the regime extends to the first stored
+        snapshot at/before it (or 0 when none exists yet).  Read off the
+        store's keys: no snapshot is decoded.
         """
-        snapshots = self.pq.analysis.qm_snapshots
-        candidates = [s for s in snapshots if s.time_ns <= enq_timestamp]
-        drained = [
-            s.time_ns
-            for s in candidates
-            if s.top <= self.empty_threshold_levels
-        ]
-        if drained:
-            return max(drained)
-        if candidates:
-            return candidates[0].time_ns
-        return 0
+        return self.pq.analysis.store.last_drained_qm_ns(
+            enq_timestamp, self.empty_threshold_levels
+        )
 
     # -- the composed report --------------------------------------------------
 

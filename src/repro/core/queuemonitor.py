@@ -17,7 +17,7 @@ packets whose arrivals raised the queue to each still-standing level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -27,6 +27,14 @@ from repro.switch.records import FlowColumn, FlowTable
 #: Sequence number of a never-written half-entry (and the flow index of
 #: a never-written increase entry).
 _UNSET = -1
+
+#: Levels per copy-on-write page: a snapshot copies the pages written
+#: since the previous snapshot and shares the rest with it.
+_PAGE_SHIFT = 10
+_PAGE = 1 << _PAGE_SHIFT
+
+#: One slice of the registers: ``(inc_seq, inc_flow_idx, dec_seq)``.
+Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -38,23 +46,58 @@ class MonitorEntry:
     seq: int
 
 
-@dataclass(eq=False)
 class QueueMonitorSnapshot:
     """A frozen copy of the monitor taken by the control plane.
 
-    The registers are columns: ``inc_seq``/``dec_seq`` are int64,
-    ``inc_flow_idx`` is int32 (``-1`` = unset) into ``flow_table`` — the
-    port's table for a live snapshot, the payload's own for a decoded
-    one, whose columns are read-only views into the store's buffer.
-    Never write a column in place; rebind it.
+    The registers are held as :attr:`chunks`: consecutive
+    ``(inc_seq, inc_flow_idx, dec_seq)`` slices of the level range, every
+    one but the last the same length.  A live snapshot's chunks are the
+    monitor's read-only pages, shared with the snapshots around it; a
+    decoded or hand-built snapshot has one chunk (for a decoded one,
+    read-only views into the store's buffer).  ``inc_seq``/``dec_seq``
+    are int64, ``inc_flow_idx`` int32 (``-1`` = unset) into
+    ``flow_table`` — the port's table for a live snapshot, the payload's
+    own for a decoded one.  The column attributes concatenate the chunks;
+    never write a chunk in place, rebind :attr:`chunks`.
     """
 
-    time_ns: int
-    top: int
-    inc_seq: np.ndarray
-    inc_flow_idx: np.ndarray
-    dec_seq: np.ndarray
-    flow_table: Sequence[FlowKey]
+    def __init__(
+        self,
+        time_ns: int,
+        top: int,
+        inc_seq: np.ndarray,
+        inc_flow_idx: np.ndarray,
+        dec_seq: np.ndarray,
+        flow_table: Sequence[FlowKey],
+    ) -> None:
+        self.time_ns = time_ns
+        self.top = top
+        self.chunks: Tuple[Chunk, ...] = ((inc_seq, inc_flow_idx, dec_seq),)
+        self.flow_table = flow_table
+
+    def _column(self, side: int, n: Optional[int] = None) -> np.ndarray:
+        """Column ``side`` of the chunks over levels ``[0, n)`` (all when
+        ``n`` is None), concatenating only the chunks it needs."""
+        needed = self.chunks
+        if n is not None:
+            needed = needed[: -(-n // len(needed[0][side]))]
+        if len(needed) == 1:
+            column = needed[0][side]
+        else:
+            column = np.concatenate([chunk[side] for chunk in needed])
+        return column if n is None else column[:n]
+
+    @property
+    def inc_seq(self) -> np.ndarray:
+        return self._column(0)
+
+    @property
+    def inc_flow_idx(self) -> np.ndarray:
+        return self._column(1)
+
+    @property
+    def dec_seq(self) -> np.ndarray:
+        return self._column(2)
 
     def __eq__(self, other: object) -> bool:
         """Same registers, flows compared by key (tables may differ)."""
@@ -72,43 +115,60 @@ class QueueMonitorSnapshot:
             i < 0 or self.flow_table[i] == other.flow_table[j] for i, j in pairs
         )
 
+    def __repr__(self) -> str:
+        return (
+            f"QueueMonitorSnapshot(time_ns={self.time_ns}, top={self.top}, "
+            f"chunks={len(self.chunks)})"
+        )
+
     @property
     def max_seq(self) -> int:
         """The largest sequence number held (``_UNSET`` when empty)."""
-        return max(int(self.inc_seq.max()), int(self.dec_seq.max()))
+        return max(int(chunk[side].max()) for chunk in self.chunks for side in (0, 2))
 
     def walk(self) -> List[MonitorEntry]:
         """Filter stale entries: the monotone bottom-up walk of Section 5.
 
-        The executable specification; queries run :meth:`scan`.
+        The executable specification; queries run its prefix-scan form
+        (:meth:`_survivors`), and :meth:`scan` is that form as arrays.
         """
+        n = self.top + 1
+        inc_seq = self._column(0, n).tolist()
+        inc_flow_idx = self._column(1, n).tolist()
+        dec_seq = self._column(2, n).tolist()
         running = _UNSET
         survivors: List[MonitorEntry] = []
-        for level in range(self.top + 1):
-            inc = int(self.inc_seq[level])
+        for level in range(n):
+            inc = inc_seq[level]
             if inc > running and inc != _UNSET and level > 0:
-                flow = self.flow_table[self.inc_flow_idx[level]]
+                flow = self.flow_table[inc_flow_idx[level]]
                 survivors.append(MonitorEntry(level, flow, inc))
-            level_max = max(inc, int(self.dec_seq[level]))
+            level_max = max(inc, dec_seq[level])
             if level_max > running:
                 running = level_max
         return survivors
 
     def scan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`walk` as a prefix scan: ``(levels, seqs, flow indices)``.
+        """:meth:`walk` as arrays: ``(levels, seqs, flow indices)``."""
+        levels, inc = self._survivors()
+        return levels, inc[levels], self._column(1, self.top + 1)[levels]
+
+    def _survivors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The walk's surviving levels as a prefix scan, and ``inc_seq``
+        up to ``top`` (only the chunks up to ``top`` are read).
 
         The walk's running maximum *before* a level is the exclusive
         prefix maximum of ``max(inc, dec)``; it never drops below
         ``_UNSET``, so "exceeds it" already implies "is set".
         """
-        inc = self.inc_seq[: self.top + 1]
-        running = np.maximum.accumulate(np.maximum(inc, self.dec_seq[: self.top + 1]))
-        levels = np.flatnonzero(inc[1:] > running[:-1]) + 1
-        return levels, inc[levels], self.inc_flow_idx[levels]
+        n = self.top + 1
+        inc = self._column(0, n)
+        running = np.maximum.accumulate(np.maximum(inc, self._column(2, n)))
+        return np.flatnonzero(inc[1:] > running[:-1]) + 1, inc
 
     def flow_counts(self) -> Dict[FlowKey, int]:
         """Original-culprit contribution per flow (entries implicated)."""
-        idx = self.scan()[2]
+        idx = self._column(1, self.top + 1)[self._survivors()[0]]
         tally = np.bincount(idx)
         # Scattered in reverse, the first survivor of each flow is the
         # write that lasts: dict order below is first-survivor order.
@@ -145,6 +205,8 @@ class QueueMonitor:
         "inc_seq",
         "inc_flow_idx",
         "dec_seq",
+        "_dirty",
+        "_pages",
         "overflows",
         "pushes",
         "drains",
@@ -179,6 +241,7 @@ class QueueMonitor:
         level = self._level_of(depth_after_units)
         self.inc_seq[level] = self._seq
         self.inc_flow_idx[level] = self.flow_table.intern(flow)
+        self._dirty[level >> _PAGE_SHIFT] = True
         self.top = level
         self.pushes += 1
         if level > self.high_water:
@@ -193,6 +256,7 @@ class QueueMonitor:
         self._seq += 1
         level = self._level_of(depth_after_units)
         self.dec_seq[level] = self._seq
+        self._dirty[level >> _PAGE_SHIFT] = True
         self.top = level
         self.drains += 1
         if level > self.high_water:
@@ -244,18 +308,32 @@ class QueueMonitor:
         self.inc_seq[inc_lvl] = base_seq + 1 + inc_pos[inc_lvl]
         self.inc_flow_idx[inc_lvl] = flows.idx[inc_pos[inc_lvl]]
         self.dec_seq[dec_lvl] = base_seq + 1 + dec_pos[dec_lvl]
+        self._dirty[inc_lvl >> _PAGE_SHIFT] = True
+        self._dirty[dec_lvl >> _PAGE_SHIFT] = True
         self.top = int(level[-1])
 
     def snapshot(self, time_ns: int) -> QueueMonitorSnapshot:
-        """Atomically copy the register state (a frozen control-plane read)."""
-        return QueueMonitorSnapshot(
-            time_ns=time_ns,
-            top=self.top,
-            inc_seq=self.inc_seq.copy(),
-            inc_flow_idx=self.inc_flow_idx.copy(),
-            dec_seq=self.dec_seq.copy(),
-            flow_table=self.flow_table.flows,
+        """Atomically copy the register state (a frozen control-plane read).
+
+        Copy-on-write: only the pages written since the previous
+        snapshot are copied (into read-only arrays); the others are that
+        snapshot's page objects, shared.
+        """
+        pages = self._pages
+        for page in np.flatnonzero(self._dirty).tolist():
+            span = slice(page << _PAGE_SHIFT, (page + 1) << _PAGE_SHIFT)
+            pages[page] = (
+                _frozen_copy(self.inc_seq[span]),
+                _frozen_copy(self.inc_flow_idx[span]),
+                _frozen_copy(self.dec_seq[span]),
+            )
+        self._dirty[:] = False
+        chunks = cast(Tuple[Chunk, ...], tuple(pages))  # reset marked every page
+        snapshot = QueueMonitorSnapshot(
+            time_ns, self.top, *chunks[0], self.flow_table.flows
         )
+        snapshot.chunks = chunks
+        return snapshot
 
     def reset(self) -> None:
         self._seq = 0
@@ -263,6 +341,11 @@ class QueueMonitor:
         self.inc_seq = np.full(self.levels, _UNSET, dtype=np.int64)
         self.inc_flow_idx = np.full(self.levels, _UNSET, dtype=np.int32)
         self.dec_seq = np.full(self.levels, _UNSET, dtype=np.int64)
+        # One dirty mark per page; every write sets its page's mark and a
+        # snapshot clears them (see :meth:`snapshot`).
+        num_pages = -(-self.levels // _PAGE)
+        self._dirty = np.ones(num_pages, dtype=bool)
+        self._pages: List[Optional[Chunk]] = [None] * num_pages
         self.overflows = 0
         # Observability (repro.obs): stack churn.  ``pushes``/``drains``
         # count the rise/drain sides of the event stream; ``high_water``
@@ -271,3 +354,9 @@ class QueueMonitor:
         self.pushes = 0
         self.drains = 0
         self.high_water = 0
+
+
+def _frozen_copy(column: np.ndarray) -> np.ndarray:
+    copy = column.copy()
+    copy.flags.writeable = False
+    return copy

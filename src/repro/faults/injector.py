@@ -179,10 +179,12 @@ class FaultInjector:
         if delta <= 0:
             delta = 1 + self.rng.randrange(peak)
         # delta > 0, so clamping at _UNSET also leaves unset entries unset.
-        # Rebind, never write in place: a decoded snapshot's columns are
-        # read-only views into the store's buffer.
-        snapshot.inc_seq = np.maximum(_UNSET, snapshot.inc_seq - delta)
-        snapshot.dec_seq = np.maximum(_UNSET, snapshot.dec_seq - delta)
+        # Rebind, never write in place: a live snapshot's pages are shared
+        # with its neighbours, a decoded one's are views into the store.
+        snapshot.chunks = tuple(
+            (np.maximum(_UNSET, inc - delta), idx, np.maximum(_UNSET, dec - delta))
+            for inc, idx, dec in snapshot.chunks
+        )
         self._count("qm_seq_regressions")
         return True
 

@@ -58,12 +58,14 @@ class _TWEntry:
 
 
 class _QMEntry:
-    """One stored queue-monitor snapshot, keyed by its ``time_ns``."""
+    """One stored queue-monitor snapshot, keyed by its ``time_ns``, with
+    its stack ``top`` (read without decoding)."""
 
-    __slots__ = ("key", "token", "nbytes", "cached")
+    __slots__ = ("key", "top", "token", "nbytes", "cached")
 
-    def __init__(self, key: int, token: Any, nbytes: int) -> None:
+    def __init__(self, key: int, top: int, token: Any, nbytes: int) -> None:
         self.key = key
+        self.top = top
         self.token = token
         self.nbytes = nbytes
         self.cached: Optional[QueueMonitorSnapshot] = None
@@ -269,7 +271,7 @@ class SnapshotStore(ABC):
         """
         self._ensure_bound()
         token = self._encode_qm(snapshot, bounded)
-        entry = _QMEntry(snapshot.time_ns, token, self._nbytes(token))
+        entry = _QMEntry(snapshot.time_ns, snapshot.top, token, self._nbytes(token))
         entry.cached = snapshot
         self._insert_qm_entry(entry, bounded)
 
@@ -378,6 +380,27 @@ class SnapshotStore(ABC):
         if hi < len(entries) and entries[hi].key - time_ns < time_ns - below.key:
             return self._decode_entry_qm(entries[hi])
         return self._decode_entry_qm(below)
+
+    def last_drained_qm_ns(self, time_ns: int, max_top: int) -> int:
+        """The latest monitor key at/before ``time_ns`` whose stack top
+        is at/below ``max_top``; with none, the first stored key at/before
+        ``time_ns``; with none of those either, 0.  Nothing is decoded.
+
+        Bisected while the keys are in storage order (see
+        :meth:`nearest_qm`), scanned in storage order otherwise.
+        """
+        entries = self._qm_entries
+        if not self._qm_sorted:
+            candidates = [e for e in entries if e.key <= time_ns]
+            drained = [e.key for e in candidates if e.top <= max_top]
+            if drained:
+                return max(drained)
+            return candidates[0].key if candidates else 0
+        hi = bisect.bisect_right(entries, time_ns, key=_qm_key)
+        for i in range(hi - 1, -1, -1):
+            if entries[i].top <= max_top:
+                return entries[i].key
+        return entries[0].key if hi else 0
 
     # -- observability -----------------------------------------------------
 

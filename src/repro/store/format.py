@@ -325,11 +325,16 @@ def decode_tw(buf: bytes, offset: int) -> Any:
 
 
 def encode_qm(snapshot: QueueMonitorSnapshot, bounded: bool) -> bytes:
-    """Encode a queue-monitor snapshot payload."""
+    """Encode a queue-monitor snapshot payload (its columns, dense)."""
     table_parts: List[bytes] = []
-    held = snapshot.inc_flow_idx >= 0
+    inc_seq, inc_flow_idx, dec_seq = (
+        snapshot.inc_seq,
+        snapshot.inc_flow_idx,
+        snapshot.dec_seq,
+    )
+    held = inc_flow_idx >= 0
     local, num_flows = _intern_index_column(
-        table_parts, snapshot.inc_flow_idx[held], snapshot.flow_table
+        table_parts, inc_flow_idx[held], snapshot.flow_table
     )
     indices = np.full(len(held), -1, dtype="<i4")
     indices[held] = local
@@ -340,12 +345,12 @@ def encode_qm(snapshot: QueueMonitorSnapshot, bounded: bool) -> bytes:
             snapshot.top,
             flags,
             num_flows,
-            len(snapshot.inc_seq),
-            len(snapshot.dec_seq),
+            len(inc_seq),
+            len(dec_seq),
         ),
         table_parts[0],
-        snapshot.inc_seq.astype("<i8", copy=False).tobytes(),
-        snapshot.dec_seq.astype("<i8", copy=False).tobytes(),
+        inc_seq.astype("<i8", copy=False).tobytes(),
+        dec_seq.astype("<i8", copy=False).tobytes(),
         indices.tobytes(),
     ]
     payload = b"".join(parts)
@@ -385,10 +390,10 @@ def peek_tw_read_time(buf: bytes, offset: int) -> int:
     return read_time_ns
 
 
-def peek_qm(buf: bytes, offset: int) -> Tuple[int, bool]:
-    """A QM payload's ``(time_ns, bounded)`` without decoding the snapshot."""
-    time_ns, _, flags, _, _, _ = _QM_HEAD.unpack_from(buf, offset)
-    return time_ns, bool(flags & QM_FLAG_BOUNDED)
+def peek_qm(buf: bytes, offset: int) -> Tuple[int, int, bool]:
+    """A QM payload's ``(time_ns, top, bounded)`` without decoding it."""
+    time_ns, top, flags, _, _, _ = _QM_HEAD.unpack_from(buf, offset)
+    return time_ns, top, bool(flags & QM_FLAG_BOUNDED)
 
 
 def peek_replace_target(buf: bytes, offset: int) -> int:

@@ -29,8 +29,8 @@ def _tw_estimate(snapshot: "TimeWindowSnapshot") -> int:
 
 def _qm_estimate(snapshot: QueueMonitorSnapshot) -> int:
     # header + i64 inc/dec sequence halves + i32 flow indices
-    return 32 + 8 * (len(snapshot.inc_seq) + len(snapshot.dec_seq)) + 4 * len(
-        snapshot.inc_flow_idx
+    return 32 + sum(
+        8 * (len(inc) + len(dec)) + 4 * len(idx) for inc, idx, dec in snapshot.chunks
     )
 
 

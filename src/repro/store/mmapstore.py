@@ -162,8 +162,9 @@ class MmapStore(SnapshotStore):
                 )
                 self._insert_tw_entry(entry)
             elif kind == fmt.REC_QM_ADD:
-                time_ns, bounded = fmt.peek_qm(buf, off)
-                self._insert_qm_entry(_QMEntry(time_ns, (off, length), length), bounded)
+                time_ns, top, bounded = fmt.peek_qm(buf, off)
+                entry = _QMEntry(time_ns, top, (off, length), length)
+                self._insert_qm_entry(entry, bounded)
             elif kind == fmt.REC_TW_REPLACE:
                 target = fmt.peek_replace_target(buf, off)
                 victim = self._seq_index.get(target)

@@ -23,7 +23,7 @@ from repro.switch.scheduler import (
     Scheduler,
     StrictPriorityScheduler,
 )
-from repro.switch.buffer import BufferedQueue, SharedBuffer
+from repro.switch.buffer import SharedBuffer
 from repro.switch.port import EgressPort
 from repro.switch.switchsim import Switch, SwitchStats
 from repro.switch.telemetry import DequeueRecord, GroundTruthRecorder, TelemetryHeader
@@ -49,7 +49,6 @@ __all__ = [
     "DeficitRoundRobinScheduler",
     "EgressPort",
     "SharedBuffer",
-    "BufferedQueue",
     "Switch",
     "SwitchStats",
     "TelemetryHeader",

@@ -4,19 +4,16 @@ Real switch ASICs share one packet buffer across egress queues and admit
 packets by a *dynamic threshold* (DT) policy: a queue may grow up to
 ``alpha x remaining_free_buffer``.  PrintQueue's evaluation runs a
 single uncontended port, but the multi-port experiments (Figure 15) and
-any realistic deployment sit behind such a buffer manager, so the
-simulator provides one.  Plugging it into the egress queues makes drops
-depend on *global* occupancy, the way Tofino's traffic manager behaves.
+any realistic deployment sit behind such a buffer manager.  This module
+holds the admission arithmetic only: no egress queue is gated by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import SimulationError
-from repro.switch.packet import Packet
-from repro.switch.queue import EgressQueue
 
 
 @dataclass
@@ -89,32 +86,3 @@ class SharedBuffer:
             )
         self._queue_bytes[queue_id] = current - size_bytes
         self._occupied -= size_bytes
-
-
-class BufferedQueue(EgressQueue):
-    """An egress queue whose admission is gated by a shared buffer."""
-
-    def __init__(
-        self,
-        shared: SharedBuffer,
-        queue_id: int,
-        cell_bytes: Optional[int] = None,
-        record_samples: bool = False,
-    ) -> None:
-        super().__init__(
-            capacity_units=None, cell_bytes=cell_bytes, record_samples=record_samples
-        )
-        self.shared = shared
-        self.queue_id = queue_id
-
-    def enqueue(self, packet: Packet, now_ns: int) -> bool:
-        if not self.shared.admit(self.queue_id, packet.size_bytes):
-            self.drops += 1
-            packet.dropped = True
-            return False
-        return super().enqueue(packet, now_ns)
-
-    def dequeue(self, now_ns: int) -> Packet:
-        packet = super().dequeue(now_ns)
-        self.shared.release(self.queue_id, packet.size_bytes)
-        return packet

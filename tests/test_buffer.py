@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.switch.buffer import BufferedQueue, SharedBuffer
-from repro.switch.packet import FlowKey, Packet
-from repro.switch.port import EgressPort
-from repro.switch.switchsim import Switch
-from repro.units import GBPS
-
-FLOW = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)
+from repro.switch.buffer import SharedBuffer
 
 
 class TestSharedBuffer:
@@ -70,26 +64,3 @@ class TestSharedBuffer:
         buf.admit(1, 1000)
         buf.release(0, 3000)
         assert buf.stats.peak_occupancy_bytes == 4000
-
-
-class TestBufferedQueue:
-    def test_end_to_end_with_switch(self):
-        shared = SharedBuffer(capacity_bytes=6000, alpha=1.0)
-        queue = BufferedQueue(shared, queue_id=0)
-        port = EgressPort(0, 10 * GBPS, queue=queue)
-        switch = Switch([port])
-        packets = [Packet(FLOW, 1500, 0) for _ in range(6)]
-        switch.run_trace(packets)
-        # alpha=1 over 6000 B: at most 2x1500 B held at once beyond the
-        # in-flight packet; some of the burst is dropped.
-        assert switch.stats.drops > 0
-        assert shared.occupied_bytes == 0  # fully drained and released
-
-    def test_release_on_dequeue(self):
-        shared = SharedBuffer(capacity_bytes=100_000)
-        queue = BufferedQueue(shared, queue_id=3)
-        p = Packet(FLOW, 1500, 0)
-        queue.enqueue(p, 0)
-        assert shared.queue_bytes(3) == 1500
-        queue.dequeue(10)
-        assert shared.queue_bytes(3) == 0

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.queuemonitor import QueueMonitor, QueueMonitorSnapshot
+from repro.core.queuemonitor import _PAGE, QueueMonitor, QueueMonitorSnapshot
+from repro.faults import FaultInjector, FaultPlan
 from repro.switch.packet import FlowKey
+from repro.switch.records import FlowColumn
 
 FLOWS = {
     name: FlowKey.from_strings("10.0.0.%d" % (i + 1), "10.1.0.1", 5000 + i, 80)
@@ -197,3 +199,120 @@ def test_scan_equals_walk_on_random_registers(data):
     for entry in entries:
         expected[entry.flow] = expected.get(entry.flow, 0) + 1
     assert list(snapshot.flow_counts().items()) == list(expected.items())
+
+
+# -- copy-on-write snapshots ---------------------------------------------------
+
+_DEPTH = st.integers(0, 3 * _PAGE + 50)
+_OPS = st.one_of(
+    st.tuples(st.just("enq"), st.integers(0, 7), _DEPTH),
+    st.tuples(st.just("deq"), st.integers(0, 7), _DEPTH),
+    st.tuples(
+        st.just("batch"),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 7), _DEPTH), max_size=12),
+    ),
+    st.just(("reset",)),
+    st.just(("snap",)),
+)
+
+
+def _dense(qm):
+    return (qm.top, qm.inc_seq.copy(), qm.inc_flow_idx.copy(), qm.dec_seq.copy())
+
+
+def _columns(snapshot):
+    return (snapshot.top, snapshot.inc_seq, snapshot.inc_flow_idx, snapshot.dec_seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.sampled_from([300, _PAGE, 2 * _PAGE + 300, 3 * _PAGE]),
+    ops=st.lists(_OPS, max_size=40),
+)
+def test_paged_snapshots_equal_dense_copies(levels, ops):
+    """Every snapshot equals a dense copy of the registers taken at the
+    same instant, and still does after every later write, reset and
+    snapshot: every written page is copied, no shared page is written."""
+    qm = QueueMonitor(levels)
+    flows = list(FLOWS.values())
+    for flow in flows:
+        qm.flow_table.intern(flow)
+    taken = []
+    for op in ops + [("snap",)]:
+        if op[0] == "enq":
+            qm.on_enqueue(flows[op[1]], op[2])
+        elif op[0] == "deq":
+            qm.on_dequeue(flows[op[1]], op[2])
+        elif op[0] == "batch":
+            events = op[1]
+            qm.apply_batch(
+                np.array([e[0] for e in events], dtype=bool),
+                FlowColumn(qm.flow_table.flows, np.array([e[1] for e in events])),
+                np.array([e[2] for e in events], dtype=np.int64),
+            )
+        elif op[0] == "reset":
+            qm.reset()
+        else:
+            taken.append((qm.snapshot(len(taken)), _dense(qm)))
+    for snapshot, (top, inc, idx, dec) in taken:
+        got = _columns(snapshot)
+        assert got[0] == top
+        for column, expected in zip(got[1:], (inc, idx, dec)):
+            assert column.dtype == expected.dtype
+            assert np.array_equal(column, expected)
+        dense = QueueMonitorSnapshot(snapshot.time_ns, top, inc, idx, dec, flows)
+        assert snapshot == dense
+        assert snapshot.max_seq == dense.max_seq
+        assert [list(a) for a in snapshot.scan()] == [list(a) for a in dense.scan()]
+
+
+def test_shared_pages_are_read_only():
+    qm = QueueMonitor(levels=3 * _PAGE)
+    qm.on_enqueue(FLOWS["A"], 5)
+    first = qm.snapshot(0)
+    qm.on_enqueue(FLOWS["B"], 2 * _PAGE + 5)
+    second = qm.snapshot(1)
+    assert len(second.chunks) == 3
+    assert second.chunks[0] is first.chunks[0]
+    assert second.chunks[2] is not first.chunks[2]
+    for chunk in first.chunks + second.chunks:
+        for column in chunk:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 7
+
+
+def test_regress_leaves_sharing_snapshot_unchanged():
+    """The fault injector rebinds the regressed snapshot's chunks: the
+    previous snapshot, which shares its pages, keeps its registers."""
+    qm = QueueMonitor(levels=2 * _PAGE + 10)
+    for depth in range(1, 40):
+        qm.on_enqueue(FLOWS["A"], depth)
+    previous = qm.snapshot(0)
+    before = [column.copy() for column in _columns(previous)[1:]]
+    qm.on_enqueue(FLOWS["B"], 41)
+    regressed = qm.snapshot(1)
+    assert regressed.chunks[1] is previous.chunks[1]
+    injector = FaultInjector(FaultPlan(name="regress"))
+    assert injector.regress_qm(regressed, floor_seq=regressed.max_seq + 1)
+    assert regressed.max_seq < 40
+    for column, expected in zip(_columns(previous)[1:], before):
+        assert np.array_equal(column, expected)
+    assert qm.snapshot(2).max_seq == 40
+
+
+def test_snapshots_inside_one_page_share_the_rest():
+    """1 000 snapshots of a stack moving inside one page hold one new
+    page each, beside the pages the first snapshot copied."""
+    qm = QueueMonitor(levels=4 * _PAGE + 100)
+    snapshots = []
+    for i in range(1000):
+        qm.on_enqueue(FLOWS["A"], _PAGE + i % 50)
+        qm.on_dequeue(FLOWS["A"], _PAGE + i % 7)
+        snapshots.append(qm.snapshot(i))
+    pages = len(snapshots[0].chunks)
+    assert pages == 5
+    buffers = {id(column) for s in snapshots for chunk in s.chunks for column in chunk}
+    assert len(buffers) <= 3 * (pages + 1000)
+    held = {id(chunk) for s in snapshots for chunk in s.chunks}
+    assert len(held) <= pages + 1000

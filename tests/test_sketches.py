@@ -1,10 +1,10 @@
-"""Tests for the Count-Min / Count sketch substrates."""
+"""Tests for the Count-Min sketch substrate."""
 
 import random
 
 import pytest
 
-from repro.baselines.sketches import CountMinSketch, CountSketch
+from repro.baselines.sketches import CountMinSketch
 from repro.switch.packet import FlowKey
 
 
@@ -44,34 +44,3 @@ class TestCountMin:
             CountMinSketch(width=0)
         with pytest.raises(ValueError):
             CountMinSketch(depth=0)
-
-
-class TestCountSketch:
-    def test_exact_when_sparse(self):
-        cs = CountSketch(width=1024, depth=5)
-        cs.update(flow(0), 42)
-        assert cs.estimate(flow(0)) == 42
-
-    def test_small_bias_under_load(self):
-        """The median estimator is unbiased: averaged over many flows the
-        signed collisions roughly cancel."""
-        cs = CountSketch(width=128, depth=5)
-        rng = random.Random(2)
-        truth = {}
-        for _ in range(5000):
-            f = flow(rng.randrange(300))
-            truth[f] = truth.get(f, 0) + 1
-            cs.update(f)
-        errors = [cs.estimate(f) - c for f, c in truth.items()]
-        mean_error = sum(errors) / len(errors)
-        assert abs(mean_error) < 3.0
-
-    def test_reset(self):
-        cs = CountSketch(width=64, depth=3)
-        cs.update(flow(0))
-        cs.reset()
-        assert cs.estimate(flow(0)) == 0
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            CountSketch(width=0)

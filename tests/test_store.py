@@ -249,6 +249,60 @@ class TestNearestQm:
         _assert_nearest_is_linear_min(store, range(0, 3_000_000, 4_999))
 
 
+def _scan_regime_start(snapshots, time_ns, max_top):
+    """The decode-everything scan the store's key walk replaced."""
+    candidates = [s for s in snapshots if s.time_ns <= time_ns]
+    drained = [s.time_ns for s in candidates if s.top <= max_top]
+    if drained:
+        return max(drained)
+    if candidates:
+        return candidates[0].time_ns
+    return 0
+
+
+class TestLastDrainedQm:
+    @given(
+        adds=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 2), st.booleans()),
+            max_size=30,
+        ),
+        ordered=st.booleans(),
+        cap=st.integers(1, 12),
+        max_top=st.integers(0, 2),
+        probes=st.lists(st.integers(-5, 50), min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_key_walk_equals_the_decoding_scan(
+        self, tmp_path_factory, adds, ordered, cap, max_top, probes
+    ):
+        """Sorted keys (bisected) and unsorted ones (a late data-plane
+        read: scanned in storage order), on both backends and on a
+        reopened file, whose entries carry the top read off the frame."""
+        if ordered:
+            adds = sorted(adds)
+        retention = RetentionPolicy(max_snapshots=cap)
+        path = tmp_path_factory.mktemp("regime") / "r.pqstore"
+        stores = [
+            MemoryStore(retention=retention),
+            MmapStore(path, retention=retention),
+        ]
+        for key, top, bounded in adds:
+            snapshot = make_qm(key)
+            snapshot.top = top
+            for store in stores:
+                store.add_qm(snapshot, bounded=bounded)
+        stores[1].close()
+        if adds:  # the file is written from the first add on
+            stores.append(MmapStore.open(path))
+        for store in stores:
+            if ordered:
+                assert store._qm_sorted
+            view = list(store.qm_view())
+            for t in probes:
+                expected = _scan_regime_start(view, t, max_top)
+                assert store.last_drained_qm_ns(t, max_top) == expected, t
+
+
 # ---------------------------------------------------------------------------
 # binary format
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ as percentages of the *drive* wall
 (records → finished port, the same span the Mpps bench times), with the
 unattributed remainder (event-stream merge, batch slicing, poll
 bookkeeping) as ``other`` — so the drive section always accounts for
-100% of ingest.  This is the measurement loop behind the ROADMAP
+100% of ingest.  ``peak_rss_mb`` is the process's ``ru_maxrss`` after
+the drive (generation, FIFO, port and stored snapshots included).
+This is the measurement loop behind the ROADMAP
 raw-speed item: shave the top stage, re-run, repeat.  Stage timings are
 observability-only — the run's deterministic state is identical with or
 without them (the equivalence suite asserts it).
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 from time import perf_counter_ns
 from typing import Dict, List, Optional
@@ -91,6 +94,7 @@ def profile_run(
     t0 = perf_counter_ns()
     drive_printqueue(records, pq, engine=engine)
     drive_ns = perf_counter_ns() - t0
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     stages = [_stage_row(metrics, s, None) for s in HARNESS_STAGES]
     accounted = 0
@@ -117,6 +121,7 @@ def profile_run(
         "packets": packets,
         "drive_ms": drive_ns / 1e6,
         "mpps": packets / (drive_ns / 1e9) / 1e6 if drive_ns else 0.0,
+        "peak_rss_mb": peak_rss_mb,
         "pipeline_ms": pipeline_ns / 1e6,
         "pipeline_share_pct": {
             "generate": 100.0 * generate_ns / pipeline_ns,
@@ -132,7 +137,8 @@ def render(result: Dict[str, object]) -> str:
         f"engine={result['engine']} workload={result['workload']} "
         f"config=[{result['config']}]",
         f"{result['packets']:,} packets driven in {result['drive_ms']:.1f} ms "
-        f"({result['mpps']:.3f} Mpps ingest)",
+        f"({result['mpps']:.3f} Mpps ingest), peak RSS "
+        f"{result['peak_rss_mb']:.1f} MB",
         f"generate + fifo + drive = {result['pipeline_ms']:.1f} ms: "
         + ", ".join(
             f"{stage} {pct:.1f}%"

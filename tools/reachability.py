@@ -38,6 +38,9 @@ ALLOWED: Dict[str, str] = {
     # specification helpers
     "core/queuemonitor.py::QueueMonitorSnapshot.walk":
         "the Section 5 walk, the executable specification scan() is tested against",
+    "core/queuemonitor.py::QueueMonitorSnapshot.scan":
+        "walk() as arrays, sequence numbers included; queries tally the "
+        "same survivors without gathering those",
     "core/queuemonitor.py::MonitorEntry": "walk()'s result type",
     "switch/packet.py::FlowKey.reversed":
         "the reverse-direction 5-tuple, part of the flow-key spec",
@@ -73,10 +76,10 @@ ALLOWED: Dict[str, str] = {
     "units.py::bits_to_bytes": "unit conversion beside its inverse",
     "units.py::ns_to_sec": "unit conversion beside its inverse",
     # whole definitions whose deletion is spread over later changes
-    "baselines/sketches.py::CountSketch": _DEFERRED,
     "experiments/figures.py::cdf": _DEFERRED,
     "experiments/figures.py::sparkline": _DEFERRED,
-    "switch/buffer.py::BufferedQueue": _DEFERRED,
+    "switch/buffer.py::SharedBuffer": _DEFERRED,
+    "switch/buffer.py::SharedBuffer.release": _DEFERRED,
     "switch/scheduler.py::DeficitRoundRobinScheduler": _DEFERRED,
     "traffic/arrivals.py::OnOffArrivals": _DEFERRED,
     "traffic/arrivals.py::OnOffArrivals.mean_rate_bps": _DEFERRED,
