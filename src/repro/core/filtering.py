@@ -47,129 +47,78 @@ class FilterStats:
 class FilteredWindow:
     """The live contents of one window after Algorithm 3.
 
-    The retained cells exist in up to three interchangeable
-    representations, materialised lazily on first access so each
-    consumer pays only for the view it reads:
-
-    * ``cells`` — ``(tts, flow)`` tuples sorted by TTS (the scalar query
-      walk bisects these).  A cell's absolute time coverage is
-      ``[tts << shift, (tts + 1) << shift)``.
-    * ``tts_array`` / ``cell_flows`` — the same cells columnar: a sorted
-      ``int64`` TTS array and the aligned flow-object list (the compiled
-      query plan and the store encoder consume these).
-    * ``flow_idx`` / ``flow_table`` — fully index-based: an ``int``
-      column into a shared flow table.  This is what
-      :func:`filter_windows` (the registers are index arrays) and
-      zero-copy PQSTORE1 decodes produce; the compiled plan interns it
-      vectorised without touching per-cell objects.
-
-    Construction accepts any of the three (``cells`` alone, columnar
-    ``tts_array`` + ``cell_flows``, or ``tts_array`` + ``flow_idx`` +
-    ``flow_table``); every other view derives on demand.  Equality and
-    repr match the historical dataclass: ``(window_index, shift, cells,
-    reference_tts)``, regardless of which representation was supplied.
+    The retained cells are columnar: ``tts_array`` is their sorted
+    ``int64`` TTS column and ``flow_idx`` the aligned int column into the
+    shared ``flow_table`` (the port's flow table for a register read, the
+    snapshot's decoded table for a PQSTORE1 frame).  The compiled query
+    plan and the store encoder consume the columns directly; ``cells``
+    is the derived ``(tts, flow)`` tuple view the scalar query walk
+    bisects, built on first access.  A cell's absolute time coverage is
+    ``[tts << shift, (tts + 1) << shift)``.
 
     ``window_index`` is which of the T windows this is; ``shift`` the
     right-shift from nanoseconds to its TTS domain
     (``m0 + alpha * window_index``); ``reference_tts`` the TTS anchoring
     it (latest cell for window 0, derived for deeper windows; None when
-    the whole set was empty).
+    the whole set was empty).  Equality and repr read
+    ``(window_index, shift, cells, reference_tts)``.
     """
 
     __slots__ = (
         "window_index",
         "shift",
         "reference_tts",
+        "tts_array",
+        "flow_idx",
+        "flow_table",
         "_cells",
-        "_tts_array",
-        "_cell_flows",
-        "_flow_idx",
-        "_flow_table",
     )
 
     def __init__(
         self,
         window_index: int,
         shift: int,
-        cells: Optional[List[Tuple[int, FlowKey]]] = None,
-        reference_tts: Optional[int] = None,
-        tts_array: Optional[np.ndarray] = None,
-        cell_flows: Optional[List[FlowKey]] = None,
-        *,
-        flow_idx: Optional[np.ndarray] = None,
-        flow_table: Optional[Sequence[FlowKey]] = None,
+        reference_tts: Optional[int],
+        tts_array: np.ndarray,
+        flow_idx: np.ndarray,
+        flow_table: Sequence[FlowKey],
     ) -> None:
-        if cells is None and tts_array is None:
-            raise ValueError("FilteredWindow needs cells or tts_array")
-        if cells is None and cell_flows is None and flow_idx is None:
-            raise ValueError(
-                "FilteredWindow needs cells, cell_flows, or flow_idx"
-            )
-        if flow_idx is not None and flow_table is None:
-            raise ValueError("flow_idx requires flow_table")
         self.window_index = window_index
         self.shift = shift
         self.reference_tts = reference_tts
-        self._cells = cells
-        self._tts_array = tts_array
-        self._cell_flows = cell_flows
-        self._flow_idx = flow_idx
-        self._flow_table = flow_table
-
-    # -- lazy views --------------------------------------------------------
+        self.tts_array = tts_array
+        self.flow_idx = flow_idx
+        self.flow_table = flow_table
+        self._cells: Optional[List[Tuple[int, FlowKey]]] = None
 
     @property
     def cells(self) -> List[Tuple[int, FlowKey]]:
         """``(tts, flow)`` tuples, sorted by TTS (derived on demand)."""
         if self._cells is None:
-            self._cells = list(zip(self.tts_array.tolist(), self.cell_flows))
+            table = self.flow_table
+            self._cells = [
+                (tts, table[j])
+                for tts, j in zip(self.tts_array.tolist(), self.flow_idx.tolist())
+            ]
         return self._cells
 
     @property
-    def tts_array(self) -> np.ndarray:
-        """Sorted int64 TTS column (derived from ``cells`` on demand)."""
-        if self._tts_array is None:
-            cells = self._cells
-            assert cells is not None
-            self._tts_array = np.fromiter(
-                (c[0] for c in cells), dtype=np.int64, count=len(cells)
-            )
-        return self._tts_array
-
-    @property
-    def cell_flows(self) -> List[FlowKey]:
-        """Aligned flow objects (resolved through the table on demand)."""
-        if self._cell_flows is None:
-            if self._flow_idx is not None:
-                table = self._flow_table
-                assert table is not None
-                self._cell_flows = [table[j] for j in self._flow_idx.tolist()]
-            else:
-                cells = self._cells
-                assert cells is not None
-                self._cell_flows = [c[1] for c in cells]
-        return self._cell_flows
-
-    @property
-    def flow_idx(self) -> Optional[np.ndarray]:
-        """Int flow-index column (None unless built index-based)."""
-        return self._flow_idx
-
-    @property
-    def flow_table(self) -> Optional[Sequence[FlowKey]]:
-        """The shared flow table ``flow_idx`` points into."""
-        return self._flow_table
-
-    @property
     def cell_count(self) -> int:
-        """Number of retained cells, without materialising any view."""
-        if self._tts_array is not None:
-            return len(self._tts_array)
-        cells = self._cells
-        assert cells is not None
-        return len(cells)
+        """Number of retained cells, without materialising ``cells``."""
+        return len(self.tts_array)
 
-    # -- dataclass-compatible surface --------------------------------------
+    def with_columns(
+        self, tts_array: np.ndarray, flow_idx: np.ndarray
+    ) -> "FilteredWindow":
+        """A copy holding other cells over the same flow table."""
+        return FilteredWindow(
+            self.window_index,
+            self.shift,
+            self.reference_tts,
+            tts_array,
+            flow_idx,
+            self.flow_table,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -189,7 +138,7 @@ class FilteredWindow:
             and self.reference_tts == other.reference_tts
         )
 
-    #: mirror the eq-without-frozen dataclass this class replaced
+    #: eq without hash, like a non-frozen dataclass
     __hash__ = None  # type: ignore[assignment]
 
     def coverage_ns(self, k: int) -> Optional[Tuple[int, int]]:
@@ -219,14 +168,10 @@ def filter_windows(
     latest = windows[0].latest_cell()
     if latest is None:
         # Entire structure is empty; nothing survives.
+        empty = np.empty(0, dtype=np.int64)
         return [
             FilteredWindow(
-                i,
-                config.shift(i),
-                [],
-                None,
-                tts_array=np.empty(0, dtype=np.int64),
-                cell_flows=[],
+                i, config.shift(i), None, empty, empty, windows[i].table.flows
             )
             for i in range(config.T)
         ]
@@ -261,16 +206,16 @@ def filter_windows(
         )
         if stats is not None:
             stats.cells_retained += len(tts_array)
-        fw = FilteredWindow(
-            i,
-            config.shift(i),
-            None,
-            tts,
-            tts_array=tts_array,
-            flow_idx=window.flow_idx[np.concatenate((tail, head))],
-            flow_table=window.table.flows,
+        out.append(
+            FilteredWindow(
+                i,
+                config.shift(i),
+                tts,
+                tts_array,
+                window.flow_idx[np.concatenate((tail, head))],
+                window.table.flows,
+            )
         )
-        out.append(fw)
         # Reference for the next (older, more compressed) window: the most
         # recently passed cell is one full window period back.
         tts = (tts - (1 << k)) >> config.alpha

@@ -173,7 +173,6 @@ class PrintQueuePort:
         d_ns: Optional[float] = None,
         trigger: Optional[TriggerPolicy] = None,
         model_dp_read_cost: bool = True,
-        units_of: Optional[Callable[[Packet], int]] = None,
         num_classes: Optional[int] = None,
         metrics: Optional[Metrics] = None,
         faults: Optional[object] = None,
@@ -196,11 +195,8 @@ class PrintQueuePort:
         #: diagnosis results are bit-identical with or without it.
         self.metrics = metrics
         if metrics is not None:
-            self._obs_apply_ns = metrics.histogram("pq_ingest_apply_ns")
-            self._obs_absorb_ns = metrics.histogram("pq_ingest_absorb_ns")
             # Per-stage timing histograms (the profile-driven shaving
-            # loop's vocabulary): the same spans as the two ingest
-            # histograms above, under the pq_ingest_stage_* names the
+            # loop's vocabulary), under the pq_ingest_stage_* names the
             # generate/fifo/filter/encode stages also publish.
             self._obs_stage_qm_ns = metrics.histogram(
                 "pq_ingest_stage_qm_write_back_ns"
@@ -210,13 +206,8 @@ class PrintQueuePort:
             )
             self.analysis.attach_stage_observers(metrics)
         else:
-            self._obs_apply_ns = None
-            self._obs_absorb_ns = None
             self._obs_stage_qm_ns = None
             self._obs_stage_absorb_ns = None
-        #: optional per-packet depth-unit accounting (e.g. buffer cells);
-        #: defaults to one unit per packet, matching EgressQueue's default.
-        self.units_of = units_of
         #: per-class-of-service queue monitoring (Section 5: the monitor
         #: "can track each priority or rank separately").  When set, the
         #: packet's ``priority`` selects the class stack and enqueue-time
@@ -239,8 +230,9 @@ class PrintQueuePort:
         #: accepts a profile name, a FaultPlan, or a FaultInjector; when
         #: set, every poll and on-demand read goes through the resilient
         #: path (retry + validation + quarantine) and query results
-        #: carry degraded/coverage info.  When None, none of that code
-        #: runs — outputs are bit-identical to a build without it.
+        #: carry degraded/coverage info.  When None, the poll loop reads
+        #: the analysis program directly; a zero-rate plan stores the
+        #: same stream bit for bit.
         self.faults: Optional[FaultInjector] = None
         self._poller: Optional[ResilientPoller] = None
         if faults is not None:
@@ -260,13 +252,11 @@ class PrintQueuePort:
         """Traffic-manager enqueue: feed the queue monitor's rise side.
 
         ``enq_qdepth`` is the depth *before* the packet (Table-1
-        semantics); the level written is the depth it raised the queue to.
-        The per-packet unit count comes from the same accounting the queue
-        itself uses (1 unit per packet unless cell-based).
+        semantics); the level written is the depth it raised the queue to,
+        one unit per packet.
         """
         assert packet.enq_qdepth is not None
-        units = self.units_of(packet) if self.units_of is not None else 1
-        depth_after = packet.enq_qdepth + units
+        depth_after = packet.enq_qdepth + 1
         self.analysis.queue_monitor.on_enqueue(packet.flow, depth_after)
         if self.classed_monitor is not None:
             self.classed_monitor.on_enqueue(packet.priority, packet.flow, depth_after)
@@ -330,22 +320,19 @@ class PrintQueuePort:
                 "flow column does not index this port's flow table"
             )
         self._poll_if_due(int(times_ns[0]))
-        timing = self._obs_apply_ns is not None
+        timing = self._obs_stage_qm_ns is not None
         if timing:
             t0 = perf_counter_ns()
         self.analysis.queue_monitor.apply_batch(is_enqueue, flows, depth_after)
         if timing:
             t1 = perf_counter_ns()
-            self._obs_apply_ns.observe(t1 - t0)
             self._obs_stage_qm_ns.observe(t1 - t0)
         num_deq = len(deq_times_ns)
         if num_deq:
             self.analysis.on_dequeue_batch(deq_flows, deq_times_ns)
             self.packets_seen += num_deq
             if timing:
-                dt = perf_counter_ns() - t1
-                self._obs_absorb_ns.observe(dt)
-                self._obs_stage_absorb_ns.observe(dt)
+                self._obs_stage_absorb_ns.observe(perf_counter_ns() - t1)
 
     # -- polling -------------------------------------------------------------
 
@@ -365,65 +352,43 @@ class PrintQueuePort:
         return boundary
 
     def _poll_if_due(self, now_ns: int) -> None:
-        if self._poller is not None:
-            self._poll_if_due_resilient(now_ns)
-            return
-        while now_ns >= self._next_qm_poll_ns:
-            # Skip the standalone read when a full poll lands at the same
-            # instant (the full poll snapshots the monitor itself).
-            if self._next_qm_poll_ns != self._next_poll_ns:
-                self.analysis.qm_poll(self._next_qm_poll_ns)
-            if self.classed_monitor is not None:
-                self._classed_snapshots.append(
-                    (
-                        self._next_qm_poll_ns,
-                        self.classed_monitor.snapshot(self._next_qm_poll_ns),
-                    )
-                )
-            self._next_qm_poll_ns += self._qm_period_ns
-        while now_ns >= self._next_poll_ns:
-            self.analysis.periodic_poll(self._next_poll_ns)
-            if self.metrics is not None:
-                self._sample_metrics(self._next_poll_ns)
-            self._next_poll_ns += self.config.set_period_ns
+        """Fire every poll due at or before ``now_ns``, in time order.
 
-    def _poll_if_due_resilient(self, now_ns: int) -> None:
-        """The fault-aware twin of :meth:`_poll_if_due`.
-
-        Fires the same polls at the same logical instants (standalone
-        monitor reads first at a shared instant, exactly like the
-        perfect-channel loop), but routes each through the
-        :class:`~repro.faults.ResilientPoller` and additionally fires a
-        delayed poll at its catch-up time.  Both ingest engines call
-        this at identical points, so injected faults and their handling
-        are engine-independent.
+        A standalone monitor read goes first at an instant it shares with
+        a full poll, and is skipped there (the full poll snapshots the
+        monitor itself).  With a :class:`~repro.faults.ResilientPoller`
+        attached each read goes through it, and a delayed poll fires at
+        its catch-up time.  Both ingest engines call this at identical
+        points, so the stored stream (and any injected fault) is
+        engine-independent.
         """
         poller = self._poller
-        while True:
+        analysis = self.analysis
+        while now_ns >= self.next_poll_boundary_ns:
             next_qm = self._next_qm_poll_ns
             next_full = self._next_poll_ns
-            t = min(next_qm, next_full)
-            pending = poller.pending_full_ns
-            if pending is not None and pending < t:
-                t = pending
-            if now_ns < t:
-                return
-            if pending is not None and t == pending:
+            pending = poller.pending_full_ns if poller is not None else None
+            if pending is not None and pending <= min(next_qm, next_full):
                 poller.fire_pending()
-                continue
-            if t == next_qm:
+            elif next_qm <= next_full:
                 if next_qm != next_full:
-                    poller.poll_qm(next_qm)
+                    if poller is None:
+                        analysis.qm_poll(next_qm)
+                    else:
+                        poller.poll_qm(next_qm)
                 if self.classed_monitor is not None:
                     self._classed_snapshots.append(
                         (next_qm, self.classed_monitor.snapshot(next_qm))
                     )
                 self._next_qm_poll_ns += self._qm_period_ns
-                continue
-            poller.poll_full(next_full)
-            if self.metrics is not None:
-                self._sample_metrics(next_full)
-            self._next_poll_ns += self.config.set_period_ns
+            else:
+                if poller is None:
+                    analysis.periodic_poll(next_full)
+                else:
+                    poller.poll_full(next_full)
+                if self.metrics is not None:
+                    self._sample_metrics(next_full)
+                self._next_poll_ns += self.config.set_period_ns
 
     def _sample_metrics(self, now_ns: int) -> None:
         """Record a poll-boundary snapshot of the key structure counters.

@@ -59,7 +59,6 @@ from repro.core.queries import FlowEstimate, QueryInterval
 
 if TYPE_CHECKING:
     from repro.core.analysis import TimeWindowSnapshot
-    from repro.core.filtering import FilteredWindow
 
 __all__ = [
     "CompiledWindow",
@@ -141,23 +140,6 @@ class CompiledSnapshot:
         self.num_cells = sum(len(w.tts) for w in windows)
 
 
-def _window_arrays(fw: "FilteredWindow") -> Tuple[np.ndarray, Sequence]:
-    """The window's (tts array, aligned flow sequence), columnar-first.
-
-    ``filter_windows`` attaches the arrays directly; fall back to
-    deriving them from the ``cells`` tuple list for snapshots built by
-    hand (tests, older pickles).
-    """
-    tts = getattr(fw, "tts_array", None)
-    flows = getattr(fw, "cell_flows", None)
-    if tts is None or flows is None:
-        tts = np.fromiter(
-            (c[0] for c in fw.cells), dtype=np.int64, count=len(fw.cells)
-        )
-        flows = [c[1] for c in fw.cells]
-    return tts, flows
-
-
 def compile_snapshot(
     snapshot: "TimeWindowSnapshot",
     k: int,
@@ -198,45 +180,31 @@ def compile_snapshot(
         )
         if coefficient <= 0:
             continue
-        window_fidx = getattr(fw, "flow_idx", None)
-        window_table = getattr(fw, "flow_table", None)
-        if window_fidx is not None and window_table is not None:
-            # Index-based window (register filter / zero-copy PQSTORE1
-            # decode): intern one dict lookup per *distinct* flow and
-            # remap the cell column vectorised — the mmap-backed view
-            # feeds the plan without any per-cell object decode.
-            tts = fw.tts_array
-            if len(window_fidx):
-                uniq = np.unique(np.asarray(window_fidx, dtype=np.int64))
-                lookup = np.empty(int(uniq[-1]) + 1, dtype=np.intp)
-                for t in uniq.tolist():
-                    flow = window_table[t]
-                    i = index_of.get(flow)
-                    if i is None:
-                        i = len(flows)
-                        index_of[flow] = i
-                        flows.append(flow)
-                    lookup[t] = i
-                flow_idx = lookup[window_fidx]
-            else:
-                flow_idx = np.empty(0, dtype=np.intp)
-        else:
-            tts, cell_flows = _window_arrays(fw)
-            flow_idx = np.empty(len(cell_flows), dtype=np.intp)
-            for j, flow in enumerate(cell_flows):
+        # Intern one dict lookup per *distinct* flow and remap the cell
+        # column vectorised: a window decoded off the mmap feeds the
+        # plan without any per-cell object decode.
+        window_fidx = fw.flow_idx
+        if len(window_fidx):
+            uniq = np.unique(np.asarray(window_fidx, dtype=np.int64))
+            lookup = np.empty(int(uniq[-1]) + 1, dtype=np.intp)
+            for t in uniq.tolist():
+                flow = fw.flow_table[t]
                 i = index_of.get(flow)
                 if i is None:
                     i = len(flows)
                     index_of[flow] = i
                     flows.append(flow)
-                flow_idx[j] = i
+                lookup[t] = i
+            flow_idx = lookup[window_fidx]
+        else:
+            flow_idx = np.empty(0, dtype=np.intp)
         windows.append(
             CompiledWindow(
                 fw.window_index,
                 fw.shift,
                 cov_start,
                 cov_end,
-                tts,
+                fw.tts_array,
                 flow_idx,
                 coefficient,
             )

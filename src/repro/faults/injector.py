@@ -123,37 +123,21 @@ class FaultInjector:
         copies.  An all-empty read has nothing to damage; the fault is
         a no-op and is *not* counted as injected.
         """
-        candidates = [i for i, fw in enumerate(windows) if fw.cells]
+        candidates = [i for i, fw in enumerate(windows) if fw.cell_count]
         if not candidates:
             return windows, 0
         wi = candidates[self.rng.randrange(len(candidates))]
         fw = windows[wi]
-        n = len(fw.cells)
+        n = fw.cell_count
         m = min(n, 1 + self.rng.randrange(self.plan.max_affected_cells))
         start = self.rng.randrange(n - m + 1)
-        tts = (
-            fw.tts_array.copy()
-            if fw.tts_array is not None
-            else np.array([c[0] for c in fw.cells], dtype=np.int64)
-        )
+        tts = fw.tts_array.copy()
         if kind == TORN:
             tts[start : start + m] -= np.int64(1 << k)
         else:
             offset = 1 + self.rng.randrange(1 << k)
             tts[start : start + m] = np.int64(fw.reference_tts + offset)
-        flows = (
-            list(fw.cell_flows)
-            if fw.cell_flows is not None
-            else [c[1] for c in fw.cells]
-        )
-        tampered = FilteredWindow(
-            fw.window_index,
-            fw.shift,
-            list(zip(tts.tolist(), flows)),
-            fw.reference_tts,
-            tts_array=tts,
-            cell_flows=flows,
-        )
+        tampered = fw.with_columns(tts, fw.flow_idx)
         out = list(windows)
         out[wi] = tampered
         self._count("reads_torn" if kind == TORN else "reads_corrupt")

@@ -1,8 +1,8 @@
 """The resilient control-plane read path: retry, validate, quarantine.
 
-:class:`ResilientPoller` replaces a port's perfect-channel poll loop when
-fault injection is attached.  Every control-plane read goes through the
-same discipline:
+:class:`ResilientPoller` takes each read of a port's poll loop when fault
+injection is attached.  Every control-plane read goes through the same
+discipline:
 
 1. **Bounded retry with exponential backoff** — failed RPCs and reads
    that fail validation are retried up to ``RetryPolicy.max_attempts``
@@ -281,34 +281,16 @@ def validate_filtered_windows(
     violations: List[Tuple[int, int]] = []
     cleaned = list(windows)
     for i, fw in enumerate(windows):
-        if fw.reference_tts is None or not fw.cells:
+        if fw.reference_tts is None:
             continue
-        tts = (
-            fw.tts_array
-            if fw.tts_array is not None
-            else np.array([c[0] for c in fw.cells], dtype=np.int64)
-        )
+        tts = fw.tts_array
         ref = fw.reference_tts
         bad = (tts <= ref - (1 << k)) | (tts > ref)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             continue
         keep = ~bad
-        flows = (
-            fw.cell_flows
-            if fw.cell_flows is not None
-            else [c[1] for c in fw.cells]
-        )
-        kept_tts = tts[keep]
-        kept_flows = [f for f, ok in zip(flows, keep.tolist()) if ok]
-        cleaned[i] = FilteredWindow(
-            fw.window_index,
-            fw.shift,
-            list(zip(kept_tts.tolist(), kept_flows)),
-            fw.reference_tts,
-            tts_array=kept_tts,
-            cell_flows=kept_flows,
-        )
+        cleaned[i] = fw.with_columns(tts[keep], fw.flow_idx[keep])
         violations.append((fw.window_index, n_bad))
     if strict and violations:
         raise SnapshotValidationError(
@@ -321,8 +303,8 @@ class ResilientPoller:
     """Hardened poll / on-demand-read path for one ``PrintQueuePort``.
 
     Created by the port when ``faults=`` is passed; owns the injector,
-    the retry policy, and the :class:`FaultLog`.  All methods are called
-    at the exact logical instants the perfect-channel path would poll,
+    the retry policy, and the :class:`FaultLog`.  The port's one poll
+    loop calls it at the same logical instants it polls without one,
     from both ingest engines, so fault draws and outcomes are
     engine-independent.
     """
@@ -615,18 +597,14 @@ class ResilientPoller:
                 )
             )
             self.log.dp_read_failures += 1
-            empty = [
+            empty = np.empty(0, dtype=np.int64)
+            emptied = [
                 FilteredWindow(
-                    fw.window_index,
-                    fw.shift,
-                    [],
-                    None,
-                    tts_array=np.empty(0, dtype=np.int64),
-                    cell_flows=[],
+                    fw.window_index, fw.shift, None, empty, empty, fw.flow_table
                 )
                 for fw in snapshot.windows
             ]
-            analysis.quarantine_snapshot_windows(snapshot, empty)
+            analysis.quarantine_snapshot_windows(snapshot, emptied)
             return None
         if failed_attempts:
             self.log.reads_recovered += 1

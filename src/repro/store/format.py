@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.core.filtering import FilteredWindow
 from repro.core.queuemonitor import QueueMonitorSnapshot
-from repro.errors import DecodeError
+from repro.errors import DecodeError, StoreError
 from repro.switch.packet import FlowKey
 
 MAGIC = b"PQSTORE1"
@@ -87,33 +87,6 @@ def _pad8(n: int) -> bytes:
 # -- flow tables ----------------------------------------------------------
 
 
-def _intern_flows(parts: List[bytes], flows: List[Optional[FlowKey]]) -> List[int]:
-    """Append a flow table to ``parts``; return per-flow indices (-1=None)."""
-    table: Dict[FlowKey, int] = {}
-    indices: List[int] = []
-    entries: List[bytes] = []
-    for flow in flows:
-        if flow is None:
-            indices.append(-1)
-            continue
-        idx = table.get(flow)
-        if idx is None:
-            idx = len(table)
-            table[flow] = idx
-            entries.append(
-                _FLOW_ENTRY.pack(
-                    flow.src_ip,
-                    flow.dst_ip,
-                    flow.src_port,
-                    flow.dst_port,
-                    flow.proto,
-                )
-            )
-        indices.append(idx)
-    parts.append(b"".join(entries))
-    return indices
-
-
 def _intern_index_column(
     parts: List[bytes], column: np.ndarray, table: Optional[Sequence[FlowKey]]
 ) -> Tuple[np.ndarray, int]:
@@ -121,8 +94,8 @@ def _intern_index_column(
 
     ``column`` holds indices into the shared ``table``.  The local table
     is built with one :class:`FlowKey` pack per *distinct* flow in
-    first-use order (byte-identical to the object path) and the column
-    remaps vectorised; returns ``(local indices, number of flows)``.
+    first-use order and the column remaps vectorised; returns
+    ``(local indices, number of flows)``.
     """
     if len(column) == 0:
         parts.append(b"")
@@ -210,34 +183,19 @@ def iter_records(buf: bytes, offset: int) -> Iterator[Tuple[int, int, int]]:
 def encode_tw(snapshot: Any) -> bytes:
     """Encode a :class:`~repro.core.analysis.TimeWindowSnapshot` payload."""
     windows: List[FilteredWindow] = snapshot.windows
-    counts: List[int] = []
+    # Every window's ``flow_idx`` column points into one shared flow
+    # table: the cells of all windows intern as one column.
+    table = windows[0].flow_table if windows else None
+    if any(fw.flow_table is not table for fw in windows):
+        raise StoreError("a snapshot's windows must share one flow table")
     table_parts: List[bytes] = []
-    if windows and all(
-        getattr(fw, "flow_idx", None) is not None for fw in windows
-    ):
-        # Every window's ``flow_idx`` column points into one shared flow
-        # table: the cells of all windows intern as one column.
-        counts = [fw.cell_count for fw in windows]
-        table = next(
-            (fw.flow_table for fw in windows if fw.flow_table is not None), None
-        )
-        column = np.concatenate(
-            [np.asarray(fw.flow_idx, dtype=np.int64) for fw in windows]
-        )
-        local, num_flows = _intern_index_column(table_parts, column, table)
-        indices = local.tolist()
-    else:
-        flows: List[Optional[FlowKey]] = []
-        for fw in windows:
-            cell_flows = (
-                fw.cell_flows
-                if fw.cell_flows is not None
-                else [flow for _, flow in fw.cells]
-            )
-            flows.extend(cell_flows)
-            counts.append(len(cell_flows))
-        indices = _intern_flows(table_parts, flows)
-        num_flows = len({f for f in flows if f is not None})
+    counts = [fw.cell_count for fw in windows]
+    column = np.concatenate(
+        [np.asarray(fw.flow_idx, dtype=np.int64) for fw in windows]
+        + [np.empty(0, dtype=np.int64)]
+    )
+    local, num_flows = _intern_index_column(table_parts, column, table)
+    indices = local.tolist()
     try:
         source = _SOURCE_CODES[snapshot.source]
     except KeyError:
@@ -257,11 +215,7 @@ def encode_tw(snapshot: Any) -> bytes:
     for fw, count in zip(windows, counts):
         ref = _REF_NONE if fw.reference_tts is None else fw.reference_tts
         parts.append(_WINDOW_HEAD.pack(fw.window_index, fw.shift, ref, count))
-        if fw.tts_array is not None:
-            tts = np.ascontiguousarray(fw.tts_array, dtype="<i8")
-        else:
-            tts = np.array([c[0] for c in fw.cells], dtype="<i8")
-        parts.append(tts.tobytes())
+        parts.append(np.ascontiguousarray(fw.tts_array, dtype="<i8").tobytes())
         idx = np.array(indices[pos : pos + count], dtype="<i4")
         parts.append(idx.tobytes())
         parts.append(_pad8(count * 12))
@@ -306,11 +260,10 @@ def decode_tw(buf: bytes, offset: int) -> Any:
             FilteredWindow(
                 window_index,
                 shift,
-                None,
                 None if ref == _REF_NONE else ref,
-                tts_array=tts,
-                flow_idx=idx,
-                flow_table=flow_table,
+                tts,
+                idx,
+                flow_table,
             )
         )
     return TimeWindowSnapshot(

@@ -23,7 +23,6 @@ from repro.switch.scheduler import (
     Scheduler,
     StrictPriorityScheduler,
 )
-from repro.switch.buffer import SharedBuffer
 from repro.switch.port import EgressPort
 from repro.switch.switchsim import Switch, SwitchStats
 from repro.switch.telemetry import DequeueRecord, GroundTruthRecorder, TelemetryHeader
@@ -48,7 +47,6 @@ __all__ = [
     "StrictPriorityScheduler",
     "DeficitRoundRobinScheduler",
     "EgressPort",
-    "SharedBuffer",
     "Switch",
     "SwitchStats",
     "TelemetryHeader",

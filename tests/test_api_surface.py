@@ -31,7 +31,6 @@ PUBLIC_MODULES = [
     "repro.core.timewindow",
     "repro.core.windowset",
     "repro.switch",
-    "repro.switch.buffer",
     "repro.switch.events",
     "repro.switch.fastpath",
     "repro.switch.packet",

@@ -12,13 +12,11 @@ Three contracts are pinned here:
    exactly what was lost; strict mode raises the typed errors instead.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PrintQueueConfig
-from repro.core.filtering import FilteredWindow
 from repro.core.printqueue import PrintQueue, PrintQueuePort
 from repro.core.queries import QueryInterval
 from repro.errors import (
@@ -43,6 +41,7 @@ from repro.obs.metrics import Metrics
 from repro.switch.packet import FlowKey
 
 from tests.test_fused_ingest import _port_state
+from tests.windows import make_windows
 
 CFG = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
 
@@ -147,22 +146,13 @@ class TestRetryPolicy:
 
 
 def _synthetic_windows(k=8, cells_per_window=20):
-    windows = []
+    flows = [_flow(i) for i in range(cells_per_window)]
+    specs = []
     for wi in range(3):
         ref = 5_000 + wi
-        tts = np.arange(ref - cells_per_window + 1, ref + 1, dtype=np.int64)
-        flows = [_flow(i) for i in range(cells_per_window)]
-        windows.append(
-            FilteredWindow(
-                wi,
-                wi,
-                list(zip(tts.tolist(), flows)),
-                ref,
-                tts_array=tts,
-                cell_flows=flows,
-            )
-        )
-    return windows
+        cells = list(zip(range(ref - cells_per_window + 1, ref + 1), flows))
+        specs.append((wi, wi, cells, ref))
+    return make_windows(specs)
 
 
 class TestValidation:
@@ -178,14 +168,7 @@ class TestValidation:
         bad_tts = fw.tts_array.copy()
         bad_tts[0] = fw.reference_tts - (1 << 8)  # stale: previous cycle
         bad_tts[1] = fw.reference_tts + 7  # corrupt: future cycle bits
-        windows[1] = FilteredWindow(
-            fw.window_index,
-            fw.shift,
-            list(zip(bad_tts.tolist(), fw.cell_flows)),
-            fw.reference_tts,
-            tts_array=bad_tts,
-            cell_flows=list(fw.cell_flows),
-        )
+        windows[1] = fw.with_columns(bad_tts, fw.flow_idx)
         cleaned, violations = validate_filtered_windows(windows, k=8)
         assert violations == [(1, 2)]
         assert len(cleaned[1].cells) == len(fw.cells) - 2
@@ -209,9 +192,7 @@ class TestValidation:
 
     def test_empty_read_tamper_is_noop(self):
         injector = FaultInjector(FaultPlan(seed=1))
-        empty = [
-            FilteredWindow(0, 0, [], None, tts_array=np.empty(0, np.int64), cell_flows=[])
-        ]
+        empty = make_windows([(0, 0, [], None)])
         tampered, n = injector.tamper_filtered(empty, 8, "torn")
         assert n == 0 and tampered is empty
         assert injector.injected == {}
@@ -224,29 +205,26 @@ class TestValidation:
 class TestZeroOverhead:
     @pytest.mark.parametrize("engine", ["scalar", "fused"])
     def test_none_profile_is_bit_identical(self, engine):
-        base = simulate_workload(
-            "ws", duration_ns=1_000_000, load=1.3, config=CFG, seed=5, engine=engine
-        )
-        nulled = simulate_workload(
-            "ws",
-            duration_ns=1_000_000,
-            load=1.3,
-            config=CFG,
-            seed=5,
-            engine=engine,
-            faults="none",
-        )
-        assert _port_state(base.pq) == _port_state(nulled.pq)
-        victim = max(base.records, key=lambda r: r.queuing_delay)
-        interval = QueryInterval.for_victim(victim.enq_timestamp, victim.deq_timestamp)
-        a = base.pq.query(interval=interval)
-        b = nulled.pq.query(interval=interval)
-        assert a.estimate._counts == b.estimate._counts
-        assert a.degraded is False and b.degraded is False
-        # an all-zero plan never consumes an RNG draw, so the injector's
-        # stream is untouched and the tally empty
-        assert nulled.pq.faults.injected == {}
-        assert nulled.pq.faults.rng.random() == type(nulled.pq.faults.rng)(0).random()
+        # The light load leaves idle gaps across full-poll instants, where
+        # the polls due at one event must still fire in time order.
+        for duration_ns, load in ((1_000_000, 1.3), (3_000_000, 0.3)):
+            kw = dict(duration_ns=duration_ns, load=load, config=CFG, seed=5)
+            base = simulate_workload("ws", engine=engine, **kw)
+            nulled = simulate_workload("ws", engine=engine, faults="none", **kw)
+            assert _port_state(base.pq) == _port_state(nulled.pq), load
+            victim = max(base.records, key=lambda r: r.queuing_delay)
+            interval = QueryInterval.for_victim(
+                victim.enq_timestamp, victim.deq_timestamp
+            )
+            a = base.pq.query(interval=interval)
+            b = nulled.pq.query(interval=interval)
+            assert a.estimate._counts == b.estimate._counts
+            assert a.degraded is False and b.degraded is False
+            # an all-zero plan never consumes an RNG draw, so the
+            # injector's stream is untouched and the tally empty
+            assert nulled.pq.faults.injected == {}
+            fresh = type(nulled.pq.faults.rng)(0)
+            assert nulled.pq.faults.rng.random() == fresh.random()
 
     def test_fault_free_port_has_no_poller(self):
         pq = PrintQueuePort(CFG, model_dp_read_cost=False)

@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PrintQueueConfig
-from repro.core.filtering import FilteredWindow
 from repro.core.printqueue import PrintQueuePort
 from repro.core.queries import QueryInterval
 from repro.core.windowset import TimeWindowSet
@@ -597,25 +596,3 @@ def test_mmap_replay_compiles_and_queries_zero_copy(tmp_path):
     )
     estimate = analysis.query_time_windows(interval)._counts
     assert estimate == live_estimate
-
-
-def test_filtered_window_representations_agree():
-    """cells / columnar / indexed constructions are interchangeable."""
-    table = [_flow(i) for i in range(3)]
-    tts = np.array([10, 11, 13], dtype=np.int64)
-    idx = np.array([2, 0, 1], dtype=np.int64)
-    cells = [(10, table[2]), (11, table[0]), (13, table[1])]
-
-    by_cells = FilteredWindow(0, 4, list(cells), 13)
-    by_columns = FilteredWindow(
-        0, 4, None, 13, tts_array=tts.copy(), cell_flows=[c[1] for c in cells]
-    )
-    by_index = FilteredWindow(
-        0, 4, None, 13, tts_array=tts.copy(), flow_idx=idx, flow_table=table
-    )
-    assert by_cells == by_columns == by_index
-    assert by_index.cells == cells
-    assert by_index.cell_flows == [c[1] for c in cells]
-    assert by_index.cell_count == 3
-    assert np.array_equal(by_cells.tts_array, tts)
-    assert repr(by_index) == repr(by_cells)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro import BatchQueryResult, QueryError, QueryInterval, QueryResult
 from repro.core.analysis import AnalysisProgram, TimeWindowSnapshot, newest_first
 from repro.core.config import PrintQueueConfig
-from repro.core.filtering import FilteredWindow
 from repro.core.printqueue import PrintQueuePort
 from repro.core.queries import FlowEstimate
 from repro.engine import queryplan
@@ -33,6 +32,7 @@ from repro.switch.packet import FlowKey
 
 from tests.test_faults import CFG as FAULT_CFG
 from tests.test_faults import _drive as drive_faulted
+from tests.windows import make_windows
 
 CONFIG = PrintQueueConfig(m0=6, k=8, alpha=2, T=3, qm_levels=1024)
 
@@ -402,13 +402,13 @@ def hand_built_snapshot():
     f = FLOWS
     return TimeWindowSnapshot(
         read_time_ns=1000,
-        windows=[
-            FilteredWindow(0, 2, cells=[], reference_tts=249),
-            FilteredWindow(
-                1, 3, cells=[(80, f[0]), (90, f[1]), (100, f[0])], reference_tts=108
-            ),
-            FilteredWindow(2, 4, cells=[(10, f[2]), (20, f[3])], reference_tts=37),
-        ],
+        windows=make_windows(
+            [
+                (0, 2, [], 249),
+                (1, 3, [(80, f[0]), (90, f[1]), (100, f[0])], 108),
+                (2, 4, [(10, f[2]), (20, f[3])], 37),
+            ]
+        ),
     )
 
 

@@ -23,10 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core.analysis import TimeWindowSnapshot
 from repro.core.config import PrintQueueConfig
-from repro.core.filtering import FilteredWindow
 from repro.core.queries import QueryInterval
 from repro.core.queuemonitor import QueueMonitorSnapshot
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StoreError
 from repro.experiments.runner import simulate_workload
 from repro.faults.injector import FaultInjector
 from repro.faults import profile_names
@@ -45,6 +44,8 @@ from repro.store import (
 from repro.store import format as fmt
 from repro.switch.packet import FlowKey
 
+from tests.windows import make_windows
+
 FLOW_A = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5001, 80)
 FLOW_B = FlowKey.from_strings("10.0.0.2", "10.1.0.1", 5002, 80)
 
@@ -58,10 +59,7 @@ def make_tw(read_time_ns, source="periodic", extra_flow=None):
     cells1 = [(read_time_ns // 256, FLOW_B)]
     return TimeWindowSnapshot(
         read_time_ns=read_time_ns,
-        windows=[
-            FilteredWindow(0, 6, cells0, cells0[-1][0]),
-            FilteredWindow(1, 8, cells1, None),
-        ],
+        windows=make_windows([(0, 6, cells0, cells0[-1][0]), (1, 8, cells1, None)]),
         source=source,
         valid_from_ns=max(0, read_time_ns - 1000),
     )
@@ -220,23 +218,26 @@ class TestNearestQm:
         assert store._qm_sorted
         _assert_nearest_is_linear_min(store, probes)
 
-    @pytest.mark.parametrize("faults", profile_names())
+    @pytest.mark.parametrize("faults", [None] + profile_names())
     def test_fault_profiles_store_monitor_keys_in_time_order(self, faults):
         """Delayed, dropped and faulted polls and the data-plane reads a
-        drive triggers all append in time order, so the store bisects."""
-        run = simulate_workload(
-            "ws",
-            3_000_000,
-            load=1.3,
-            config=CONFIG,
-            seed=5,
-            dp_trigger_indices=set(range(0, 2_000, 97)),
-            faults=faults,
-        )
-        store = run.pq.analysis.store
-        assert store._qm_sorted and len(store._qm_entries) > 10
-        end = run.records[-1].deq_timestamp
-        _assert_nearest_is_linear_min(store, range(-1_000, end + 2_000, 997))
+        drive triggers all append in time order, so the store bisects;
+        also across the idle gaps of a light load, where several polls
+        fall due at one event."""
+        for load in (1.3, 0.3):
+            run = simulate_workload(
+                "ws",
+                3_000_000,
+                load=load,
+                config=CONFIG,
+                seed=5,
+                dp_trigger_indices=set(range(0, 2_000, 97)),
+                faults=faults,
+            )
+            store = run.pq.analysis.store
+            assert store._qm_sorted and len(store._qm_entries) > 10, load
+            end = run.records[-1].deq_timestamp
+            _assert_nearest_is_linear_min(store, range(-1_000, end + 2_000, 997))
 
     def test_late_data_plane_read_falls_back_to_the_scan(self):
         """A data-plane query at an earlier instant after the drive stores
@@ -318,6 +319,15 @@ class TestFormat:
         assert list(decoded.windows[0].tts_array) == [
             tts for tts, _ in snapshot.windows[0].cells
         ]
+
+    def test_tw_windows_over_two_flow_tables_are_rejected(self):
+        """The encoder interns one shared table; windows over another
+        table would be written against the wrong flows."""
+        windows = make_windows([(0, 6, [(5, FLOW_A)], 5)])
+        windows += make_windows([(1, 8, [(1, FLOW_B)], 1)])
+        snapshot = TimeWindowSnapshot(read_time_ns=400, windows=windows)
+        with pytest.raises(StoreError, match="one flow table"):
+            fmt.encode_tw(snapshot)
 
     def test_qm_round_trip(self):
         snapshot = make_qm(987)

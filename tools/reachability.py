@@ -66,8 +66,6 @@ ALLOWED: Dict[str, str] = {
     "faults/plan.py::FaultPlan.enabled": "whether a plan can fire at all",
     "metrics/accuracy.py::AccuracyScore.f1": "F1 beside precision and recall",
     "obs/metrics.py::Histogram.mean": "mean beside the histogram's sum and count",
-    "switch/buffer.py::SharedBuffer.occupied_bytes": "buffer occupancy read-out",
-    "switch/buffer.py::SharedBuffer.queue_bytes": "per-queue occupancy read-out",
     "switch/events.py::EventQueue.peek_time": "next event time without popping",
     "switch/queue.py::EgressQueue.buffered_bytes": "queue occupancy read-out",
     "switch/switchsim.py::Switch.single_port": "one-port switch constructor",
@@ -78,8 +76,6 @@ ALLOWED: Dict[str, str] = {
     # whole definitions whose deletion is spread over later changes
     "experiments/figures.py::cdf": _DEFERRED,
     "experiments/figures.py::sparkline": _DEFERRED,
-    "switch/buffer.py::SharedBuffer": _DEFERRED,
-    "switch/buffer.py::SharedBuffer.release": _DEFERRED,
     "switch/scheduler.py::DeficitRoundRobinScheduler": _DEFERRED,
     "traffic/arrivals.py::OnOffArrivals": _DEFERRED,
     "traffic/arrivals.py::OnOffArrivals.mean_rate_bps": _DEFERRED,
