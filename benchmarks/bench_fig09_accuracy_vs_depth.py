@@ -38,11 +38,12 @@ def run_fig9(workload: str):
     for band, indices in victims.items():
         if not indices:
             continue
-        # AQ victims go through the compiled plan; spot-check one band's
-        # subsample against the scalar specification (identical
-        # estimates, not just close).
+        # AQ and DQ victims go through the compiled plan; spot-check one
+        # band's subsample on both runs against the scalar specification
+        # (identical estimates, not just close).
         if not spot_checked:
-            assert_plan_matches_scalar(clean, list(indices)[:5])
+            for run in (clean, triggered):
+                assert_plan_matches_scalar(run, list(indices)[:5])
             spot_checked = True
         aq = summarize_scores(
             evaluate_async_queries(clean.pq, clean.taxonomy, clean.records, indices)

@@ -13,6 +13,7 @@ faster (mice overwhelm elephants in the UW long tail).
 
 from common import fmt, get_run, print_table, workload_config
 from repro.core.queries import QueryInterval
+from repro.experiments.runner import query_time_windows_scalar
 from repro.metrics.accuracy import precision_recall, topk_precision_recall
 
 KS = [50, 100, 200, 500]
@@ -40,7 +41,9 @@ def run_fig12():
         if end - start < 2:
             continue
         interval = QueryInterval(start, end)
-        estimate = analysis.query_snapshot(snapshot, interval)
+        estimate = query_time_windows_scalar(
+            analysis, interval, snapshots=[snapshot]
+        )
         truth = {}
         for r in run.records:
             if start <= r.deq_timestamp < end:

@@ -4,7 +4,7 @@
   ~100 queries/second; this bench measures ours on comparable state.
 * Batch query speedup: 1000 victims answered by one
   ``pq.query(intervals=...)`` call over the compiled columnar plan vs
-  the scalar specification (``AnalysisProgram.query_time_windows``, one
+  the scalar specification (``query_time_windows_scalar``, one
   per-cell walk per victim); results asserted identical and the speedup
   recorded in ``benchmarks/BENCH_query.json`` together with the plan's
   one-query-at-a-time rate (``pq.query(interval=...)``).

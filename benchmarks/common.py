@@ -19,7 +19,11 @@ from repro.baselines.hashpipe import HashPipe
 from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.config import PrintQueueConfig
 from repro.experiments.evaluation import victim_interval
-from repro.experiments.runner import ExperimentRun, simulate_workload
+from repro.experiments.runner import (
+    ExperimentRun,
+    query_time_windows_scalar,
+    simulate_workload,
+)
 from repro.experiments.sampling import sample_victims_by_band
 from repro.obs.metrics import Metrics
 
@@ -144,24 +148,30 @@ def scalar_reference(pq, intervals: Sequence) -> List:
 
     ``pq.query`` is the compiled plan whether it is asked one interval or
     many, so a "vs scalar" comparison has to call the per-cell walk
-    (``AnalysisProgram.query_time_windows``) over the periodic snapshots
-    itself — this is what ties the paper figures to Algorithms 2-3.
+    (``query_time_windows_scalar``, over the periodic snapshots) itself —
+    this is what ties the paper figures to Algorithms 2-3.
     """
-    analysis = pq.analysis
-    periodic = [s for s in analysis.tw_snapshots if s.source == "periodic"]
-    return [
-        analysis.query_time_windows(interval, snapshots=periodic)
-        for interval in intervals
-    ]
+    return [query_time_windows_scalar(pq.analysis, iv) for iv in intervals]
 
 
 def assert_plan_matches_scalar(run: ExperimentRun, indices: Sequence[int]) -> None:
-    """Spot-check: the plan's answers for these victims equal the scalar
-    walk's, flow for flow and in the same iteration order."""
+    """Spot-check: the plan's answers for these victims, asynchronous and
+    (where the run triggered them) data-plane, equal the scalar walk's,
+    flow for flow and in the same iteration order."""
     intervals = [victim_interval(run.records[i]) for i in indices]
     planned = run.pq.query(intervals=intervals).estimates
     for i, (s, b) in enumerate(zip(scalar_reference(run.pq, intervals), planned)):
         assert list(s.items()) == list(b.items()), f"plan diverged at victim {i}"
+    for i in indices:
+        result = run.dp_results.get(i)
+        if result is None:
+            continue
+        spec = query_time_windows_scalar(
+            run.pq.analysis, result.interval, snapshots=[result.snapshot]
+        )
+        assert list(spec.items()) == list(result.estimate.items()), (
+            f"data-plane answer diverged at victim {i}"
+        )
 
 
 #: JSON results written next to the benches; EXPERIMENTS.md references it.

@@ -348,7 +348,7 @@ def _probe_digest(analysis, count: int) -> List[str]:
     intervals = default_probe_intervals(analysis, count)
     if not intervals:
         return ["probe: no periodic snapshots to query"]
-    estimates = analysis.query_time_windows_batch(intervals, source="periodic")
+    estimates = analysis.query_time_windows_batch(intervals)
     lines = []
     for interval, estimate in zip(intervals, estimates):
         top = estimate.top(1)

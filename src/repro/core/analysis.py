@@ -21,7 +21,6 @@ should be judicious about initiating data-plane queries" behaviour.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter_ns
@@ -43,7 +42,7 @@ from repro.units import PCIE_REGISTER_READS_PER_SEC, NS_PER_SEC
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.engine.queryplan import CompiledQueryPlan
+    from repro.engine.queryplan import CompiledQueryPlan, PlanBuildStats
 
 
 @dataclass
@@ -370,78 +369,61 @@ class AnalysisProgram:
         """Estimate per-flow packet counts dequeued during ``interval``.
 
         The interval is split into disjoint pieces, each attributed to the
-        snapshot (and, within it, the single window) covering that piece.
+        snapshot (and, within it, the single window) covering that piece:
+        a batch of one, over the snapshots
+        :meth:`query_time_windows_batch` would use.
         """
         self.queries_executed += 1
-        presorted = snapshots is None
-        if snapshots is None:
-            snapshots = self.tw_snapshots
-        if not snapshots:
-            raise QueryError("no snapshots available; did the poller run?")
-        estimate = FlowEstimate()
-        remaining = [(interval.start_ns, interval.end_ns)]
-        # Newest snapshots first: recency bias means the newest covering
-        # snapshot has the least-compressed view of any time point.  The
-        # internal store is kept ascending at insert, so this walk is
-        # sort-free; caller-provided sequences are sorted as before.
-        for snapshot in newest_first(snapshots, presorted=presorted):
-            if not remaining:
-                break
-            remaining = self._accumulate_snapshot(
-                snapshot, remaining, estimate
-            )
-        return estimate
+        plan = self.compiled_plan() if snapshots is None else self._compile(snapshots)
+        return plan.query(interval, self.fractional_cells)
 
-    def query_snapshot(
-        self, snapshot: TimeWindowSnapshot, interval: QueryInterval
-    ) -> FlowEstimate:
-        """Query a single snapshot (used for data-plane-triggered queries)."""
-        self.queries_executed += 1
-        estimate = FlowEstimate()
-        self._accumulate_snapshot(
-            snapshot, [(interval.start_ns, interval.end_ns)], estimate
-        )
-        return estimate
+    def query_time_windows_batch(
+        self,
+        intervals: Sequence[QueryInterval],
+        *,
+        snapshots: Optional[Sequence[TimeWindowSnapshot]] = None,
+    ) -> List[FlowEstimate]:
+        """Answer every interval against one compiled plan.
 
-    # -- compiled (columnar) query path ------------------------------------
+        With no ``snapshots`` the plan is the cached one over the periodic
+        snapshots; an explicit snapshot set (a data-plane read, say) is
+        compiled ad hoc, its per-snapshot compilations still memoised.
+        Answers are bit-identical, contents and iteration order, to the
+        per-cell walk of Algorithms 2-3
+        (:func:`repro.experiments.runner.query_time_windows_scalar`).
+        """
+        intervals = list(intervals)
+        self.batch_queries += 1
+        self.queries_executed += len(intervals)
+        if not intervals:
+            return []
+        plan = self.compiled_plan() if snapshots is None else self._compile(snapshots)
+        return plan.query_batch(intervals, self.fractional_cells)
 
-    def compiled_plan(self, *, source: Optional[str] = None) -> "CompiledQueryPlan":
-        """The columnar query plan over the stored snapshots (cached).
+    def compiled_plan(self) -> "CompiledQueryPlan":
+        """The columnar query plan over the periodic snapshots (cached).
 
         The cache key is the snapshot-store version plus everything the
         compilation depends on, so the plan is rebuilt exactly when a
         poll, an on-demand read, or an eviction changes the store — and
         rebuilds recompile only snapshots not seen before (per-snapshot
         compilations are memoised on the snapshots themselves).
-
-        ``source`` restricts the plan to snapshots of one origin
-        (``"periodic"`` for the asynchronous query path).
         """
-        from repro.engine.queryplan import CompiledQueryPlan, PlanBuildStats
+        from repro.engine.queryplan import PlanBuildStats
 
         key = (
             self._snapshots_version,
-            source,
             self.apply_coefficients,
             tuple(self.coefficients),
         )
         if self._plan is not None and self._plan_key == key:
             self.plan_cache_hits += 1
             return self._plan
-        snaps = (
-            self.tw_snapshots
-            if source is None
-            else [s for s in self.tw_snapshots if s.source == source]
-        )
-        if not snaps:
-            raise QueryError("no snapshots available; did the poller run?")
         stats = PlanBuildStats()
         # A filtered subset of the ascending store is still ascending.
-        plan = CompiledQueryPlan.build(
-            list(newest_first(snaps, presorted=True)),
-            self.config.k,
-            self.coefficients,
-            self.apply_coefficients,
+        plan = self._compile(
+            [s for s in self.tw_snapshots if s.source == "periodic"],
+            presorted=True,
             stats=stats,
         )
         self.plan_cache_misses += 1
@@ -451,121 +433,24 @@ class AnalysisProgram:
         self._plan_key = key
         return plan
 
-    def query_time_windows_batch(
+    def _compile(
         self,
-        intervals: Sequence[QueryInterval],
-        *,
-        snapshots: Optional[Sequence[TimeWindowSnapshot]] = None,
-        source: Optional[str] = None,
-    ) -> List[FlowEstimate]:
-        """Batched, columnar equivalent of :meth:`query_time_windows`.
-
-        Answers every interval against one compiled snapshot plan,
-        amortising snapshot ordering, compilation, and coefficient lookup
-        across the whole batch.  Results are numerically identical to
-        calling :meth:`query_time_windows` once per interval — the same
-        ``FlowEstimate`` contents and the same piece attribution (the
-        equivalence suite asserts exact equality).
-
-        ``snapshots`` queries an explicit snapshot set (compiled ad hoc,
-        bypassing the plan cache); otherwise the cached plan over the
-        store is used, restricted to ``source`` when given.
-        """
+        snapshots: Sequence[TimeWindowSnapshot],
+        presorted: bool = False,
+        stats: Optional["PlanBuildStats"] = None,
+    ) -> "CompiledQueryPlan":
+        """One plan over ``snapshots``, chained newest first."""
         from repro.engine.queryplan import CompiledQueryPlan
 
-        intervals = list(intervals)
-        self.batch_queries += 1
-        self.queries_executed += len(intervals)
-        if not intervals:
-            return []
-        if snapshots is not None:
-            if not snapshots:
-                raise QueryError("no snapshots available; did the poller run?")
-            plan = CompiledQueryPlan.build(
-                list(newest_first(snapshots)),
-                self.config.k,
-                self.coefficients,
-                self.apply_coefficients,
-            )
-        else:
-            plan = self.compiled_plan(source=source)
-        return plan.query_batch(intervals, self.fractional_cells)
-
-    def _accumulate_snapshot(
-        self,
-        snapshot: TimeWindowSnapshot,
-        pieces: List[Tuple[int, int]],
-        estimate: FlowEstimate,
-    ) -> List[Tuple[int, int]]:
-        """Add this snapshot's contribution; return the uncovered pieces."""
-        k = self.config.k
-        # Window 0 is newest; clamp each deeper window's coverage below the
-        # previous one so every time point belongs to exactly one window.
-        newer_start: Optional[int] = None
-        leftovers = list(pieces)
-        for fw in snapshot.windows:
-            cov = fw.coverage_ns(k)
-            if cov is None:
-                continue
-            cov_start, cov_end = cov
-            # The frozen bank only recorded packets while it was active.
-            cov_start = max(cov_start, snapshot.valid_from_ns)
-            if newer_start is not None:
-                cov_end = min(cov_end, newer_start)
-            newer_start = cov_start
-            if cov_end <= cov_start:
-                continue
-            coefficient = (
-                self.coefficients[fw.window_index]
-                if self.apply_coefficients
-                else 1.0
-            )
-            if coefficient <= 0:
-                continue
-            new_leftovers: List[Tuple[int, int]] = []
-            for piece_start, piece_end in leftovers:
-                lo = max(piece_start, cov_start)
-                hi = min(piece_end, cov_end)
-                if hi <= lo:
-                    new_leftovers.append((piece_start, piece_end))
-                    continue
-                self._accumulate_window(fw, lo, hi, coefficient, estimate)
-                if piece_start < lo:
-                    new_leftovers.append((piece_start, lo))
-                if hi < piece_end:
-                    new_leftovers.append((hi, piece_end))
-            leftovers = new_leftovers
-            if not leftovers:
-                break
-        return leftovers
-
-    def _accumulate_window(
-        self,
-        fw: FilteredWindow,
-        start_ns: int,
-        end_ns: int,
-        coefficient: float,
-        estimate: FlowEstimate,
-    ) -> None:
-        shift = fw.shift
-        span = 1 << shift
-        # Cells are sorted by TTS: bisect to the overlapping range instead
-        # of scanning all 2^k entries per query.  The cell holding
-        # ``start_ns`` is the first whose end exceeds the interval start.
-        lo_tts = start_ns >> shift  # first cell whose end > start
-        hi_tts = (end_ns - 1) >> shift  # last cell whose start < end
-        cells = fw.cells
-        lo = bisect.bisect_left(cells, lo_tts, key=lambda c: c[0]) if cells else 0
-        for tts, flow in cells[lo:]:
-            if tts > hi_tts:
-                break
-            if self.fractional_cells:
-                cell_start = tts << shift
-                overlap = min(cell_start + span, end_ns) - max(cell_start, start_ns)
-                weight = overlap / span
-            else:
-                weight = 1.0
-            estimate.add(flow, weight / coefficient)
+        if not snapshots:
+            raise QueryError("no snapshots available; did the poller run?")
+        return CompiledQueryPlan.build(
+            list(newest_first(snapshots, presorted)),
+            self.config.k,
+            self.coefficients,
+            self.apply_coefficients,
+            stats=stats,
+        )
 
     # -- queue-monitor queries ----------------------------------------------
 

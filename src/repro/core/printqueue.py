@@ -554,9 +554,7 @@ class PrintQueuePort:
                 kind="time_windows",
                 mode="async",
                 intervals=batch,
-                estimates=self.analysis.query_time_windows_batch(
-                    batch, source="periodic"
-                ),
+                estimates=self.analysis.query_time_windows_batch(batch),
                 coverages=coverages,
             )
         if interval is None:
@@ -600,7 +598,7 @@ class PrintQueuePort:
             return QueryResult(
                 kind="time_windows",
                 mode="async",
-                estimate=self._async_query(interval),
+                estimate=self.analysis.query_time_windows(interval),
                 interval=interval,
                 degraded=coverage.degraded if coverage is not None else False,
                 coverage=coverage,
@@ -680,18 +678,10 @@ class PrintQueuePort:
             self.analysis.qm_poll(now_ns)
             if self._poller is not None and self.analysis.qm_snapshots:
                 self._poller.note_stored_qm(self.analysis.qm_snapshots[-1])
-        estimate = self.analysis.query_snapshot(snapshot, interval)
+        estimate = self.analysis.query_time_windows(interval, snapshots=[snapshot])
         result = DataPlaneQueryResult(now_ns, interval, estimate, snapshot)
         self.dp_results.append(result)
         return result
-
-    def _async_query(self, interval: QueryInterval) -> FlowEstimate:
-        """Asynchronous (control-plane) query over the periodic snapshots."""
-        analysis = self.analysis
-        analysis.queries_executed += 1
-        return analysis.compiled_plan(source="periodic").query(
-            interval, analysis.fractional_cells
-        )
 
     def _original_culprits_by_class(
         self, time_ns: int, classes: Optional[Iterable[int]] = None

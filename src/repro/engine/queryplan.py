@@ -1,12 +1,14 @@
-"""Columnar compiled snapshots and the one production query kernel.
+"""Columnar compiled snapshots: the one interval-query kernel.
 
-Every asynchronous time-window query — one interval or a batch — is
-answered here.  The scalar walk
-(:meth:`AnalysisProgram.query_time_windows`) visits every retained
-``(tts, flow)`` cell of every covering window in a per-cell Python loop;
-it is faithful to Algorithms 2-3, easy to audit, called by no production
-path, and kept as the executable specification this module is tested
-against.
+Every time-window query — one interval or a batch, asynchronous or
+data-plane-triggered, on a live port or a reopened store — is answered
+here, through :meth:`AnalysisProgram.query_time_windows` and
+:meth:`AnalysisProgram.query_time_windows_batch`.  The scalar walk
+(:func:`repro.experiments.runner.query_time_windows_scalar`) visits every
+retained ``(tts, flow)`` cell of every covering window in a per-cell
+Python loop; it is faithful to Algorithms 2-3, easy to audit, reached by
+no production path, and kept as the executable specification this
+module is tested against.
 
 This module compiles each :class:`~repro.core.analysis.TimeWindowSnapshot`
 **once** into a columnar form and answers interval queries with array
@@ -224,6 +226,22 @@ def compile_snapshot(
 _CELL_BUDGET = 1 << 17
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int64_column(values: List[int]) -> np.ndarray:
+    """Interval endpoints as ``int64``, clamped to that domain.
+
+    Timestamps are ``int64``, so every cell and every coverage bound lies
+    inside it: an endpoint beyond it claims exactly the cells the
+    clamped one does.
+    """
+    if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+        values = [min(max(v, _INT64_MIN), _INT64_MAX) for v in values]
+    return np.array(values, dtype=np.int64)
+
+
 class _Segments(NamedTuple):
     """Hit ranges of a walk: segment ``j`` is cells ``[a[j], b[j])`` of
     window ``win[j]``, claimed for victim ``vid[j]`` over ``[lo[j], hi[j])``."""
@@ -357,8 +375,8 @@ class CompiledQueryPlan:
                 self._walk_one(intervals[0]), 0, 1, fractional_cells
             )
         segments = self._walk(
-            np.fromiter((iv.start_ns for iv in intervals), np.int64, n),
-            np.fromiter((iv.end_ns for iv in intervals), np.int64, n),
+            _int64_column([iv.start_ns for iv in intervals]),
+            _int64_column([iv.end_ns for iv in intervals]),
         )
         # The walk emits segments window by window; grouping them by
         # victim (stably, so each victim keeps the walk's order) makes
@@ -394,7 +412,8 @@ class CompiledQueryPlan:
     def _walk(self, start: np.ndarray, end: np.ndarray) -> _Segments:
         """Split every victim's interval down the window chain at once.
 
-        The array form of ``AnalysisProgram._accumulate_snapshot``: the
+        The array form of the specification's per-snapshot piece split
+        (``experiments/runner.py::query_time_windows_scalar``): the
         pieces of all victims still uncovered sit in ``vid/start/end``,
         each victim's pieces adjacent and in the scalar walk's order.  A
         window claims ``[lo, hi)`` of every piece it overlaps and leaves
@@ -443,8 +462,8 @@ class CompiledQueryPlan:
     def _walk_one(self, interval: QueryInterval) -> _Segments:
         """:meth:`_walk` for a single victim, on Python ints.
 
-        Mirrors ``AnalysisProgram._accumulate_snapshot`` piece for piece;
-        the coverage clamps were already applied at compile time.
+        Mirrors the specification's piece split piece for piece; the
+        coverage clamps were already applied at compile time.
         """
         pieces = [(interval.start_ns, interval.end_ns)]
         found: List[Tuple[int, ...]] = []

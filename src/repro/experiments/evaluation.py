@@ -35,27 +35,18 @@ def evaluate_async_queries(
     taxonomy: CulpritTaxonomy,
     records: Sequence[DequeueRecord],
     victim_indices: Sequence[int],
-    batch: bool = True,
 ) -> List[AccuracyScore]:
     """Score asynchronous (periodic-snapshot) queries for the victims.
 
-    ``batch=True`` (the default) answers all victims in one
-    ``pq.query(intervals=...)`` call; ``batch=False`` asks
-    ``pq.query(interval=...)`` once per victim.  Both are the compiled
-    columnar plan and return identical estimates; the scalar
-    specification to compare either against is
-    ``AnalysisProgram.query_time_windows``.
+    All victims are answered by one ``pq.query(intervals=...)`` call, the
+    compiled columnar plan; the scalar specification to compare it
+    against is :func:`repro.experiments.runner.query_time_windows_scalar`.
     """
     indices = list(victim_indices)
     if not indices:
         return []
-    if batch:
-        intervals = [victim_interval(records[i]) for i in indices]
-        estimates = [r.estimate for r in pq.query(intervals=intervals)]
-    else:
-        estimates = [
-            pq.query(interval=victim_interval(records[i])).estimate for i in indices
-        ]
+    intervals = [victim_interval(records[i]) for i in indices]
+    estimates = [r.estimate for r in pq.query(intervals=intervals)]
     scores = []
     for index, estimate in zip(indices, estimates):
         truth = ground_truth_direct(taxonomy, records[index])

@@ -10,23 +10,28 @@ Replay has one production path, ``engine="fused"`` (the default:
 :class:`~repro.engine.IngestPipeline` over a record array), and one
 oracle, ``engine="scalar"`` (the per-event reference loop kept here as
 :func:`drive_printqueue_scalar`); the differential suite asserts they
-are bit-identical.  The event-driven
+are bit-identical.  Beside it, :func:`query_time_windows_scalar` is the
+per-cell interval walk every compiled-plan answer is tested against.
+The event-driven
 :class:`~repro.switch.switchsim.Switch` path stays available for
 non-FIFO schedulers and is validated against this one.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-
 from repro.baselines.interval import FixedIntervalEstimator
+from repro.core.analysis import AnalysisProgram, TimeWindowSnapshot, newest_first
 from repro.core.config import PrintQueueConfig
+from repro.core.filtering import FilteredWindow
 from repro.core.printqueue import DataPlaneQueryResult, PrintQueuePort
-from repro.core.queries import QueryInterval
+from repro.core.queries import FlowEstimate, QueryInterval
 from repro.core.taxonomy import CulpritTaxonomy
+from repro.errors import QueryError
 from repro.obs.metrics import Metrics
 from repro.obs.report import RunReport
 from repro.store import SnapshotStore
@@ -158,6 +163,117 @@ def drive_printqueue_scalar(
         for baseline in baseline_list:
             baseline.finish()
     return dp_results
+
+
+def query_time_windows_scalar(
+    analysis: AnalysisProgram,
+    interval: QueryInterval,
+    snapshots: Optional[Sequence[TimeWindowSnapshot]] = None,
+) -> FlowEstimate:
+    """The per-cell reference walk of an interval query (Section 6.3).
+
+    The executable specification the compiled plan
+    (:mod:`repro.engine.queryplan`) is tested against: the interval is
+    split into disjoint pieces, newest snapshot first, each attributed
+    to the single window covering it, and every retained cell of that
+    window the piece overlaps adds ``weight / coefficient`` to its flow.
+    ``snapshots`` defaults to the periodic snapshots, as the plan's does.
+    """
+    if snapshots is None:
+        snapshots = [s for s in analysis.tw_snapshots if s.source == "periodic"]
+    if not snapshots:
+        raise QueryError("no snapshots available; did the poller run?")
+    estimate = FlowEstimate()
+    remaining = [(interval.start_ns, interval.end_ns)]
+    # Newest snapshots first: recency bias means the newest covering
+    # snapshot has the least-compressed view of any time point.
+    for snapshot in newest_first(snapshots):
+        if not remaining:
+            break
+        remaining = _accumulate_snapshot_scalar(
+            analysis, snapshot, remaining, estimate
+        )
+    return estimate
+
+
+def _accumulate_snapshot_scalar(
+    analysis: AnalysisProgram,
+    snapshot: TimeWindowSnapshot,
+    pieces: List[Tuple[int, int]],
+    estimate: FlowEstimate,
+) -> List[Tuple[int, int]]:
+    """Add this snapshot's contribution; return the uncovered pieces."""
+    k = analysis.config.k
+    # Window 0 is newest; clamp each deeper window's coverage below the
+    # previous one so every time point belongs to exactly one window.
+    newer_start: Optional[int] = None
+    leftovers = list(pieces)
+    for fw in snapshot.windows:
+        cov = fw.coverage_ns(k)
+        if cov is None:
+            continue
+        cov_start, cov_end = cov
+        # The frozen bank only recorded packets while it was active.
+        cov_start = max(cov_start, snapshot.valid_from_ns)
+        if newer_start is not None:
+            cov_end = min(cov_end, newer_start)
+        newer_start = cov_start
+        if cov_end <= cov_start:
+            continue
+        coefficient = (
+            analysis.coefficients[fw.window_index]
+            if analysis.apply_coefficients
+            else 1.0
+        )
+        if coefficient <= 0:
+            continue
+        new_leftovers: List[Tuple[int, int]] = []
+        for piece_start, piece_end in leftovers:
+            lo = max(piece_start, cov_start)
+            hi = min(piece_end, cov_end)
+            if hi <= lo:
+                new_leftovers.append((piece_start, piece_end))
+                continue
+            _accumulate_window_scalar(
+                fw, lo, hi, coefficient, analysis.fractional_cells, estimate
+            )
+            if piece_start < lo:
+                new_leftovers.append((piece_start, lo))
+            if hi < piece_end:
+                new_leftovers.append((hi, piece_end))
+        leftovers = new_leftovers
+        if not leftovers:
+            break
+    return leftovers
+
+
+def _accumulate_window_scalar(
+    fw: FilteredWindow,
+    start_ns: int,
+    end_ns: int,
+    coefficient: float,
+    fractional_cells: bool,
+    estimate: FlowEstimate,
+) -> None:
+    shift = fw.shift
+    span = 1 << shift
+    # Cells are sorted by TTS: bisect to the overlapping range instead
+    # of scanning all 2^k entries per query.  The cell holding
+    # ``start_ns`` is the first whose end exceeds the interval start.
+    lo_tts = start_ns >> shift  # first cell whose end > start
+    hi_tts = (end_ns - 1) >> shift  # last cell whose start < end
+    cells = fw.cells
+    lo = bisect.bisect_left(cells, lo_tts, key=lambda c: c[0]) if cells else 0
+    for tts, flow in cells[lo:]:
+        if tts > hi_tts:
+            break
+        if fractional_cells:
+            cell_start = tts << shift
+            overlap = min(cell_start + span, end_ns) - max(cell_start, start_ns)
+            weight = overlap / span
+        else:
+            weight = 1.0
+        estimate.add(flow, weight / coefficient)
 
 
 def measured_d_ns(

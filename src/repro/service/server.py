@@ -434,9 +434,7 @@ class DiagnosisService:
         keep_n = max(1, self.config.reduced_keep_snapshots)
         snaps = [s for s in analysis.tw_snapshots if s.source == "periodic"]
         keep = snaps[-keep_n:]
-        if not keep:
-            raise QueryError("no snapshots available; did the poller run?")
-        estimates = analysis.query_time_windows_batch([interval], snapshots=keep)
+        estimate = analysis.query_time_windows(interval, snapshots=keep)
         cutoff = min(s.valid_from_ns for s in keep)
         lost = []
         if interval.start_ns < cutoff:
@@ -457,7 +455,7 @@ class DiagnosisService:
             quarantined=quarantined,
             qm_lost_ns=qm_lost,
         )
-        return estimates[0], coverage
+        return estimate, coverage
 
     # -- introspection ---------------------------------------------------------
 

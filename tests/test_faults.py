@@ -26,7 +26,7 @@ from repro.errors import (
     RetryExhausted,
     SnapshotValidationError,
 )
-from repro.experiments.runner import simulate_workload
+from repro.experiments.runner import query_time_windows_scalar, simulate_workload
 from repro.faults import (
     PROFILES,
     FaultInjector,
@@ -476,8 +476,16 @@ class TestDataPlaneReads:
         assert result.degraded is True
         assert result.coverage is not None and result.coverage.quarantined
         assert pq.analysis._snapshots_version > version_before
-        # the quarantined snapshot holds no stale columnar memo
-        assert not hasattr(result.snapshot, "_columnar_cache")
+        # the answer compiled the snapshot after quarantine: its columnar
+        # memo is built from the validated windows, and the answer is the
+        # specification's over them
+        _, compiled = result.snapshot._columnar_cache
+        kept = {id(fw.tts_array) for fw in result.snapshot.windows}
+        assert compiled.windows and all(id(w.tts) in kept for w in compiled.windows)
+        spec = query_time_windows_scalar(
+            pq.analysis, result.interval, snapshots=[result.snapshot]
+        )
+        assert list(result.estimate.items()) == list(spec.items())
         # and validates clean after quarantine
         _, violations = validate_filtered_windows(result.snapshot.windows, CFG.k)
         assert violations == []

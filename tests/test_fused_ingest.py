@@ -34,6 +34,7 @@ from repro.errors import SimulationError
 from repro.experiments.runner import (
     drive_printqueue,
     measured_d_ns,
+    query_time_windows_scalar,
     run_trace_through_fifo,
     simulate_workload,
 )
@@ -198,6 +199,10 @@ def assert_matches_oracle(
         assert result.trigger_time_ns == other.trigger_time_ns
         assert result.interval == other.interval
         assert list(result.estimate.items()) == list(other.estimate.items())
+        spec = query_time_windows_scalar(
+            oracle.analysis, result.interval, snapshots=[result.snapshot]
+        )
+        assert list(result.estimate.items()) == list(spec.items())
 
     victims = sorted(objects, key=lambda r: r.queuing_delay)[-3:]
     intervals = [
@@ -210,6 +215,11 @@ def assert_matches_oracle(
         assert [list(r.estimate.items()) for r in singles] == [
             list(e.items()) for e in batched.estimates
         ]
+        if pq is oracle:
+            assert [list(r.estimate.items()) for r in singles] == [
+                list(query_time_windows_scalar(pq.analysis, iv).items())
+                for iv in intervals
+            ]
         standing = pq.query(at_ns=victims[-1].enq_timestamp)
         answers.append(
             (

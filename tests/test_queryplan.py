@@ -25,7 +25,11 @@ from repro.engine.queryplan import (
     PlanBuildStats,
     compile_snapshot,
 )
-from repro.experiments.runner import simulate_workload
+from repro.experiments.runner import (
+    _accumulate_snapshot_scalar,
+    query_time_windows_scalar,
+    simulate_workload,
+)
 from repro.faults import FaultPlan, RetryPolicy
 from repro.store import MmapStore, replay_analysis
 from repro.switch.packet import FlowKey
@@ -59,7 +63,7 @@ def victim_intervals(run):
 
 
 def scalar_estimates(analysis, intervals):
-    return [analysis.query_time_windows(iv) for iv in intervals]
+    return [query_time_windows_scalar(analysis, iv) for iv in intervals]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_explicit_snapshots_batch_matches_scalar(run, victim_intervals):
     analysis = run.pq.analysis
     subset = analysis.tw_snapshots[: max(1, len(analysis.tw_snapshots) // 2)]
     scalar = [
-        analysis.query_time_windows(iv, snapshots=subset)
+        query_time_windows_scalar(analysis, iv, snapshots=subset)
         for iv in victim_intervals[:10]
     ]
     batch = analysis.query_time_windows_batch(
@@ -180,8 +184,10 @@ def test_batch_query_without_snapshots_raises():
 # plan cache lifecycle: hit on repeat, miss after poll / dp read
 
 
-def fresh_analysis():
-    analysis = AnalysisProgram(CONFIG, d_ns=100.0, model_dp_read_cost=False)
+def fresh_analysis(model_dp_read_cost=False):
+    analysis = AnalysisProgram(
+        CONFIG, d_ns=100.0, model_dp_read_cost=model_dp_read_cost
+    )
     t = 0
     for i in range(4000):
         analysis.on_dequeue(FLOWS[i % len(FLOWS)], t)
@@ -219,16 +225,23 @@ def test_plan_cache_invalidated_by_periodic_poll():
 
 
 def test_plan_cache_invalidated_by_dp_read():
-    analysis, t = fresh_analysis()
-    iv = [QueryInterval(t // 4, t // 2)]
-    analysis.query_time_windows_batch(iv)
+    # With the read-cost model on, an on-demand read stores its snapshot.
+    analysis, t = fresh_analysis(model_dp_read_cost=True)
+    for i in range(50):
+        analysis.on_dequeue(FLOWS[i % len(FLOWS)], t + 100 * i)
+    late = t + 5_000
+    iv = [QueryInterval(t // 4, t // 2), QueryInterval(t, late)]
+    before = items(analysis.query_time_windows_batch(iv))
     misses = analysis.plan_cache_misses
-    snapshot = analysis.dp_read(t + 50)
-    assert snapshot is not None
-    # The async plan uses only periodic snapshots, but the store changed:
-    # the version-keyed cache must not serve the stale plan object.
-    analysis.query_time_windows_batch(iv, source="periodic")
+    version = analysis.store.version
+    snapshot = analysis.dp_read(late)
+    assert snapshot is not None and analysis.store.version > version
+    # The store changed, so the version-keyed cache rebuilds; the plan
+    # still covers only the periodic snapshots, so its answers do not
+    # move, though the data-plane snapshot alone answers the late victim.
+    assert items(analysis.query_time_windows_batch(iv)) == before
     assert analysis.plan_cache_misses == misses + 1
+    assert len(query_time_windows_scalar(analysis, iv[1], snapshots=[snapshot]))
 
 
 def test_snapshot_compilation_is_memoised():
@@ -339,7 +352,7 @@ def assert_plan_is_oracle(analysis, intervals, snapshots=None):
         for fractional in (False, True):
             analysis.fractional_cells = fractional
             oracle = items(
-                analysis.query_time_windows(iv, snapshots=snapshots)
+                query_time_windows_scalar(analysis, iv, snapshots=snapshots)
                 for iv in intervals
             )
             batch = analysis.query_time_windows_batch(intervals, snapshots=snapshots)
@@ -363,7 +376,9 @@ def most_leftover_pieces(analysis, interval, snapshots):
     pieces = [(interval.start_ns, interval.end_ns)]
     most = 1
     for snapshot in newest_first(snapshots):
-        pieces = analysis._accumulate_snapshot(snapshot, pieces, FlowEstimate())
+        pieces = _accumulate_snapshot_scalar(
+            analysis, snapshot, pieces, FlowEstimate()
+        )
         most = max(most, len(pieces))
     return most
 
@@ -424,10 +439,12 @@ def test_empty_windows_and_uncovered_victims_inside_a_batch():
         QueryInterval(2000, 3000),  # after any coverage
         whole,  # the same interval twice in one batch
         QueryInterval(150, 340),
+        QueryInterval(0, 2**64),  # endpoints outside int64
+        QueryInterval(-(2**70), 10),
     ]
     assert_plan_is_oracle(analysis, intervals, snapshots)
     batch = analysis.query_time_windows_batch(intervals, snapshots=snapshots)
-    assert [len(e) for e in batch] == [0, 2, 0, 4, 0, 4, 2]
+    assert [len(e) for e in batch] == [0, 2, 0, 4, 0, 4, 2, 4, 0]
     assert batch[3] is not batch[5]
 
 
@@ -513,12 +530,12 @@ def assert_port_answers_are_oracle(pq, intervals):
     periodic = [s for s in analysis.tw_snapshots if s.source == "periodic"]
     executed = analysis.queries_executed
     for iv in intervals:
-        oracle = analysis.query_time_windows(iv, snapshots=periodic)
+        oracle = query_time_windows_scalar(analysis, iv, snapshots=periodic)
         single = pq.query(interval=iv).estimate
         batch = pq.query(intervals=[iv])[0].estimate
         assert list(single.items()) == list(oracle.items())
         assert list(batch.items()) == list(oracle.items())
-    assert analysis.queries_executed == executed + 3 * len(intervals)
+    assert analysis.queries_executed == executed + 2 * len(intervals)
 
 
 def test_front_door_on_a_fused_ingest_port():

@@ -26,7 +26,7 @@ from repro.core.config import PrintQueueConfig
 from repro.core.queries import QueryInterval
 from repro.core.queuemonitor import QueueMonitorSnapshot
 from repro.errors import ConfigError, StoreError
-from repro.experiments.runner import simulate_workload
+from repro.experiments.runner import query_time_windows_scalar, simulate_workload
 from repro.faults.injector import FaultInjector
 from repro.faults import profile_names
 from repro.faults.plan import FaultPlan
@@ -451,15 +451,13 @@ class TestRecordReplay:
         replayed = replay_analysis(path, backend=backend)
         intervals = default_probe_intervals(live, 4)
         assert intervals == default_probe_intervals(replayed, 4)
-        live_batch = live.query_time_windows_batch(intervals, source="periodic")
-        replay_batch = replayed.query_time_windows_batch(
-            intervals, source="periodic"
-        )
+        live_batch = live.query_time_windows_batch(intervals)
+        replay_batch = replayed.query_time_windows_batch(intervals)
         for a, b in zip(live_batch, replay_batch):
             assert a._counts == b._counts
         for interval in intervals:  # scalar engine agrees too
-            a = live.query_time_windows(interval)
-            b = replayed.query_time_windows(interval)
+            a = query_time_windows_scalar(live, interval)
+            b = query_time_windows_scalar(replayed, interval)
             assert a._counts == b._counts
         # Original culprits too, in the walk's first-survivor order.
         for t in [s.time_ns for s in live.qm_snapshots]:
@@ -497,8 +495,8 @@ class TestRecordReplay:
         replayed = replay_analysis(path, backend="mmap")
         intervals = default_probe_intervals(live, 3)
         for analysis in (live, replayed):
-            analysis.query_time_windows_batch(intervals, source="periodic")
-            analysis.query_time_windows_batch(intervals, source="periodic")
+            analysis.query_time_windows_batch(intervals)
+            analysis.query_time_windows_batch(intervals)
         assert replayed.plan_cache_misses == live.plan_cache_misses
         assert replayed.plan_cache_hits == live.plan_cache_hits
         assert replayed.snapshot_compile_misses == live.snapshot_compile_misses

@@ -12,7 +12,10 @@ graph is static, so the walk widens until nothing changes: a definition
 reached code names (as a name or attribute) counts as reached, and so do
 dunders of a named class and methods of a class whose bases are all
 outside the project (hooks like ``NodeVisitor.visit_*``).  Grep a hit
-before deleting it.
+before deleting it.  An allowlisted *specification* (its reason starts
+with :data:`SPECIFICATION`) may be reached by the benchmark harnesses,
+which check production against it, but by no production root (the CLI,
+the service, the ``benchmarks/e2e`` ledger, the examples).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Set
+from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
 from anlz.callgraph import FunctionInfo, build_project_index
 from anlz.contexts import propagate
@@ -33,6 +36,9 @@ MODULE_BODY = "__module__"
 
 _DEFERRED = "unit-tested only; deleted with its tests in a later change"
 
+#: Reason prefix of an executable specification benchmarks may call.
+SPECIFICATION = "specification"
+
 #: Unreached definitions kept on purpose, each with its reason.
 ALLOWED: Dict[str, str] = {
     # specification helpers
@@ -42,6 +48,8 @@ ALLOWED: Dict[str, str] = {
         "walk() as arrays, sequence numbers included; queries tally the "
         "same survivors without gathering those",
     "core/queuemonitor.py::MonitorEntry": "walk()'s result type",
+    "experiments/runner.py::query_time_windows_scalar":
+        f"{SPECIFICATION} (the per-cell walk the plan is tested against)",
     "switch/packet.py::FlowKey.reversed":
         "the reverse-direction 5-tuple, part of the flow-key spec",
     # baseline accessors the baselines' tests check against their papers
@@ -117,56 +125,80 @@ def unreached(src: Path, roots: Iterable[Path]) -> List[str]:
     ``roots`` are files whose every function is an entry point; those
     outside ``src`` are parsed with their own directory as import root.
     """
+    return unreached_by_stage(src, [roots])[0]
+
+
+def unreached_by_stage(
+    src: Path, stages: Sequence[Iterable[Path]]
+) -> List[List[str]]:
+    """:func:`unreached` for growing root sets, over one parse: stage
+    ``i`` walks from the roots of stages ``0..i`` and no other file."""
     src_files = _py_files(src)
-    root_files = {p.resolve() for p in roots}
+    stage_files = [{p.resolve() for p in roots} for roots in stages]
     modules = [_load(p, src.resolve()) for p in src_files]
-    modules += [_load(p, p.parent) for p in sorted(root_files - set(src_files))]
+    outside = set().union(*stage_files) - set(src_files)
+    modules += [_load(p, p.parent) for p in sorted(outside)]
     index = build_project_index(modules)
     classes = index.classes.values()
     hooked = {c.name for c in classes if c.node.bases and not c.base_names}
-    functions = index.functions.values()
-    starts = [f for f in functions if f.module.path in root_files]
-    starts += [f for f in functions if f.name == MODULE_BODY]
-    while True:
-        reached = propagate(index, starts)
-        bodies = [index.functions[q].node for q, _ in reached.items()]
-        nodes = [n for body in bodies for n in ast.walk(body)]
-        named: Set[str] = {n.id for n in nodes if isinstance(n, ast.Name)}
-        named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-        widened = [
-            f
+    known: Set[Path] = set()
+    starts: List[FunctionInfo] = []
+    out = []
+    for root_files in stage_files:
+        new = (set(src_files) | root_files) - known
+        known |= new
+        functions = [f for f in index.functions.values() if f.module.path in known]
+        starts += [f for f in functions if f.module.path in root_files]
+        starts += [
+            f for f in functions if f.name == MODULE_BODY and f.module.path in new
+        ]
+        while True:
+            reached = propagate(index, starts)
+            bodies = [index.functions[q].node for q, _ in reached.items()]
+            nodes = [n for body in bodies for n in ast.walk(body)]
+            named: Set[str] = {n.id for n in nodes if isinstance(n, ast.Name)}
+            named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            widened = [
+                f
+                for f in functions
+                if f.qualname not in reached
+                and (
+                    f.name in named
+                    or f.class_name in named
+                    and (_is_dunder(f) or f.class_name in hooked)
+                )
+            ]
+            if not widened:
+                break
+            starts += widened
+        hits = [
+            f.short
             for f in functions
             if f.qualname not in reached
-            and (
-                f.name in named
-                or f.class_name in named and (_is_dunder(f) or f.class_name in hooked)
-            )
+            and f.module.path in src_files
+            and not (f.is_nested or _is_dunder(f))
         ]
-        if not widened:
-            break
-        starts += widened
-    hits = [
-        f.short
-        for f in functions
-        if f.qualname not in reached
-        and f.module.path in src_files
-        and not (f.is_nested or _is_dunder(f))
-    ]
-    hits += [
-        f"{c.module.rel_path}::{c.name}"
-        for c in classes
-        if c.module.path in src_files and c.name not in named
-    ]
-    return sorted(hits)
+        hits += [
+            f"{c.module.rel_path}::{c.name}"
+            for c in classes
+            if c.module.path in src_files and c.name not in named
+        ]
+        out.append(sorted(hits))
+    return out
 
 
 def live_tree_findings() -> List[str]:
     """Hits outside :data:`ALLOWED`, then allowlist entries that are no
-    longer hits, over ``src/repro`` and the real entry points."""
+    longer hits, over ``src/repro`` and the real entry points.  A
+    specification counts as a hit while no production root reaches it."""
     package = REPO_ROOT / "src" / "repro"
-    roots = [package / "cli.py", *_py_files(package / "service")]
-    roots += _py_files(REPO_ROOT / "benchmarks") + _py_files(REPO_ROOT / "examples")
-    hits = unreached(package, roots)
+    production = [package / "cli.py", *_py_files(package / "service")]
+    production += _py_files(REPO_ROOT / "benchmarks" / "e2e")
+    production += _py_files(REPO_ROOT / "examples")
+    harnesses = set(_py_files(REPO_ROOT / "benchmarks")) - set(production)
+    production_hits, hits = unreached_by_stage(package, [production, harnesses])
+    specs = {n for n, why in ALLOWED.items() if why.startswith(SPECIFICATION)}
+    hits += sorted(specs.intersection(production_hits) - set(hits))
     stale = sorted(set(ALLOWED) - set(hits))
     findings = [hit for hit in hits if hit not in ALLOWED]
     return findings + [f"{name} (allowlisted, not a hit)" for name in stale]
