@@ -52,13 +52,17 @@ def main() -> None:
     print(
         f"\nAll {len(all_flows)} culprit flows target "
         f"{len(destinations)} destination(s) from {len(src_subnets)} "
-        "source subnet(s) — a synchronized fan-in."
+        "source subnet(s)."
     )
-    print(
-        "Diagnosis: one application's synchronized wave; there is spare "
-        "capacity around the burst, so de-synchronizing the senders "
-        "removes the queuing."
-    )
+    if len(all_flows) > 1 and len(destinations) == 1 and len(src_subnets) == 1:
+        print(
+            "Diagnosis: a synchronized fan-in — one application's wave; there "
+            "is spare capacity around the burst, so de-synchronizing the "
+            "senders removes the queuing."
+        )
+    else:
+        print("Diagnosis: the culprits do not share one destination and "
+              "subnet, so this is not a synchronized fan-in.")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ DELAY_TRIGGER_NS = 200_000  # flag packets queued longer than 200 us
 
 def main() -> None:
     print("Building microburst trace (8 burst flows over background) ...")
-    trace = microburst_scenario(burst_flows=8, burst_packets_per_flow=250)
+    trace = microburst_scenario(burst_flows=8, burst_packets_per_flow=100)
     burst_flows = {f for f in trace.flows if f.src_port >= 6000}
 
     pq = PrintQueue(

@@ -62,7 +62,7 @@ def main() -> None:
     for port_id, load in loads.items():
         trace = PoissonWorkload(
             WebSearchDistribution(),
-            WorkloadConfig(load=load, duration_ns=20_000_000),
+            WorkloadConfig(load=load, duration_ns=6_000_000),
             seed=100 + port_id,
         ).generate()
         for packet in trace.packets():

@@ -13,7 +13,6 @@ from repro.traffic.arrivals import (
     OnOffArrivals,
     PoissonArrivals,
 )
-from repro.traffic.closedloop import ClosedLoopSender
 from repro.traffic.distributions import (
     DataMiningDistribution,
     EmpiricalCdfDistribution,
@@ -34,7 +33,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
     "OnOffArrivals",
-    "ClosedLoopSender",
     "FlowSizeDistribution",
     "WebSearchDistribution",
     "DataMiningDistribution",

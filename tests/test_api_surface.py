@@ -40,10 +40,8 @@ PUBLIC_MODULES = [
     "repro.switch.scheduler",
     "repro.switch.switchsim",
     "repro.switch.telemetry",
-    "repro.switch.topology",
     "repro.traffic",
     "repro.traffic.arrivals",
-    "repro.traffic.closedloop",
     "repro.traffic.distributions",
     "repro.traffic.generator",
     "repro.traffic.pcaplike",

@@ -7,7 +7,9 @@ longer is a hit).  ``tests/test_reachability.py`` runs the same check
 over the real tree, so new dead code fails tier-1.  Walks the pqlint call graph from
 ``cli.py``, ``repro.service``, every script under ``benchmarks/`` (the
 figure benches, ``e2e/layers.py``) and ``examples/``, plus import-time
-code.  Tests are not roots, so a hit is code only tests exercise.  The
+code.  Every example is executed in tier-1 (``tests/test_examples.py``),
+so an example root reaches only code that runs.  Tests are not roots,
+so a hit is code only tests exercise.  The
 graph is static, so the walk widens until nothing changes: a definition
 reached code names (as a name or attribute) counts as reached, and so do
 dunders of a named class and methods of a class whose bases are all
