@@ -40,12 +40,7 @@ from repro.core import (
 from repro.engine import CompiledQueryPlan, IngestPipeline
 from repro.errors import QueryError
 from repro.experiments import simulate_workload
-from repro.faults import (
-    CoverageReport,
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.faults import CoverageReport, FaultInjector, FaultPlan
 from repro.faults import profile as fault_profile
 from repro.faults import profile_names as fault_profile_names
 from repro.obs import Metrics, RunReport
@@ -79,7 +74,6 @@ __all__ = [
     "QueryError",
     "FaultPlan",
     "FaultInjector",
-    "RetryPolicy",
     "CoverageReport",
     "fault_profile",
     "fault_profile_names",

@@ -77,10 +77,11 @@ def _add_faults_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--faults",
         choices=profile_names(),
-        default=None,
+        default="none",
         metavar="PROFILE",
         help="run the control plane under a seeded fault-injection "
-        "profile (see `repro faults list`); default: perfect channel",
+        "profile (see `repro faults list`); default: none, the perfect "
+        "channel",
     )
     parser.add_argument(
         "--fault-seed",
@@ -93,9 +94,7 @@ def _add_faults_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_faults(args: argparse.Namespace):
-    """The --faults/--fault-seed pair as a FaultPlan (or None)."""
-    if args.faults is None:
-        return None
+    """The --faults/--fault-seed pair as a FaultPlan."""
     from repro.faults import profile
 
     plan = profile(args.faults)
@@ -230,11 +229,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def _maybe_print_faults(run) -> None:
     """One-line digest of injection + resilience on a fault-injected run."""
     pq = run.pq
-    poller = getattr(pq, "_poller", None)
-    if poller is None:
+    if not pq.faults.plan.enabled:
         return
     injected = sum(pq.faults.injected.values())
-    log = poller.log
+    log = pq.poller.log
     print(
         f"faults ({pq.faults.plan.name}, seed {pq.faults.plan.seed}): "
         f"{injected} injected; lost polls={log.lost_polls} "

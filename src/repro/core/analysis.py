@@ -158,6 +158,9 @@ class AnalysisProgram:
         self.model_dp_read_cost = model_dp_read_cost
         self._dp_lock_until_ns = 0
         self._active_since_ns = 0
+        #: largest sequence number of any stored monitor snapshot: the
+        #: counter is monotone, so a read peaking below it regressed.
+        self.qm_max_seq = 0
         self.queries_executed = 0
         #: Algorithm-3 scan/retain totals across every poll (repro.obs).
         self.filter_stats = FilterStats()
@@ -228,29 +231,35 @@ class AnalysisProgram:
 
     def periodic_poll(self, now_ns: int) -> TimeWindowSnapshot:
         """Flip banks and read the frozen copy; also snapshot the monitor."""
+        return self.store_periodic_snapshot(now_ns, self.read_frozen_bank())
+
+    def read_frozen_bank(self) -> List[FilteredWindow]:
+        """Flip the banks and filter the frozen copy (Algorithm 3).
+
+        The head half of :meth:`periodic_poll`, timed into the filter
+        stage; the resilient poller validates its result before storing.
+        """
         frozen = self.tw_banks.periodic_flip()
         observe = self._stage_filter_observe
         if observe is None:
-            windows = filter_windows(
+            return filter_windows(
                 frozen.snapshot(), self.config, stats=self.filter_stats
             )
-        else:
-            t0 = perf_counter_ns()
-            windows = filter_windows(
-                frozen.snapshot(), self.config, stats=self.filter_stats
-            )
-            observe(perf_counter_ns() - t0)
-        return self.store_periodic_snapshot(now_ns, windows)
+        t0 = perf_counter_ns()
+        windows = filter_windows(
+            frozen.snapshot(), self.config, stats=self.filter_stats
+        )
+        observe(perf_counter_ns() - t0)
+        return windows
 
     def store_periodic_snapshot(
         self, now_ns: int, windows: List[FilteredWindow]
     ) -> TimeWindowSnapshot:
         """Store an already-filtered periodic read (+ monitor snapshot).
 
-        The tail half of :meth:`periodic_poll`, split out so the
-        resilient read path (:mod:`repro.faults`) can validate or
-        quarantine the filtered windows between the bank flip and the
-        store while keeping byte-identical store semantics.
+        The tail half of :meth:`periodic_poll`, timed into the encode
+        stage: the resilient poller validates or quarantines the
+        filtered windows between :meth:`read_frozen_bank` and this.
         """
         snapshot = TimeWindowSnapshot(
             read_time_ns=now_ns,
@@ -262,11 +271,11 @@ class AnalysisProgram:
         observe = self._stage_encode_observe
         if observe is None:
             self.store.add_tw(snapshot)
-            self.store.add_qm(self.queue_monitor.snapshot(now_ns))
+            self._add_qm(self.queue_monitor.snapshot(now_ns))
         else:
             t0 = perf_counter_ns()
             self.store.add_tw(snapshot)
-            self.store.add_qm(self.queue_monitor.snapshot(now_ns))
+            self._add_qm(self.queue_monitor.snapshot(now_ns))
             observe(perf_counter_ns() - t0)
         return snapshot
 
@@ -296,13 +305,18 @@ class AnalysisProgram:
         observe = self._stage_encode_observe
         if observe is None:
             snapshot = self.queue_monitor.snapshot(now_ns)
-            self.store.add_qm(snapshot)
+            self._add_qm(snapshot)
         else:
             t0 = perf_counter_ns()
             snapshot = self.queue_monitor.snapshot(now_ns)
-            self.store.add_qm(snapshot)
+            self._add_qm(snapshot)
             observe(perf_counter_ns() - t0)
         return snapshot
+
+    def _add_qm(self, snapshot: QueueMonitorSnapshot, bounded: bool = True) -> None:
+        """Store a monitor snapshot and raise :attr:`qm_max_seq` past it."""
+        self.store.add_qm(snapshot, bounded=bounded)
+        self.qm_max_seq = max(self.qm_max_seq, snapshot.max_seq)
 
     def dp_read(self, now_ns: int) -> Optional[TimeWindowSnapshot]:
         """Handle a data-plane-triggered read at ``now_ns``.
@@ -347,7 +361,7 @@ class AnalysisProgram:
         self.store.add_tw(snapshot)
         # On-demand reads append the monitor snapshot unbounded: they sit
         # outside the periodic retention cadence (historic behaviour).
-        self.store.add_qm(self.queue_monitor.snapshot(now_ns), bounded=False)
+        self._add_qm(self.queue_monitor.snapshot(now_ns), bounded=False)
         read_ns = int(
             self.config.T
             * self.config.num_cells

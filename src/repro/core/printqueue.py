@@ -37,7 +37,7 @@ from repro.core.queuemonitor import QueueMonitorSnapshot
 from repro.errors import ConfigError, QueryError, SimulationError
 from repro.faults.injector import FaultInjector, as_injector
 from repro.faults.plan import FaultPlan, profile
-from repro.faults.resilience import CoverageReport, ResilientPoller, RetryPolicy
+from repro.faults.resilience import CoverageReport, FaultLog, ResilientPoller
 from repro.obs.metrics import Metrics
 from repro.store import SnapshotStore
 from repro.switch.packet import FlowKey, Packet
@@ -93,12 +93,12 @@ class QueryResult:
         False when a data-plane trigger was rejected because a previous
         on-demand read still held the special registers.
     degraded / coverage:
-        Set only when fault injection is active on the port: ``degraded``
-        is True when measurement loss (lost polls, quarantined cells,
-        lost monitor snapshots) overlaps this query, and ``coverage`` is
-        the :class:`~repro.faults.CoverageReport` naming exactly what
-        was missing.  A fault-free port always reports
-        ``degraded=False, coverage=None``.
+        Set only when ``faults.plan.enabled`` (the port's fault plan can
+        fire): ``degraded`` is True when measurement loss (lost polls,
+        quarantined cells, lost monitor snapshots) overlaps this query,
+        and ``coverage`` is the :class:`~repro.faults.CoverageReport`
+        naming exactly what was missing.  A fault-free port always
+        reports ``degraded=False, coverage=None``.
     """
 
     kind: str
@@ -176,8 +176,6 @@ class PrintQueuePort:
         num_classes: Optional[int] = None,
         metrics: Optional[Metrics] = None,
         faults: Optional[object] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        faults_strict: bool = False,
         store: Optional[SnapshotStore] = None,
     ) -> None:
         self.config = config
@@ -226,25 +224,13 @@ class PrintQueuePort:
         self._qm_period_ns = config.effective_qm_poll_period_ns
         self._next_qm_poll_ns = self._qm_period_ns
         self.packets_seen = 0
-        #: fault injection (repro.faults): off by default.  ``faults``
-        #: accepts a profile name, a FaultPlan, or a FaultInjector; when
-        #: set, every poll and on-demand read goes through the resilient
-        #: path (retry + validation + quarantine) and query results
-        #: carry degraded/coverage info.  When None, the poll loop reads
-        #: the analysis program directly; a zero-rate plan stores the
-        #: same stream bit for bit.
-        self.faults: Optional[FaultInjector] = None
-        self._poller: Optional[ResilientPoller] = None
-        if faults is not None:
-            injector = as_injector(faults, metrics=metrics)
-            self.faults = injector
-            self._poller = ResilientPoller(
-                self,
-                injector,
-                retry_policy=retry_policy,
-                metrics=metrics,
-                strict=faults_strict,
-            )
+        #: fault injection (repro.faults): ``faults`` is a profile name, a
+        #: FaultPlan or a FaultInjector, None the zero-rate "none" plan.
+        #: Every poll and on-demand read goes through the one poller
+        #: (retry + validation + quarantine); query results carry
+        #: degraded/coverage info when the plan can fire a fault.
+        self.faults: FaultInjector = as_injector(faults, metrics=metrics)
+        self.poller = ResilientPoller(self, self.faults, metrics=metrics)
 
     # -- data-path hooks (attach to an EgressPort) --------------------------
 
@@ -345,10 +331,9 @@ class PrintQueuePort:
         catch-up instant exactly as the scalar path fires it.
         """
         boundary = min(self._next_qm_poll_ns, self._next_poll_ns)
-        if self._poller is not None:
-            pending = self._poller.pending_full_ns
-            if pending is not None and pending < boundary:
-                boundary = pending
+        pending = self.poller.pending_full_ns
+        if pending is not None and pending < boundary:
+            return pending
         return boundary
 
     def _poll_if_due(self, now_ns: int) -> None:
@@ -356,36 +341,29 @@ class PrintQueuePort:
 
         A standalone monitor read goes first at an instant it shares with
         a full poll, and is skipped there (the full poll snapshots the
-        monitor itself).  With a :class:`~repro.faults.ResilientPoller`
-        attached each read goes through it, and a delayed poll fires at
-        its catch-up time.  Both ingest engines call this at identical
+        monitor itself).  Each read goes through the
+        :class:`~repro.faults.ResilientPoller`, and a delayed poll fires
+        at its catch-up time.  Both ingest engines call this at identical
         points, so the stored stream (and any injected fault) is
         engine-independent.
         """
-        poller = self._poller
-        analysis = self.analysis
+        poller = self.poller
         while now_ns >= self.next_poll_boundary_ns:
             next_qm = self._next_qm_poll_ns
             next_full = self._next_poll_ns
-            pending = poller.pending_full_ns if poller is not None else None
+            pending = poller.pending_full_ns
             if pending is not None and pending <= min(next_qm, next_full):
                 poller.fire_pending()
             elif next_qm <= next_full:
                 if next_qm != next_full:
-                    if poller is None:
-                        analysis.qm_poll(next_qm)
-                    else:
-                        poller.poll_qm(next_qm)
+                    poller.poll_qm(next_qm)
                 if self.classed_monitor is not None:
                     self._classed_snapshots.append(
                         (next_qm, self.classed_monitor.snapshot(next_qm))
                     )
                 self._next_qm_poll_ns += self._qm_period_ns
             else:
-                if poller is None:
-                    analysis.periodic_poll(next_full)
-                else:
-                    poller.poll_full(next_full)
+                poller.poll_full(next_full)
                 if self.metrics is not None:
                     self._sample_metrics(next_full)
                 self._next_poll_ns += self.config.set_period_ns
@@ -421,11 +399,8 @@ class PrintQueuePort:
         never flipped, so the flush reads everything it would have.
         """
         self._poll_if_due(now_ns)
-        if self._poller is not None:
-            self._poller.finalize(now_ns)
+        self.poller.finalize(now_ns)
         self.analysis.periodic_poll(now_ns)
-        if self._poller is not None and self.analysis.qm_snapshots:
-            self._poller.note_stored_qm(self.analysis.qm_snapshots[-1])
         if self.metrics is not None:
             self._sample_metrics(now_ns)
 
@@ -545,8 +520,8 @@ class PrintQueuePort:
                 )
             batch = list(intervals)
             coverages = None
-            if self._poller is not None:
-                log = self._poller.log
+            log = self._fault_log
+            if log is not None:
                 coverages = [
                     log.coverage_for(iv.start_ns, iv.end_ns) for iv in batch
                 ]
@@ -570,10 +545,9 @@ class PrintQueuePort:
             else:
                 used = self.analysis.query_queue_monitor(at_ns)
                 estimate = self.analysis.original_culprits(at_ns, snapshot=used)
-                if self._poller is not None:
-                    coverage = self._poller.log.qm_coverage_for(
-                        at_ns, used.time_ns
-                    )
+                log = self._fault_log
+                if log is not None:
+                    coverage = log.qm_coverage_for(at_ns, used.time_ns)
             return QueryResult(
                 kind="queue_monitor",
                 mode=None,
@@ -591,10 +565,9 @@ class PrintQueuePort:
                     "at_ns= applies to data_plane or queue-monitor queries"
                 )
             coverage = None
-            if self._poller is not None:
-                coverage = self._poller.log.coverage_for(
-                    interval.start_ns, interval.end_ns
-                )
+            log = self._fault_log
+            if log is not None:
+                coverage = log.coverage_for(interval.start_ns, interval.end_ns)
             return QueryResult(
                 kind="time_windows",
                 mode="async",
@@ -604,22 +577,16 @@ class PrintQueuePort:
                 coverage=coverage,
             )
         read_at = at_ns if at_ns is not None else interval.end_ns - 1
-        dp_failures_before = (
-            self._poller.log.dp_read_failures if self._poller is not None else 0
-        )
+        poller_log = self.poller.log
+        dp_failures_before = poller_log.dp_read_failures
         result = self._dp_query_interval(read_at, interval)
         if result is None:
             # Either the cost model rejected the trigger (not degraded —
             # the operator can simply re-trigger later) or, under fault
             # injection, every read attempt failed at the RPC layer.
             coverage = None
-            degraded = False
-            if (
-                self._poller is not None
-                and self._poller.log.dp_read_failures > dp_failures_before
-            ):
-                degraded = True
-                coverage = self._poller.log.dp_coverage_for(
+            if poller_log.dp_read_failures > dp_failures_before:
+                coverage = poller_log.dp_coverage_for(
                     read_at, interval.start_ns, interval.end_ns
                 )
             return QueryResult(
@@ -629,14 +596,13 @@ class PrintQueuePort:
                 interval=interval,
                 at_ns=read_at,
                 accepted=False,
-                degraded=degraded,
+                degraded=coverage is not None,
                 coverage=coverage,
             )
         coverage = None
-        if self._poller is not None:
-            coverage = self._poller.log.dp_coverage_for(
-                read_at, interval.start_ns, interval.end_ns
-            )
+        log = self._fault_log
+        if log is not None:
+            coverage = log.dp_coverage_for(read_at, interval.start_ns, interval.end_ns)
         return QueryResult(
             kind="time_windows",
             mode="data_plane",
@@ -647,6 +613,12 @@ class PrintQueuePort:
             degraded=coverage.degraded if coverage is not None else False,
             coverage=coverage,
         )
+
+    @property
+    def _fault_log(self) -> Optional[FaultLog]:
+        """The poller's log when the plan can fire a fault, else None: a
+        fault-free answer carries no coverage report."""
+        return self.poller.log if self.faults.plan.enabled else None
 
     # -- query implementations ------------------------------------------------
 
@@ -663,21 +635,16 @@ class PrintQueuePort:
         Returns None when the trigger is rejected (a previous read still
         holds the special registers under the hardware cost model), or —
         under fault injection — when every read attempt failed at the
-        RPC layer (``self._poller.log.dp_read_failures`` distinguishes
+        RPC layer (``self.poller.log.dp_read_failures`` distinguishes
         the two for the caller).
         """
-        if self._poller is not None:
-            snapshot = self._poller.dp_read(now_ns)
-        else:
-            snapshot = self.analysis.dp_read(now_ns)
+        snapshot = self.poller.dp_read(now_ns)
         if snapshot is None:
             return None
         # The on-demand read captures the queue monitor alongside the time
         # windows, so original-culprit queries can resolve this instant.
         if self.analysis.model_dp_read_cost is False:
             self.analysis.qm_poll(now_ns)
-            if self._poller is not None and self.analysis.qm_snapshots:
-                self._poller.note_stored_qm(self.analysis.qm_snapshots[-1])
         estimate = self.analysis.query_time_windows(interval, snapshots=[snapshot])
         result = DataPlaneQueryResult(now_ns, interval, estimate, snapshot)
         self.dp_results.append(result)
@@ -713,7 +680,6 @@ class PrintQueue:
         trigger: Optional[TriggerPolicy] = None,
         metrics: Optional[Metrics] = None,
         faults: Optional[object] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         ids = list(port_ids)
         if not ids:
@@ -735,21 +701,14 @@ class PrintQueue:
                 "PrintQueue, not a FaultInjector (injector state cannot be "
                 "shared across ports deterministically)"
             )
-        plan: Optional[FaultPlan] = None
-        if faults is not None:
-            plan = faults if isinstance(faults, FaultPlan) else profile(faults)
+        plan = faults if isinstance(faults, FaultPlan) else profile(faults or "none")
         self.ports: Dict[int, PrintQueuePort] = {
             pid: PrintQueuePort(
                 config,
                 d_ns=d_ns,
                 trigger=trigger,
                 metrics=metrics,
-                faults=(
-                    plan.with_seed(plan.seed + index)
-                    if plan is not None
-                    else None
-                ),
-                retry_policy=retry_policy,
+                faults=plan.with_seed(plan.seed + index),
             )
             for index, pid in enumerate(ids)
         }

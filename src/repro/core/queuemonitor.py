@@ -74,6 +74,9 @@ class QueueMonitorSnapshot:
         self.top = top
         self.chunks: Tuple[Chunk, ...] = ((inc_seq, inc_flow_idx, dec_seq),)
         self.flow_table = flow_table
+        #: :attr:`max_seq` stamped by the monitor for a live snapshot;
+        #: None (scan the chunks) for a decoded or rebound one.
+        self.seq_stamp: Optional[int] = None
 
     def _column(self, side: int, n: Optional[int] = None) -> np.ndarray:
         """Column ``side`` of the chunks over levels ``[0, n)`` (all when
@@ -124,6 +127,8 @@ class QueueMonitorSnapshot:
     @property
     def max_seq(self) -> int:
         """The largest sequence number held (``_UNSET`` when empty)."""
+        if self.seq_stamp is not None:
+            return self.seq_stamp
         return max(int(chunk[side].max()) for chunk in self.chunks for side in (0, 2))
 
     def walk(self) -> List[MonitorEntry]:
@@ -333,6 +338,9 @@ class QueueMonitor:
             time_ns, self.top, *chunks[0], self.flow_table.flows
         )
         snapshot.chunks = chunks
+        # Every event writes ``++_seq`` at its level, so the newest one
+        # is the maximum: O(1) instead of a scan over every page.
+        snapshot.seq_stamp = self._seq if self._seq else _UNSET
         return snapshot
 
     def reset(self) -> None:

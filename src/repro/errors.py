@@ -32,30 +32,6 @@ class StoreError(ReproError):
     incompatible recording, replay mismatch)."""
 
 
-class FaultInjected(ReproError):
-    """An injected fault surfaced to the caller.
-
-    Raised only by a strict-mode :class:`~repro.faults.ResilientPoller`
-    (debug/test aid); the default resilient path degrades gracefully
-    instead of raising.
-    """
-
-
-class DataPlaneReadError(ReproError):
-    """A control-plane register read failed outright (RPC/PCIe layer)."""
-
-
-class SnapshotValidationError(DataPlaneReadError):
-    """A register read violated the cycle-ID/TTS or sequence-number
-    invariants (torn or corrupted cells) and strict mode forbade
-    quarantining it."""
-
-
-class RetryExhausted(DataPlaneReadError):
-    """A read kept failing past its :class:`~repro.faults.RetryPolicy`
-    attempt budget."""
-
-
 class ServiceError(ReproError):
     """Base class for always-on diagnosis-service errors."""
 

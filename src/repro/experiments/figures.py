@@ -1,13 +1,13 @@
 """Terminal renderers for the paper's figure shapes.
 
-Pure-text plotting used by the examples and benches: a time-series
-renderer for the Figure-16a queue-depth timeline and a CDF renderer for
-Figure 10.  Kept dependency-free so benches stay runnable anywhere.
+Pure-text plotting: a time-series renderer for the Figure-16a
+queue-depth timeline (``repro run --plot``).  Kept dependency-free so it
+runs anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 
 def timeline(
@@ -45,41 +45,3 @@ def timeline(
     right = f"{t1 / unit_divisor:.1f} {unit_label}"
     rows.append(" " * 10 + left + " " * max(1, buckets - len(left) - len(right)) + right)
     return "\n".join(rows)
-
-
-def cdf(
-    series: Sequence[Tuple[str, Iterable[float]]],
-    width: int = 50,
-    lo: float = 0.0,
-    hi: float = 1.0,
-) -> str:
-    """Render one CDF line per (label, values) pair over [lo, hi]."""
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    lines = []
-    for label, values in series:
-        data = sorted(values)
-        if not data:
-            lines.append(f"{label:>12}: (empty)")
-            continue
-        cells = []
-        for i in range(width):
-            x = lo + (hi - lo) * (i + 1) / width
-            frac = sum(1 for v in data if v <= x) / len(data)
-            cells.append(" .:-=+*#%@"[min(9, int(frac * 9.999))])
-        lines.append(f"{label:>12}: |{''.join(cells)}|")
-    lines.append(
-        f"{'':>12}   {lo:<8g}{'':^{max(0, width - 16)}}{hi:>8g}"
-    )
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line sparkline (eight-level blocks) of a series."""
-    if not values:
-        return ""
-    blocks = "▁▂▃▄▅▆▇█"
-    lo = min(values)
-    hi = max(values)
-    span = hi - lo or 1.0
-    return "".join(blocks[min(7, int((v - lo) / span * 7.999))] for v in values)

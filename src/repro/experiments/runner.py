@@ -314,8 +314,8 @@ def build_run(
     ``metrics`` attached, generation and the FIFO are timed into
     ``pq_ingest_stage_generate_ns`` / ``pq_ingest_stage_fifo_ns``.
     ``faults`` (a profile name, :class:`~repro.faults.FaultPlan`, or
-    injector) runs the control plane under seeded fault injection with
-    the resilient read path; ``store`` is the snapshot-store backend the
+    injector; None is the zero-rate ``"none"`` profile) seeds the fault
+    injection the port's read path runs under; ``store`` is the snapshot-store backend the
     port writes to (default: in-memory).  Offline runs, the live service
     and the profiler all build here, so the same arguments give the same
     port state whoever drives it.
@@ -378,8 +378,7 @@ def simulate_workload(
     ``faults`` and ``store`` are :func:`build_run`'s.  ``engine`` also
     selects the ingest path (see :func:`drive_printqueue`).  Structure
     counters are collected with or without ``metrics`` via
-    :meth:`ExperimentRun.report`; the default ``faults=None`` keeps the
-    perfect channel and bit-identical outputs; a write-mode
+    :meth:`ExperimentRun.report`; a write-mode
     :class:`~repro.store.MmapStore` as ``store`` makes the run's poll
     stream a replayable on-disk recording.
     """

@@ -12,7 +12,7 @@ survive them:
   ``lossy-control``, ``qm-regression``, ``chaos``).
 * :class:`FaultInjector` — draws fault outcomes from a seeded RNG and
   tampers register reads; keeps the authoritative injected-fault tally.
-* :class:`ResilientPoller` / :class:`RetryPolicy` — bounded retry with
+* :class:`ResilientPoller` — every port's read path: bounded retry with
   exponential backoff, snapshot validation, quarantine-instead-of-crash,
   and deadline-aware catch-up for delayed polls.
 * :class:`FaultLog` / :class:`CoverageReport` / :class:`QuarantineRecord`
@@ -21,10 +21,11 @@ survive them:
 
 Attach a plan with ``PrintQueuePort(..., faults="chaos")`` (or a
 ``FaultPlan`` / ``FaultInjector``), ``simulate_workload(...,
-faults=...)``, or ``repro run --faults chaos``.  With ``faults=None``
-(the default) none of this code runs and every output is bit-identical
-to the fault-free build — the zero-overhead invariant the test suite
-asserts.
+faults=...)``, or ``repro run --faults chaos``.  ``faults=None`` (the
+default) is the zero-rate ``none`` profile: the same poller runs, draws
+nothing, and every output — port state, answers (no coverage report),
+run report — is bit-identical to a perfect channel, the zero-overhead
+invariant the test suite asserts.
 """
 
 from repro.faults.injector import FaultInjector, as_injector
@@ -34,7 +35,6 @@ from repro.faults.resilience import (
     FaultLog,
     QuarantineRecord,
     ResilientPoller,
-    RetryPolicy,
     validate_filtered_windows,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "ResilientPoller",
-    "RetryPolicy",
     "FaultLog",
     "CoverageReport",
     "QuarantineRecord",

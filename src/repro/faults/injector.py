@@ -169,23 +169,26 @@ class FaultInjector:
             (np.maximum(_UNSET, inc - delta), idx, np.maximum(_UNSET, dec - delta))
             for inc, idx, dec in snapshot.chunks
         )
+        snapshot.seq_stamp = None
         self._count("qm_seq_regressions")
         return True
 
 
 def as_injector(
-    faults: Union[str, FaultPlan, "FaultInjector"],
+    faults: Union[None, str, FaultPlan, "FaultInjector"],
     metrics: Optional[Metrics] = None,
 ) -> FaultInjector:
-    """Coerce a profile name / plan / injector into a ``FaultInjector``."""
+    """Coerce a profile name / plan / injector into a ``FaultInjector``;
+    None is the zero-rate ``"none"`` profile."""
     if isinstance(faults, FaultInjector):
         return faults
-    if isinstance(faults, FaultPlan):
-        return FaultInjector(faults, metrics=metrics)
+    faults = faults or "none"
     if isinstance(faults, str):
         from repro.faults.plan import profile
 
-        return FaultInjector(profile(faults), metrics=metrics)
+        faults = profile(faults)
+    if isinstance(faults, FaultPlan):
+        return FaultInjector(faults, metrics=metrics)
     raise TypeError(
         f"faults must be a profile name, FaultPlan, or FaultInjector; "
         f"got {type(faults).__name__}"

@@ -37,6 +37,7 @@ sum to at most 1.  A plan with every rate 0 injects nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
@@ -89,9 +90,10 @@ class FaultPlan:
         if self.poll_delay_ns is not None and self.poll_delay_ns < 1:
             raise ConfigError("non-positive poll_delay_ns")
 
-    @property
+    @cached_property
     def enabled(self) -> bool:
-        """Whether any fault can actually fire under this plan."""
+        """Whether any fault can actually fire under this plan (every
+        query asks, so it is computed once)."""
         return any(
             getattr(self, f.name) > 0.0
             for f in fields(self)

@@ -1,14 +1,15 @@
-"""The resilient control-plane read path: retry, validate, quarantine.
+"""The control-plane read path: retry, validate, quarantine.
 
-:class:`ResilientPoller` takes each read of a port's poll loop when fault
-injection is attached.  Every control-plane read goes through the same
-discipline:
+Every port reads its registers through one :class:`ResilientPoller`;
+without ``faults=`` it runs the zero-rate ``"none"`` plan, which draws
+nothing and stores exactly what a perfect channel would.  Every
+control-plane read goes through the same discipline:
 
 1. **Bounded retry with exponential backoff** — failed RPCs and reads
-   that fail validation are retried up to ``RetryPolicy.max_attempts``
-   times; backoffs are modelled nanoseconds recorded in the log and the
-   ``pq_fault_retry_backoff_ns`` histogram (they do not advance
-   simulated time — the poll's read instant stays put).
+   that fail validation are retried up to :data:`MAX_ATTEMPTS` times;
+   backoffs (:data:`BACKOFF_NS`) are modelled nanoseconds recorded in
+   the log and the ``pq_fault_retry_backoff_ns`` histogram (they do not
+   advance simulated time — the poll's read instant stays put).
 2. **Snapshot validation** — every read is checked against the
    invariants Algorithm 3 guarantees: retained cell TTS values must lie
    in ``(reference − 2^k, reference]`` (cycle-ID consistency), and
@@ -25,8 +26,9 @@ discipline:
    reads its bank (nothing lost); a dropped poll's set period is gone
    and is recorded as a lost range so queries over it say so.
 
-Everything here is reached only when a port is built with ``faults=``;
-without it the port runs the original byte-for-byte poll path.
+The filter and encode work itself is the analysis program's
+(``read_frozen_bank``, ``store_periodic_snapshot``, ``qm_poll``), so the
+stage timings are the same whatever the plan.
 """
 
 from __future__ import annotations
@@ -37,23 +39,16 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.filtering import FilteredWindow
-from repro.errors import (
-    ConfigError,
-    DataPlaneReadError,
-    FaultInjected,
-    RetryExhausted,
-    SnapshotValidationError,
-)
 from repro.faults.injector import DELAY, DROP, OK, REGRESS, RPC_ERROR, FaultInjector
 from repro.obs.metrics import Metrics
 
 if TYPE_CHECKING:
     from repro.core.analysis import TimeWindowSnapshot
     from repro.core.printqueue import PrintQueuePort
-    from repro.core.queuemonitor import QueueMonitorSnapshot
 
 __all__ = [
-    "RetryPolicy",
+    "MAX_ATTEMPTS",
+    "BACKOFF_NS",
     "QuarantineRecord",
     "CoverageReport",
     "FaultLog",
@@ -62,35 +57,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for control-plane reads."""
-
-    max_attempts: int = 4
-    base_backoff_ns: int = 1_000
-    multiplier: float = 2.0
-    max_backoff_ns: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_ns < 0:
-            raise ConfigError("negative base_backoff_ns")
-        if self.multiplier < 1.0:
-            raise ConfigError("backoff multiplier must be >= 1")
-
-    def backoff_ns(self, attempt: int) -> int:
-        """Backoff before retry number ``attempt`` (1-based), capped."""
-        if attempt < 1:
-            raise ConfigError(f"attempt is 1-based, got {attempt}")
-        backoff = self.base_backoff_ns * self.multiplier ** (attempt - 1)
-        return min(self.max_backoff_ns, int(backoff))
-
-    def schedule(self) -> Tuple[int, ...]:
-        """The full backoff schedule (one entry per possible retry)."""
-        return tuple(
-            self.backoff_ns(a) for a in range(1, self.max_attempts)
-        )
+#: Attempts per control-plane read: the first try plus up to three retries.
+MAX_ATTEMPTS = 4
+#: Modelled backoff before retry ``n`` (``BACKOFF_NS[n - 1]``): doubling
+#: from 1 µs, capped at 1 ms.
+BACKOFF_NS: Tuple[int, ...] = tuple(
+    min(1_000_000, 1_000 << n) for n in range(MAX_ATTEMPTS - 1)
+)
 
 
 @dataclass(frozen=True)
@@ -264,7 +237,7 @@ class FaultLog:
 
 
 def validate_filtered_windows(
-    windows: List[FilteredWindow], k: int, strict: bool = False
+    windows: List[FilteredWindow], k: int
 ) -> Tuple[List[FilteredWindow], List[Tuple[int, int]]]:
     """Check Algorithm 3's cycle-ID/TTS invariant; quarantine violators.
 
@@ -274,9 +247,7 @@ def validate_filtered_windows(
     cycle bits from the future (corruption).  Returns the cleaned
     windows (violating cells removed, everything else untouched) and a
     ``(window_index, bad_cell_count)`` list; an empty list means the
-    read validated and the input is returned as-is.  With ``strict`` a
-    violation raises :class:`~repro.errors.SnapshotValidationError`
-    instead of quarantining.
+    read validated and the input is returned as-is.
     """
     violations: List[Tuple[int, int]] = []
     cleaned = list(windows)
@@ -292,61 +263,43 @@ def validate_filtered_windows(
         keep = ~bad
         cleaned[i] = fw.with_columns(tts[keep], fw.flow_idx[keep])
         violations.append((fw.window_index, n_bad))
-    if strict and violations:
-        raise SnapshotValidationError(
-            f"cells outside (reference - 2^k, reference]: {violations}"
-        )
     return cleaned, violations
 
 
 class ResilientPoller:
-    """Hardened poll / on-demand-read path for one ``PrintQueuePort``.
+    """The poll / on-demand-read path of one ``PrintQueuePort``.
 
-    Created by the port when ``faults=`` is passed; owns the injector,
-    the retry policy, and the :class:`FaultLog`.  The port's one poll
-    loop calls it at the same logical instants it polls without one,
-    from both ingest engines, so fault draws and outcomes are
-    engine-independent.
+    Every port builds one; it owns the injector and the
+    :class:`FaultLog`.  The port's one poll loop calls it at the same
+    logical instants from both ingest engines, so fault draws and
+    outcomes are engine-independent.
     """
 
     def __init__(
         self,
         port: "PrintQueuePort",
         injector: FaultInjector,
-        retry_policy: Optional[RetryPolicy] = None,
         metrics: Optional[Metrics] = None,
-        strict: bool = False,
     ) -> None:
         self.port = port
         self.injector = injector
-        self.retry = retry_policy if retry_policy is not None else RetryPolicy()
         self.log = FaultLog()
         self.metrics = metrics
-        #: raise the typed errors instead of degrading (debug/test aid).
-        self.strict = strict
         #: fire time of a delayed (pending) full poll, or None.
         self.pending_full_ns: Optional[int] = None
         #: the deadline the pending poll originally missed.
         self._pending_due_ns: Optional[int] = None
-        #: largest queue-monitor sequence number accepted so far (the
-        #: floor regressions are detected against).
-        self.last_qm_max_seq = 0
-        if metrics is not None:
-            self._obs_backoff = metrics.histogram("pq_fault_retry_backoff_ns")
-            self._obs_retries = metrics.counter("pq_faults_retries_total")
-        else:
-            self._obs_backoff = None
-            self._obs_retries = None
 
     # -- retry bookkeeping -------------------------------------------------
 
     def _record_retry(self, attempt: int) -> None:
-        backoff = self.retry.backoff_ns(attempt)
+        backoff = BACKOFF_NS[attempt - 1]
         self.log.retries += 1
         self.log.retry_backoff_ns_total += backoff
-        if self._obs_retries is not None:
-            self._obs_retries.inc()
-            self._obs_backoff.observe(backoff)
+        if self.metrics is not None:
+            # looked up on first use, so a fault-free registry holds none
+            self.metrics.counter("pq_faults_retries_total").inc()
+            self.metrics.histogram("pq_fault_retry_backoff_ns").observe(backoff)
 
     # -- periodic (full) polls ---------------------------------------------
 
@@ -354,8 +307,6 @@ class ResilientPoller:
         """One due periodic poll, with drop/delay/read-fault handling."""
         outcome = self.injector.poll_outcome()
         if outcome == DROP:
-            if self.strict:
-                raise FaultInjected(f"periodic poll at {due_ns} ns dropped")
             self._drop_poll(due_ns)
             return
         if outcome == DELAY:
@@ -403,24 +354,16 @@ class ResilientPoller:
 
     def _read_and_store(self, read_ns: int) -> None:
         """Flip + read the frozen bank with retry/validate/quarantine."""
-        from repro.core.filtering import filter_windows
-
         analysis = self.port.analysis
-        frozen = analysis.tw_banks.periodic_flip()
-        pristine = filter_windows(
-            frozen.snapshot(), analysis.config, stats=analysis.filter_stats
-        )
         windows, failed_attempts = self._read_with_retries(
-            pristine, read_ns, analysis._active_since_ns, source="periodic"
+            analysis.read_frozen_bank(),
+            read_ns,
+            analysis._active_since_ns,
+            source="periodic",
         )
         if windows is None:
             # every attempt failed at the RPC layer: the frozen bank is
             # overwritten by the next flip before a read lands.
-            if self.strict:
-                raise RetryExhausted(
-                    f"periodic read at {read_ns} ns failed after "
-                    f"{self.retry.max_attempts} attempts"
-                )
             lost_from = analysis._active_since_ns
             analysis._active_since_ns = read_ns
             if read_ns > lost_from:
@@ -431,10 +374,6 @@ class ResilientPoller:
         if failed_attempts:
             self.log.reads_recovered += 1
         analysis.store_periodic_snapshot(read_ns, windows)
-        # the stored snapshot carried a clean monitor read: advance the
-        # sequence-number floor regressions are detected against.
-        if analysis.qm_snapshots:
-            self.note_stored_qm(analysis.qm_snapshots[-1])
 
     def _read_with_retries(
         self,
@@ -453,15 +392,13 @@ class ResilientPoller:
         injector = self.injector
         k = self.port.config.k
         failed = 0
-        last_error: Optional[str] = None
-        for attempt in range(1, self.retry.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             outcome = injector.read_attempt_outcome()
             if outcome == OK:
                 return pristine, failed
             failed += 1
-            last_error = outcome
             if outcome == RPC_ERROR:
-                if attempt < self.retry.max_attempts:
+                if attempt < MAX_ATTEMPTS:
                     self._record_retry(attempt)
                 continue
             # torn / corrupt: the read "succeeded" but validation fails.
@@ -470,15 +407,10 @@ class ResilientPoller:
                 # nothing to damage in an empty read — it validates.
                 return pristine, failed - 1
             cleaned, violations = validate_filtered_windows(tampered, k)
-            if attempt < self.retry.max_attempts:
+            if attempt < MAX_ATTEMPTS:
                 self._record_retry(attempt)
                 continue
             # retry budget exhausted: quarantine what validation caught.
-            if self.strict:
-                raise SnapshotValidationError(
-                    f"{source} read at {read_ns} ns still failed validation "
-                    f"after {self.retry.max_attempts} attempts: {violations}"
-                )
             self.log.retry_exhausted += 1
             for window_index, n_bad in violations:
                 span = pristine[window_index].coverage_ns(k)
@@ -506,47 +438,27 @@ class ResilientPoller:
         analysis = self.port.analysis
         outcome = self.injector.qm_poll_outcome()
         if outcome == DROP:
-            if self.strict:
-                raise FaultInjected(f"queue-monitor poll at {due_ns} ns dropped")
             self.log.qm_lost_ns.append(due_ns)
             return
-        snapshot = analysis.queue_monitor.snapshot(due_ns)
         if outcome == REGRESS:
-            if self.injector.regress_qm(snapshot, self.last_qm_max_seq):
-                if not self._qm_validates(snapshot):
-                    self.log.qm_quarantined += 1
-                    self.log.qm_lost_ns.append(due_ns)
-                    self.log.quarantines.append(
-                        QuarantineRecord(
-                            read_time_ns=due_ns,
-                            source="queue-monitor",
-                            kind="qm-regression",
-                        )
+            read = analysis.queue_monitor.snapshot(due_ns)
+            floor = analysis.qm_max_seq
+            if self.injector.regress_qm(read, floor) and read.max_seq < floor:
+                # §5's counter only moves forward: a read peaking below
+                # what was already stored is quarantined, never stored.
+                self.log.qm_quarantined += 1
+                self.log.qm_lost_ns.append(due_ns)
+                self.log.quarantines.append(
+                    QuarantineRecord(
+                        read_time_ns=due_ns,
+                        source="queue-monitor",
+                        kind="qm-regression",
                     )
-                    return
-        if not self._qm_validates(snapshot):
-            # defensive: never store a snapshot that fails monotonicity.
-            self.log.qm_quarantined += 1
-            self.log.qm_lost_ns.append(due_ns)
-            return
-        self.note_stored_qm(snapshot)
-        # Through the store, never the raw list: ingest and retention are
-        # the store's job (the snapshot views are read-only).
-        analysis.store.add_qm(snapshot)
-
-    def _qm_validates(self, snapshot: "QueueMonitorSnapshot") -> bool:
-        """Sequence numbers may only move forward (§5's monotone counter)."""
-        from repro.core.queuemonitor import _UNSET
-
-        peak = snapshot.max_seq
-        return peak == _UNSET or peak >= self.last_qm_max_seq
-
-    def note_stored_qm(self, snapshot: "QueueMonitorSnapshot") -> None:
-        """Advance the monotonicity floor past an accepted snapshot —
-        also those stored outside :meth:`poll_qm` (full polls and
-        on-demand reads snapshot the monitor themselves, always cleanly).
-        An empty monitor peaks at ``_UNSET``, below the initial floor."""
-        self.last_qm_max_seq = max(self.last_qm_max_seq, snapshot.max_seq)
+                )
+                return
+            # nothing to regress (no floor yet, or an empty monitor): the
+            # clean read below stores the same registers.
+        analysis.qm_poll(due_ns)
 
     # -- on-demand (data-plane triggered) reads ------------------------------
 
@@ -566,19 +478,10 @@ class ResilientPoller:
         snapshot = analysis.dp_read(now_ns)
         if snapshot is None:
             return None
-        if analysis.model_dp_read_cost:
-            # dp_read stored a monitor snapshot alongside; keep the floor.
-            if analysis.qm_snapshots:
-                self.note_stored_qm(analysis.qm_snapshots[-1])
         windows, failed_attempts = self._read_with_retries(
             snapshot.windows, now_ns, snapshot.valid_from_ns, source="data-plane"
         )
         if windows is None:
-            if self.strict:
-                raise DataPlaneReadError(
-                    f"on-demand read at {now_ns} ns failed after "
-                    f"{self.retry.max_attempts} attempts"
-                )
             # the registers were frozen but no read ever completed:
             # quarantine the whole snapshot (it holds data the control
             # plane never actually received).

@@ -155,20 +155,19 @@ def _collect_faults(pq: "PrintQueuePort") -> Dict[str, Any]:
     ``injected`` is read straight off the injector's authoritative tally
     (the same object every injection incremented), so the report
     reconciles with the ``pq_faults_injected_total`` counters by
-    construction.  A fault-free port reports ``{"enabled": False}`` —
-    deterministic across engines, and old reports without the key still
-    load fine.
+    construction.  A port whose plan cannot fire a fault reports
+    ``{"enabled": False}`` — deterministic across engines, and old
+    reports without the key still load fine.
     """
-    injector = getattr(pq, "faults", None)
-    if injector is None:
+    injector = pq.faults
+    if not injector.plan.enabled:
         return {"enabled": False}
-    poller = getattr(pq, "_poller", None)
     return {
         "enabled": True,
         "profile": injector.plan.name,
         "seed": injector.plan.seed,
         "injected": dict(sorted(injector.injected.items())),
-        "resilience": poller.log.to_dict() if poller is not None else None,
+        "resilience": pq.poller.log.to_dict(),
     }
 
 

@@ -46,10 +46,14 @@ def encode(payload: Dict[str, Any]) -> bytes:
 
 
 def decode(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line; raises ``QueryError`` on malformed input."""
+    """Parse one wire line; raises ``QueryError`` on malformed input.
+
+    ``ValueError`` covers bad UTF-8, bad JSON and an integer past
+    Python's digit limit; ``RecursionError`` a line nested too deep.
+    """
     try:
         payload = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise QueryError(f"malformed request line: {exc}") from exc
     if not isinstance(payload, dict):
         raise QueryError(f"request must be a JSON object, got {type(payload).__name__}")

@@ -439,21 +439,17 @@ class DiagnosisService:
         lost = []
         if interval.start_ns < cutoff:
             lost.append((interval.start_ns, min(interval.end_ns, cutoff)))
-        # Fold in genuine fault-injection loss overlapping the interval,
-        # so a faulted REDUCED answer names both kinds of blindness.
-        poller = getattr(self.pq, "_poller", None)
-        quarantined = ()
-        qm_lost = ()
-        if poller is not None:
-            fault_cov = poller.log.coverage_for(interval.start_ns, interval.end_ns)
-            lost.extend(fault_cov.lost_ns)
-            quarantined = fault_cov.quarantined
-            qm_lost = fault_cov.qm_lost_ns
+        # Fold in fault-injection loss overlapping the interval (none on a
+        # fault-free port), so a faulted REDUCED answer names both kinds
+        # of blindness.
+        fault_cov = self.pq.poller.log.coverage_for(
+            interval.start_ns, interval.end_ns
+        )
         coverage = CoverageReport(
             interval=(interval.start_ns, interval.end_ns),
-            lost_ns=tuple(lost),
-            quarantined=quarantined,
-            qm_lost_ns=qm_lost,
+            lost_ns=tuple(lost) + fault_cov.lost_ns,
+            quarantined=fault_cov.quarantined,
+            qm_lost_ns=fault_cov.qm_lost_ns,
         )
         return estimate, coverage
 
@@ -480,10 +476,9 @@ class DiagnosisService:
             },
             "snapshots": len(self.store.tw_view()),
             "faults": (
-                self.config.faults
-                if self.config.faults is None
-                or isinstance(self.config.faults, str)
-                else str(getattr(self.config.faults, "name", self.config.faults))
+                self.pq.faults.plan.name
+                if self.pq is not None and self.pq.faults.plan.enabled
+                else None
             ),
             "slo": self.slo.snapshot(),
         }

@@ -18,7 +18,6 @@ Public entry points:
 from repro.switch.packet import FlowKey, Packet, PROTO_TCP, PROTO_UDP
 from repro.switch.queue import EgressQueue, QueueSample
 from repro.switch.scheduler import (
-    DeficitRoundRobinScheduler,
     FifoScheduler,
     Scheduler,
     StrictPriorityScheduler,
@@ -45,7 +44,6 @@ __all__ = [
     "Scheduler",
     "FifoScheduler",
     "StrictPriorityScheduler",
-    "DeficitRoundRobinScheduler",
     "EgressPort",
     "Switch",
     "SwitchStats",

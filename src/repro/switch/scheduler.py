@@ -3,16 +3,15 @@
 PrintQueue's time windows claim to be agnostic to the scheduling policy
 (they consume only dequeue timestamps), and its queue monitor "can track
 each priority or rank separately" (Section 5).  To exercise both claims the
-simulator supports FIFO, strict priority, and deficit round robin over a
-set of per-class FIFO queues.
+simulator supports FIFO and strict priority over a set of per-class FIFO
+queues.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.errors import SimulationError
 from repro.switch.packet import Packet
 from repro.switch.queue import EgressQueue
 
@@ -65,52 +64,3 @@ class StrictPriorityScheduler(Scheduler):
             if len(queue):
                 return queue
         return None
-
-
-class DeficitRoundRobinScheduler(Scheduler):
-    """Byte-fair deficit round robin across the class queues."""
-
-    def __init__(self, queues: Sequence[EgressQueue], quantum_bytes: int = 1500) -> None:
-        super().__init__(queues)
-        if quantum_bytes <= 0:
-            raise ValueError(f"non-positive quantum: {quantum_bytes}")
-        self.quantum_bytes = quantum_bytes
-        self._deficit: Dict[int, int] = {i: 0 for i in range(len(self.queues))}
-        #: whether the current visit to each queue has received its quantum
-        self._granted: Dict[int, bool] = {i: False for i in range(len(self.queues))}
-        self._active = 0
-
-    def select(self) -> Optional[EgressQueue]:
-        if self.empty:
-            # Reset credit so an idle period does not bank deficit.
-            for index in self._deficit:
-                self._deficit[index] = 0
-                self._granted[index] = False
-            return None
-        n = len(self.queues)
-        # Each queue needs at most 3 steps per lap (grant, recheck, move
-        # on); deficits accumulate across laps when the quantum is smaller
-        # than the head packet, needing at most ceil(max_size/quantum) laps.
-        max_steps = 3 * n * (1 + 10_000 // self.quantum_bytes)
-        for _ in range(max_steps):
-            index = self._active
-            queue = self.queues[index]
-            head = queue.head()
-            if head is None:
-                self._deficit[index] = 0
-                self._granted[index] = False
-                self._active = (index + 1) % n
-                continue
-            if self._deficit[index] >= head.size_bytes:
-                # Serve from the current visit's remaining credit.
-                self._deficit[index] -= head.size_bytes
-                return queue
-            if self._granted[index]:
-                # Quantum already granted this visit and still short:
-                # carry the deficit over and move to the next queue.
-                self._granted[index] = False
-                self._active = (index + 1) % n
-                continue
-            self._granted[index] = True
-            self._deficit[index] += self.quantum_bytes
-        raise SimulationError("DRR failed to serve; quantum far below packet sizes?")

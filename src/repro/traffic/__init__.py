@@ -8,11 +8,7 @@ of all three, plus the scenario builders used in the microburst, incast,
 and queue-monitor case-study experiments.
 """
 
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    OnOffArrivals,
-    PoissonArrivals,
-)
+from repro.traffic.arrivals import ArrivalProcess, PoissonArrivals
 from repro.traffic.distributions import (
     DataMiningDistribution,
     EmpiricalCdfDistribution,
@@ -32,7 +28,6 @@ from repro.traffic.trace import Trace, partition_trace_by_port
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "OnOffArrivals",
     "FlowSizeDistribution",
     "WebSearchDistribution",
     "DataMiningDistribution",

@@ -56,8 +56,8 @@ class WorkloadConfig:
     subnet: int = 0x0A000000  # 10.0.0.0/8
     proto: int = PROTO_TCP
     priority: int = 0
-    #: Per-flow inter-packet arrival model.  None = Poisson gaps at the
-    #: flow pacing rate; pass e.g. an OnOffArrivals for bursty flows.
+    #: Per-flow inter-packet arrival model (an ArrivalProcess).  None =
+    #: Poisson gaps at the flow pacing rate.
     arrival_process: Optional[ArrivalProcess] = None
 
     def __post_init__(self) -> None:

@@ -1,6 +1,6 @@
-"""PQ004 fixture: the typed taxonomy, as the resilience layer uses it."""
+"""PQ004 fixture: the typed taxonomy, as a typed package uses it."""
 
-from repro.errors import ConfigError, RetryExhausted
+from repro.errors import ConfigError, StoreError
 
 
 def validate(rate: float) -> None:
@@ -9,4 +9,4 @@ def validate(rate: float) -> None:
 
 
 def give_up(attempts: int) -> None:
-    raise RetryExhausted(f"failed after {attempts} attempts")
+    raise StoreError(f"failed after {attempts} attempts")

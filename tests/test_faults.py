@@ -2,14 +2,14 @@
 
 Three contracts are pinned here:
 
-1. **Zero overhead** — with ``faults=None`` (or the all-zero ``none``
-   profile) every register bank, counter, and snapshot is bit-identical
-   to a build without the fault layer.
+1. **Zero overhead** — ``faults=None`` is the all-zero ``none`` profile:
+   every register bank, counter, snapshot, answer, report section and
+   stage timing count is that of a perfect channel.
 2. **Engine independence** — under every profile the scalar and production
    ingest engines inject the same faults and converge to the same state.
 3. **Graceful degradation** — under every profile, queries complete
    without exceptions and their ``degraded``/``coverage`` surface names
-   exactly what was lost; strict mode raises the typed errors instead.
+   exactly what was lost.
 """
 
 import pytest
@@ -19,24 +19,18 @@ from hypothesis import strategies as st
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueue, PrintQueuePort
 from repro.core.queries import QueryInterval
-from repro.errors import (
-    ConfigError,
-    DataPlaneReadError,
-    FaultInjected,
-    RetryExhausted,
-    SnapshotValidationError,
-)
+from repro.errors import ConfigError
 from repro.experiments.runner import query_time_windows_scalar, simulate_workload
 from repro.faults import (
     PROFILES,
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     as_injector,
     profile,
     profile_names,
     validate_filtered_windows,
 )
+from repro.faults.resilience import BACKOFF_NS, MAX_ATTEMPTS
 from repro.obs.metrics import Metrics
 from repro.switch.packet import FlowKey
 
@@ -118,30 +112,6 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy
-
-
-class TestRetryPolicy:
-    def test_schedule_exponential_and_capped(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_backoff_ns=100, multiplier=2.0, max_backoff_ns=350
-        )
-        assert policy.schedule() == (100, 200, 350, 350)
-        assert policy.backoff_ns(1) == 100
-        assert policy.backoff_ns(10) == 350
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_backoff_ns=-1)
-        with pytest.raises(ConfigError):
-            RetryPolicy().backoff_ns(0)
-
-
-# ---------------------------------------------------------------------------
 # snapshot validation + guaranteed-detectable tampering
 
 
@@ -172,8 +142,6 @@ class TestValidation:
         cleaned, violations = validate_filtered_windows(windows, k=8)
         assert violations == [(1, 2)]
         assert len(cleaned[1].cells) == len(fw.cells) - 2
-        with pytest.raises(SnapshotValidationError):
-            validate_filtered_windows(windows, k=8, strict=True)
 
     @pytest.mark.parametrize("kind", ["torn", "corrupt"])
     def test_tampering_is_always_detected(self, kind):
@@ -209,8 +177,10 @@ class TestZeroOverhead:
         # the polls due at one event must still fire in time order.
         for duration_ns, load in ((1_000_000, 1.3), (3_000_000, 0.3)):
             kw = dict(duration_ns=duration_ns, load=load, config=CFG, seed=5)
-            base = simulate_workload("ws", engine=engine, **kw)
-            nulled = simulate_workload("ws", engine=engine, faults="none", **kw)
+            base = simulate_workload("ws", engine=engine, metrics=Metrics(), **kw)
+            nulled = simulate_workload(
+                "ws", engine=engine, faults="none", metrics=Metrics(), **kw
+            )
             assert _port_state(base.pq) == _port_state(nulled.pq), load
             victim = max(base.records, key=lambda r: r.queuing_delay)
             interval = QueryInterval.for_victim(
@@ -220,17 +190,55 @@ class TestZeroOverhead:
             b = nulled.pq.query(interval=interval)
             assert a.estimate._counts == b.estimate._counts
             assert a.degraded is False and b.degraded is False
+            assert a.coverage is None and b.coverage is None
+            # both time every poll's filter and encode stage
+            for stage in ("filter", "encode"):
+                name = f"pq_ingest_stage_{stage}_ns"
+                counts = [run.metrics.histogram(name).count for run in (base, nulled)]
+                assert counts[0] == counts[1] > 0, (stage, counts)
+            reports = [run.report() for run in (base, nulled)]
+            assert reports[0].deterministic_view() == reports[1].deterministic_view()
+            assert reports[0].section("faults") == {"enabled": False}
+            assert reports[1].section("faults") == {"enabled": False}
             # an all-zero plan never consumes an RNG draw, so the
             # injector's stream is untouched and the tally empty
             assert nulled.pq.faults.injected == {}
             fresh = type(nulled.pq.faults.rng)(0)
             assert nulled.pq.faults.rng.random() == fresh.random()
 
-    def test_fault_free_port_has_no_poller(self):
-        pq = PrintQueuePort(CFG, model_dp_read_cost=False)
-        assert pq.faults is None and pq._poller is None
-        result_coverage_fields = pq is not None  # smoke: attrs exist
-        assert result_coverage_fields
+
+@pytest.mark.parametrize("engine", ["scalar", "fused"])
+@pytest.mark.parametrize("faults", [None, "none", "chaos"])
+def test_max_seq_is_the_column_maximum(engine, faults, monkeypatch):
+    """A live snapshot's stamped ``max_seq`` equals its columns' maximum,
+    and a regressed read (stamp dropped) rescans to the regressed one."""
+    regressed = []
+    regress_qm = FaultInjector.regress_qm
+
+    def spy(self, snapshot, floor_seq):
+        hit = regress_qm(self, snapshot, floor_seq)
+        if hit:
+            regressed.append(snapshot)
+        return hit
+
+    monkeypatch.setattr(FaultInjector, "regress_qm", spy)
+    run = simulate_workload(
+        "ws",
+        duration_ns=1_500_000,
+        load=1.3,
+        config=CFG,
+        seed=9,
+        engine=engine,
+        faults=faults,
+    )
+    stored = list(run.pq.analysis.qm_snapshots)
+    assert stored and all(s.seq_stamp is not None for s in stored)
+    assert all(s.seq_stamp is None for s in regressed)
+    if faults == "chaos":
+        assert regressed
+    for snapshot in stored + regressed:
+        column_max = max(int(snapshot.inc_seq.max()), int(snapshot.dec_seq.max()))
+        assert snapshot.max_seq == column_max
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +261,7 @@ def test_scalar_matches_batched_under_faults(name):
     scalar, batched = runs["scalar"], runs["fused"]
     assert _port_state(scalar.pq) == _port_state(batched.pq)
     assert scalar.pq.faults.injected == batched.pq.faults.injected
-    assert (
-        scalar.pq._poller.log.to_dict() == batched.pq._poller.log.to_dict()
-    )
+    assert scalar.pq.poller.log.to_dict() == batched.pq.poller.log.to_dict()
     assert (
         scalar.report().deterministic_view() == batched.report().deterministic_view()
     )
@@ -269,7 +275,7 @@ def test_same_seed_reproduces_same_faults():
         "ws", duration_ns=1_500_000, load=1.3, config=CFG, seed=9, faults="chaos"
     )
     assert a.pq.faults.injected == b.pq.faults.injected
-    assert a.pq._poller.log.to_dict() == b.pq._poller.log.to_dict()
+    assert a.pq.poller.log.to_dict() == b.pq.poller.log.to_dict()
     assert _port_state(a.pq) == _port_state(b.pq)
     # different injector seeds give different draw streams
     import random
@@ -286,7 +292,7 @@ class TestDroppedPolls:
         plan = FaultPlan(name="all-drop", poll_drop_rate=1.0)
         pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         end = _drive(pq)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.lost_polls > 0
         assert log.lost_polls == pq.faults.injected["polls_dropped"]
         assert log.lost_ranges, "dropped polls must record lost ranges"
@@ -304,21 +310,13 @@ class TestDroppedPolls:
         assert batch[0].degraded is True
         assert batch[1].coverage is not None and batch[1].degraded is False
 
-    def test_strict_mode_raises(self):
-        plan = FaultPlan(poll_drop_rate=1.0)
-        pq = PrintQueuePort(
-            CFG, model_dp_read_cost=False, faults=plan, faults_strict=True
-        )
-        with pytest.raises(FaultInjected):
-            _drive(pq)
-
 
 class TestDelayedPolls:
     def test_catchup_loses_nothing(self):
         plan = FaultPlan(name="all-delay", poll_delay_rate=1.0, poll_delay_ns=1000)
         pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         _drive(pq)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.delayed_polls > 0
         assert log.delayed_polls == pq.faults.injected["polls_delayed"]
         assert log.lost_polls == 0 and not log.lost_ranges
@@ -338,7 +336,7 @@ class TestDelayedPolls:
         # cross the first full-poll deadline so the delay is pending
         due = CFG.set_period_ns
         pq.process_enqueue(flow, due + 1, 1)
-        pending = pq._poller.pending_full_ns
+        pending = pq.poller.pending_full_ns
         assert pending == due + 1000
         assert pq.next_poll_boundary_ns <= pending
 
@@ -346,19 +344,18 @@ class TestDelayedPolls:
 class TestRpcFailures:
     def test_retry_backoff_schedule_and_exhaustion(self):
         plan = FaultPlan(name="dead-rpc", rpc_failure_rate=1.0)
-        policy = RetryPolicy(max_attempts=3, base_backoff_ns=50, multiplier=2.0)
-        pq = PrintQueuePort(
-            CFG, model_dp_read_cost=False, faults=plan, retry_policy=policy
-        )
+        pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         _drive(pq)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.retry_exhausted > 0
         assert log.lost_polls == log.retry_exhausted
-        # every poll burns max_attempts draws, max_attempts - 1 retries
+        # every poll burns MAX_ATTEMPTS draws, MAX_ATTEMPTS - 1 retries,
+        # each backing off twice as long as the last
         polls = log.retry_exhausted
-        assert pq.faults.injected["rpc_failures"] == polls * policy.max_attempts
-        assert log.retries == polls * (policy.max_attempts - 1)
-        assert log.retry_backoff_ns_total == polls * sum(policy.schedule())
+        assert BACKOFF_NS == (1_000, 2_000, 4_000) and MAX_ATTEMPTS == 4
+        assert pq.faults.injected["rpc_failures"] == polls * MAX_ATTEMPTS
+        assert log.retries == polls * (MAX_ATTEMPTS - 1)
+        assert log.retry_backoff_ns_total == polls * sum(BACKOFF_NS)
 
     def test_recovery_is_counted(self):
         # fail ~half the attempts: with 4 attempts per read almost every
@@ -366,28 +363,17 @@ class TestRpcFailures:
         plan = FaultPlan(name="half-rpc", seed=3, rpc_failure_rate=0.5)
         pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         _drive(pq, packets=2400)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.reads_recovered > 0
         assert log.retries > 0
-
-    def test_strict_mode_raises(self):
-        plan = FaultPlan(rpc_failure_rate=1.0)
-        pq = PrintQueuePort(
-            CFG, model_dp_read_cost=False, faults=plan, faults_strict=True
-        )
-        with pytest.raises(RetryExhausted):
-            _drive(pq)
 
 
 class TestTornReads:
     def test_quarantine_after_budget(self):
         plan = FaultPlan(name="all-torn", torn_read_rate=1.0)
-        policy = RetryPolicy(max_attempts=2)
-        pq = PrintQueuePort(
-            CFG, model_dp_read_cost=False, faults=plan, retry_policy=policy
-        )
+        pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         _drive(pq)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.quarantines, "exhausted torn reads must quarantine"
         assert log.quarantined_cells > 0
         # stored snapshots are clean: re-validating finds nothing
@@ -402,25 +388,13 @@ class TestTornReads:
         assert result.degraded is True
         assert result.coverage.quarantined
 
-    def test_strict_mode_raises(self):
-        plan = FaultPlan(torn_read_rate=1.0)
-        pq = PrintQueuePort(
-            CFG,
-            model_dp_read_cost=False,
-            faults=plan,
-            retry_policy=RetryPolicy(max_attempts=1),
-            faults_strict=True,
-        )
-        with pytest.raises(SnapshotValidationError):
-            _drive(pq)
-
 
 class TestQueueMonitorFaults:
     def test_regressions_quarantined_and_counted(self):
         plan = FaultPlan(name="all-regress", qm_seq_regression_rate=1.0)
         pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         _drive(pq, packets=2400)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.qm_quarantined > 0
         assert pq.faults.injected["qm_seq_regressions"] == log.qm_quarantined
         # stored monitor snapshots never regress below the accepted floor
@@ -435,7 +409,7 @@ class TestQueueMonitorFaults:
         plan = FaultPlan(name="qm-drop", qm_drop_rate=1.0)
         pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
         _drive(pq)
-        log = pq._poller.log
+        log = pq.poller.log
         assert log.qm_lost_ns
         assert pq.faults.injected["qm_polls_dropped"] == len(log.qm_lost_ns)
         # query right at a lost instant: a nearer poll existed but was lost
@@ -445,26 +419,18 @@ class TestQueueMonitorFaults:
         if result.degraded:
             assert result.coverage.qm_lost_ns
 
-    def test_strict_mode_raises(self):
-        plan = FaultPlan(qm_drop_rate=1.0)
-        pq = PrintQueuePort(
-            CFG, model_dp_read_cost=False, faults=plan, faults_strict=True
-        )
-        with pytest.raises(FaultInjected):
-            _drive(pq)
-
 
 # ---------------------------------------------------------------------------
 # on-demand (data-plane) reads
 
 
 class TestDataPlaneReads:
-    def _port(self, plan, **kwargs):
-        return PrintQueuePort(CFG, model_dp_read_cost=True, faults=plan, **kwargs)
+    def _port(self, plan):
+        return PrintQueuePort(CFG, model_dp_read_cost=True, faults=plan)
 
     def test_quarantine_invalidates_plan_caches(self):
         plan = FaultPlan(name="dp-corrupt", corrupt_cell_rate=1.0)
-        pq = self._port(plan, retry_policy=RetryPolicy(max_attempts=1))
+        pq = self._port(plan)
         # no finish(): the on-demand read must see the live bank, not a
         # freshly-flushed empty one.
         t = _drive(pq, finish=False)
@@ -492,7 +458,7 @@ class TestDataPlaneReads:
 
     def test_rpc_exhaustion_degrades_not_crashes(self):
         plan = FaultPlan(name="dp-dead", rpc_failure_rate=1.0)
-        pq = self._port(plan, retry_policy=RetryPolicy(max_attempts=2))
+        pq = self._port(plan)
         t = _drive(pq)
         result = pq.query(
             interval=QueryInterval(t - 10_000, t), mode="data_plane", at_ns=t
@@ -500,18 +466,7 @@ class TestDataPlaneReads:
         assert result.accepted is False
         assert result.degraded is True
         assert len(result.estimate._counts) == 0
-        assert pq._poller.log.dp_read_failures == 1
-
-    def test_strict_mode_raises(self):
-        plan = FaultPlan(rpc_failure_rate=1.0)
-        pq = self._port(plan, faults_strict=True)
-        # stay under one set period so no periodic poll fires first: the
-        # on-demand read is the only read that can (and must) raise.
-        t = _drive(pq, packets=200, finish=False)
-        with pytest.raises(DataPlaneReadError):
-            pq.query(
-                interval=QueryInterval(t - 10_000, t), mode="data_plane", at_ns=t
-            )
+        assert pq.poller.log.dp_read_failures == 1
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +510,13 @@ def test_queries_survive_every_profile(name):
     # section == pq_faults_injected_total in both metric surfaces
     report = run.report()
     section = report.section("faults")
-    assert section["enabled"] is True
-    assert section["profile"] == name
-    assert section["injected"] == pq.faults.injected
-    assert section["resilience"] == pq._poller.log.to_dict()
+    if name == "none":  # reports exactly as a fault-free port
+        assert section == {"enabled": False} and pq.faults.injected == {}
+    else:
+        assert section["enabled"] is True
+        assert section["profile"] == name
+        assert section["injected"] == pq.faults.injected
+        assert section["resilience"] == pq.poller.log.to_dict()
     assert _injected_counters(report.to_metrics()) == pq.faults.injected
     assert _injected_counters(run.metrics) == pq.faults.injected
 
@@ -583,7 +541,7 @@ class TestMultiPort:
 
     def test_fault_free_by_default(self):
         deployment = PrintQueue(CFG, [1, 2])
-        assert all(pq.faults is None for pq in deployment.ports.values())
+        assert all(not pq.faults.plan.enabled for pq in deployment.ports.values())
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +573,7 @@ def test_chaos_property(seed, drop, delay, torn, corrupt, rpc, qm_drop, qm_regre
     )
     pq = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
     end = _drive(pq, packets=1200)
-    log = pq._poller.log
+    log = pq.poller.log
     injected = pq.faults.injected
     # no query ever raises, whatever the damage
     result = pq.query(interval=QueryInterval(0, end))
@@ -636,4 +594,4 @@ def test_chaos_property(seed, drop, delay, torn, corrupt, rpc, qm_drop, qm_regre
     pq2 = PrintQueuePort(CFG, model_dp_read_cost=False, faults=plan)
     _drive(pq2, packets=1200)
     assert pq2.faults.injected == injected
-    assert pq2._poller.log.to_dict() == log.to_dict()
+    assert pq2.poller.log.to_dict() == log.to_dict()

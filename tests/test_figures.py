@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.figures import cdf, sparkline, timeline
+from repro.experiments.figures import timeline
 
 
 class TestTimeline:
@@ -32,36 +32,3 @@ class TestTimeline:
         art = timeline([5], [3])
         assert "#" in art
 
-
-class TestCdf:
-    def test_renders_series(self):
-        art = cdf([("a", [0.1, 0.5, 0.9]), ("b", [0.8, 0.9])], width=20)
-        lines = art.splitlines()
-        assert lines[0].startswith("           a")
-        assert "|" in lines[0]
-
-    def test_empty_series(self):
-        art = cdf([("x", [])])
-        assert "(empty)" in art
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            cdf([("a", [1])], lo=1.0, hi=1.0)
-
-    def test_saturates_at_hi(self):
-        art = cdf([("a", [0.0])], width=10)
-        # All mass at 0: every cell shows the full-CDF glyph.
-        row = art.splitlines()[0].split("|")[1]
-        assert set(row) == {"@"}
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_monotone(self):
-        art = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert art[0] == "▁" and art[-1] == "█"
-
-    def test_flat(self):
-        assert len(set(sparkline([5, 5, 5]))) == 1

@@ -191,7 +191,7 @@ def assert_matches_oracle(
     )
     if faults is not None:
         assert subject.faults.injected == oracle.faults.injected
-        assert subject._poller.log.to_dict() == oracle._poller.log.to_dict()
+        assert subject.poller.log.to_dict() == oracle.poller.log.to_dict()
 
     assert subject_dp.keys() == oracle_dp.keys()
     for idx, result in oracle_dp.items():

@@ -30,7 +30,7 @@ from repro.experiments.runner import (
     query_time_windows_scalar,
     simulate_workload,
 )
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import FaultPlan
 from repro.store import MmapStore, replay_analysis
 from repro.switch.packet import FlowKey
 
@@ -555,10 +555,9 @@ def test_front_door_on_a_port_with_quarantined_snapshots():
         FAULT_CFG,
         model_dp_read_cost=False,
         faults=FaultPlan(name="all-torn", torn_read_rate=1.0),
-        retry_policy=RetryPolicy(max_attempts=2),
     )
     end = drive_faulted(pq)
-    assert pq._poller.log.quarantined_cells > 0
+    assert pq.poller.log.quarantined_cells > 0
     rng = random.Random(3)
     assert_port_answers_are_oracle(pq, random_intervals(rng, end, 15))
 

@@ -1,14 +1,10 @@
-"""Unit tests for the FIFO / strict-priority / DRR schedulers."""
+"""Unit tests for the FIFO / strict-priority schedulers."""
 
 import pytest
 
 from repro.switch.packet import FlowKey, Packet
 from repro.switch.queue import EgressQueue
-from repro.switch.scheduler import (
-    DeficitRoundRobinScheduler,
-    FifoScheduler,
-    StrictPriorityScheduler,
-)
+from repro.switch.scheduler import FifoScheduler, StrictPriorityScheduler
 
 FLOW = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)
 
@@ -56,59 +52,6 @@ class TestStrictPriority:
     def test_empty(self):
         sched = StrictPriorityScheduler([EgressQueue(), EgressQueue()])
         assert sched.select() is None
-
-
-class TestDRR:
-    def test_byte_fair_over_equal_packets(self):
-        queues = [EgressQueue(), EgressQueue()]
-        sched = DeficitRoundRobinScheduler(queues, quantum_bytes=100)
-        for _ in range(10):
-            queues[0].enqueue(pkt(size=100), 0)
-            queues[1].enqueue(pkt(size=100), 0)
-        served = [0, 0]
-        for _ in range(10):
-            q = sched.select()
-            served[queues.index(q)] += 1
-            q.dequeue(1)
-        assert served == [5, 5]
-
-    def test_byte_fairness_with_unequal_sizes(self):
-        # Queue 0 holds 1000 B packets, queue 1 holds 100 B packets; over a
-        # long horizon both should be served comparable byte volumes.
-        queues = [EgressQueue(), EgressQueue()]
-        sched = DeficitRoundRobinScheduler(queues, quantum_bytes=500)
-        for _ in range(200):
-            queues[0].enqueue(pkt(size=1000), 0)
-        for _ in range(2000):
-            queues[1].enqueue(pkt(size=100), 0)
-        sent_bytes = [0, 0]
-        for _ in range(600):
-            q = sched.select()
-            index = queues.index(q)
-            sent_bytes[index] += q.head().size_bytes if q.head() else 0
-            p = q.dequeue(1)
-        ratio = sent_bytes[0] / sent_bytes[1]
-        assert 0.8 < ratio < 1.25
-
-    def test_work_conserving_when_one_empty(self):
-        queues = [EgressQueue(), EgressQueue()]
-        sched = DeficitRoundRobinScheduler(queues, quantum_bytes=100)
-        queues[1].enqueue(pkt(size=100), 0)
-        assert sched.select() is queues[1]
-
-    def test_all_empty_returns_none_and_resets(self):
-        queues = [EgressQueue(), EgressQueue()]
-        sched = DeficitRoundRobinScheduler(queues, quantum_bytes=100)
-        queues[0].enqueue(pkt(size=100), 0)
-        q = sched.select()
-        q.dequeue(1)
-        assert sched.select() is None
-        # Deficits were reset: next round starts fresh.
-        assert all(v == 0 for v in sched._deficit.values())
-
-    def test_bad_quantum(self):
-        with pytest.raises(ValueError):
-            DeficitRoundRobinScheduler([EgressQueue()], quantum_bytes=0)
 
 
 def test_scheduler_requires_queues():

@@ -321,6 +321,26 @@ class TestProtocol:
         with pytest.raises(QueryError):
             protocol.decode(b"[1,2]\n")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        line=st.one_of(
+            st.binary(max_size=64),
+            # deep nesting and over-long integers, which random bytes
+            # never reach
+            st.builds(
+                lambda unit, n: unit * n,
+                st.sampled_from([b"[", b'{"a":', b"1"]),
+                st.integers(min_value=1, max_value=6000),
+            ),
+        )
+    )
+    def test_any_bytes_decode_to_a_dict_or_a_typed_error(self, line):
+        try:
+            payload = protocol.decode(line)
+        except QueryError:
+            return
+        assert isinstance(payload, dict)
+
     @pytest.mark.parametrize(
         "exc",
         [
@@ -586,6 +606,20 @@ class TestServiceEndToEnd:
             assert "too long" in response["error"]["message"]
             with ServiceClient(host, port) as client:
                 assert client.ping() is True
+
+    def test_nested_line_is_typed_error_and_connection_survives(self):
+        # json.loads raises RecursionError on a line nested this deep.
+        with ServiceHarness(config=_service_config()) as harness:
+            host, port = harness.service.address
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                ping = protocol.encode({"op": "ping", "id": 2})
+                sock.sendall(b"[" * 2001 + b"\n" + ping)
+                with sock.makefile("rb") as replies:
+                    nested = protocol.decode(replies.readline())
+                    pong = protocol.decode(replies.readline())
+            assert nested["ok"] is False
+            assert nested["error"]["type"] == "QueryError"
+            assert pong == {"id": 2, "ok": True, "result": {"pong": True}}
 
     def test_overflowing_interval_is_typed_and_worker_survives(self):
         # JSON reads 1e400 as inf, and int(inf) raises OverflowError.

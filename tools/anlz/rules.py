@@ -175,11 +175,11 @@ _BANNED_RAISES = frozenset({"Exception", "ValueError", "RuntimeError"})
 class ErrorTaxonomyRule(FileRule):
     """PQ004: ``faults/``, ``engine/`` and ``store/`` raise typed errors.
 
-    The resilient read path promises callers a closed error vocabulary
-    (``FaultInjected``, ``DataPlaneReadError``, ``RetryExhausted``, ...)
-    so degradation handling can be exhaustive; a stray ``ValueError``
-    escapes every ``except ReproError`` fence.  Raise the matching type
-    from ``repro/errors.py`` instead.
+    These packages promise callers a closed error vocabulary
+    (``ConfigError``, ``StoreError``, ``QueryError``, ...) so error
+    handling can be exhaustive; a stray ``ValueError`` escapes every
+    ``except ReproError`` fence.  Raise the matching type from
+    ``repro/errors.py`` instead.
     """
 
     code = "PQ004"

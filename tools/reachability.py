@@ -36,8 +36,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Name of the synthetic function that holds a module's import-time code.
 MODULE_BODY = "__module__"
 
-_DEFERRED = "unit-tested only; deleted with its tests in a later change"
-
 #: Reason prefix of an executable specification benchmarks may call.
 SPECIFICATION = "specification"
 
@@ -73,7 +71,6 @@ ALLOWED: Dict[str, str] = {
         "half-open interval algebra beside overlaps()",
     "experiments/reporting.py::ResultTable.add_row":
         "width-checked row append of the results table",
-    "faults/plan.py::FaultPlan.enabled": "whether a plan can fire at all",
     "metrics/accuracy.py::AccuracyScore.f1": "F1 beside precision and recall",
     "obs/metrics.py::Histogram.mean": "mean beside the histogram's sum and count",
     "switch/events.py::EventQueue.peek_time": "next event time without popping",
@@ -83,12 +80,6 @@ ALLOWED: Dict[str, str] = {
     "traffic/trace.py::Trace.slice_time": "time-range sub-trace",
     "units.py::bits_to_bytes": "unit conversion beside its inverse",
     "units.py::ns_to_sec": "unit conversion beside its inverse",
-    # whole definitions whose deletion is spread over later changes
-    "experiments/figures.py::cdf": _DEFERRED,
-    "experiments/figures.py::sparkline": _DEFERRED,
-    "switch/scheduler.py::DeficitRoundRobinScheduler": _DEFERRED,
-    "traffic/arrivals.py::OnOffArrivals": _DEFERRED,
-    "traffic/arrivals.py::OnOffArrivals.mean_rate_bps": _DEFERRED,
 }
 
 
