@@ -105,7 +105,6 @@ def _run_profile(faults):
         faults=faults,
         max_pending=8,
         rate_limit_qps=0.0,
-        chunk_events=4096,
     )
     record = {"faults": faults, "duration_ns": DURATION_NS}
     with ServiceHarness(config=config) as harness:
@@ -120,6 +119,8 @@ def _run_profile(faults):
                 status = client.status()
                 if status["ingest"]["status"] in ("drained", "failed"):
                     break
+                if not status["snapshots"]:
+                    continue  # nothing published to answer from yet
                 lat, deg = _drive_queries(client, interval, 0.1)
                 concurrent.extend(lat)
                 conc_degraded.extend(deg)

@@ -221,7 +221,7 @@ class AnalysisProgram:
         """Array-at-a-time egress update (the ingest pipeline).
 
         ``flows`` must index this port's :attr:`flow_table`
-        (:meth:`PrintQueuePort.process_batch` checks it).  The caller
+        (:meth:`PrintQueuePort.absorb_batch` checks it).  The caller
         guarantees no poll boundary falls inside the batch, so all
         packets land in the same active bank.
         """
@@ -239,16 +239,16 @@ class AnalysisProgram:
         The head half of :meth:`periodic_poll`, timed into the filter
         stage; the resilient poller validates its result before storing.
         """
-        frozen = self.tw_banks.periodic_flip()
+        return self._filter(self.tw_banks.periodic_flip())
+
+    def _filter(self, bank: TimeWindowSet) -> List[FilteredWindow]:
+        """Algorithm 3 over one bank, timed into the filter stage: the
+        one filter path of every periodic and on-demand read."""
         observe = self._stage_filter_observe
         if observe is None:
-            return filter_windows(
-                frozen.snapshot(), self.config, stats=self.filter_stats
-            )
+            return filter_windows(bank.snapshot(), self.config, stats=self.filter_stats)
         t0 = perf_counter_ns()
-        windows = filter_windows(
-            frozen.snapshot(), self.config, stats=self.filter_stats
-        )
+        windows = filter_windows(bank.snapshot(), self.config, stats=self.filter_stats)
         observe(perf_counter_ns() - t0)
         return windows
 
@@ -333,11 +333,7 @@ class AnalysisProgram:
         if not self.model_dp_read_cost:
             snapshot = TimeWindowSnapshot(
                 read_time_ns=now_ns,
-                windows=filter_windows(
-                    self.tw_banks.active.snapshot(),
-                    self.config,
-                    stats=self.filter_stats,
-                ),
+                windows=self._filter(self.tw_banks.active),
                 source="data-plane",
                 valid_from_ns=self._active_since_ns,
             )
@@ -351,9 +347,7 @@ class AnalysisProgram:
             return None
         snapshot = TimeWindowSnapshot(
             read_time_ns=now_ns,
-            windows=filter_windows(
-                frozen.snapshot(), self.config, stats=self.filter_stats
-            ),
+            windows=self._filter(frozen),
             source="data-plane",
             valid_from_ns=self._active_since_ns,
         )

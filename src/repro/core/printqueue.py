@@ -276,49 +276,59 @@ class PrintQueuePort:
         self.analysis.queue_monitor.on_dequeue(flow, depth_after)
         self.packets_seen += 1
 
-    def process_batch(
+    def write_back_batch(
         self,
         is_enqueue: "np.ndarray",
         flows: FlowColumn,
-        times_ns: "np.ndarray",
         depth_after: "np.ndarray",
-        deq_flows: FlowColumn,
-        deq_times_ns: "np.ndarray",
     ) -> None:
-        """Batched equivalent of ``process_enqueue``/``process_dequeue``.
+        """Queue-monitor half of one batch (``apply_batch``).
 
         ``flows`` is the per-event flow column over this port's flow
-        table (``analysis.flow_table``); ``deq_flows``/``deq_times_ns``
-        are the batch's dequeue events alone, in event order (the
-        pipeline passes slices of the log's own columns, since the merged
-        stream keeps dequeues in log order).  The caller
-        (:class:`repro.engine.IngestPipeline`) guarantees that no poll
-        boundary falls strictly inside the batch, so the whole batch
-        lands in the same active bank and the same monitor epoch; polls
-        due at or before the first event fire here, exactly as the
-        scalar path would have fired them.
+        table (``analysis.flow_table``).  The caller
+        (:class:`repro.engine.IngestPipeline`) fires every poll due at or
+        before the batch's first event beforehand and guarantees that no
+        poll boundary falls strictly inside the batch, so the whole batch
+        lands in one monitor epoch and, with :meth:`absorb_batch`, in one
+        active bank.  The two halves are the same kernel calls the
+        scalar path's ``process_enqueue``/``process_dequeue`` add up to;
+        the pipeline yields between them.
         """
-        if len(times_ns) == 0:
-            return
-        table = self.analysis.flow_table.flows
-        if flows.table is not table or deq_flows.table is not table:
+        if flows.table is not self.analysis.flow_table.flows:
             raise SimulationError(
                 "flow column does not index this port's flow table"
             )
-        self._poll_if_due(int(times_ns[0]))
-        timing = self._obs_stage_qm_ns is not None
-        if timing:
-            t0 = perf_counter_ns()
+        histogram = self._obs_stage_qm_ns
+        if histogram is None:
+            self.analysis.queue_monitor.apply_batch(is_enqueue, flows, depth_after)
+            return
+        t0 = perf_counter_ns()
         self.analysis.queue_monitor.apply_batch(is_enqueue, flows, depth_after)
-        if timing:
-            t1 = perf_counter_ns()
-            self._obs_stage_qm_ns.observe(t1 - t0)
+        histogram.observe(perf_counter_ns() - t0)
+
+    def absorb_batch(self, deq_flows: FlowColumn, deq_times_ns: "np.ndarray") -> None:
+        """Time-window half of one batch (``absorb_indexed``).
+
+        ``deq_flows``/``deq_times_ns`` are the batch's dequeue events
+        alone, in event order (the pipeline passes slices of the log's
+        own columns, since the merged stream keeps dequeues in log
+        order).
+        """
+        if deq_flows.table is not self.analysis.flow_table.flows:
+            raise SimulationError(
+                "flow column does not index this port's flow table"
+            )
         num_deq = len(deq_times_ns)
-        if num_deq:
+        if num_deq == 0:
+            return
+        histogram = self._obs_stage_absorb_ns
+        if histogram is None:
             self.analysis.on_dequeue_batch(deq_flows, deq_times_ns)
-            self.packets_seen += num_deq
-            if timing:
-                self._obs_stage_absorb_ns.observe(perf_counter_ns() - t1)
+        else:
+            t0 = perf_counter_ns()
+            self.analysis.on_dequeue_batch(deq_flows, deq_times_ns)
+            histogram.observe(perf_counter_ns() - t0)
+        self.packets_seen += num_deq
 
     # -- polling -------------------------------------------------------------
 

@@ -14,11 +14,17 @@ event stream in slices:
 3. cut the stream at every poll boundary (queue-monitor cadence, set
    period) and at every data-plane trigger, so that within one slice no
    control-plane action can occur;
-4. feed each slice to :meth:`PrintQueuePort.process_batch`, which updates
-   the queue monitor via ``apply_batch`` and the active time-window bank
-   via ``absorb_indexed`` — both array-at-a-time.  The merge keeps the
-   dequeues in log order, so a slice's dequeue side is a slice of the
-   log's own ``deq_ts``/flow columns.
+4. feed each slice to the port in two halves:
+   :meth:`PrintQueuePort.write_back_batch` updates the queue monitor via
+   ``apply_batch`` and :meth:`PrintQueuePort.absorb_batch` the active
+   time-window bank via ``absorb_indexed`` — both array-at-a-time.  The
+   merge keeps the dequeues in log order, so a slice's dequeue side is a
+   slice of the log's own ``deq_ts``/flow columns.
+
+A step is therefore three kernel phases — the poll (filter → encode →
+store, when one is due), the monitor write-back and the window absorb —
+and :meth:`IngestPipeline.steps` yields after each, so a live driver can
+answer queries between any two of them.
 
 Because slices never straddle a poll boundary and triggers still fire at
 their exact dequeue instants, the resulting snapshots, counters, and
@@ -83,7 +89,7 @@ class IngestPipeline:
         self._flow_remap = table.remap(self.batch.flows)
         # repro.obs: batch-size distribution and batch tally, published
         # into the port's registry when one is attached (apply/absorb
-        # timings are recorded inside PrintQueuePort.process_batch).
+        # timings are recorded inside the port's two batch halves).
         metrics = pq.metrics
         if metrics is not None:
             self._obs_batch_events = metrics.histogram("pq_ingest_batch_events")
@@ -99,11 +105,13 @@ class IngestPipeline:
         return self.dp_results
 
     def steps(self) -> "Iterator[int]":
-        """Replay the log one poll-aligned batch at a time.
+        """Replay the log one kernel phase at a time.
 
-        Yields the number of merged events absorbed after each processed
-        batch — the chunked drive hook the live service's ingest task
-        uses to interleave ingest with its event loop.  Exhausting the
+        Yields after every phase — a poll, a monitor write-back, a window
+        absorb — the number of merged events it completed: 0 after a poll
+        or a write-back, the step's event count after its absorb.  This is
+        the drive hook the live service's ingest task uses to interleave
+        ingest with its event loop.  Exhausting the
         generator finishes the port (windows flushed, store synced);
         completed on-demand queries accumulate in :attr:`dp_results`.
         :meth:`run` simply drains this generator, so the two drivers are
@@ -156,9 +164,10 @@ class IngestPipeline:
         while cur < num_events:
             boundary = pq.next_poll_boundary_ns
             if times[cur] >= boundary:
-                # Fire every poll due before this event, exactly as the
-                # scalar path's per-event _poll_if_due would.
+                # The poll phase: fire every poll due before this event,
+                # exactly as the scalar path's per-event _poll_if_due would.
                 pq._poll_if_due(int(times[cur]))
+                yield 0
                 continue
             end = int(np.searchsorted(times, boundary, side="left"))
             while tp < len(trig_pos) and trig_pos[tp] < cur:
@@ -171,14 +180,9 @@ class IngestPipeline:
             # The first `end` events hold e enqueues and d dequeues with
             # e + d = end and e - d = depth after event end - 1.
             d1 = (end - int(depth[end - 1])) // 2
-            pq.process_batch(
-                is_enq[sl],
-                ev_flows[sl],
-                times[sl],
-                depth[sl],
-                deq_flows[d0:d1],
-                deq_ts[d0:d1],
-            )
+            pq.write_back_batch(is_enq[sl], ev_flows[sl], depth[sl])
+            yield 0
+            pq.absorb_batch(deq_flows[d0:d1], deq_ts[d0:d1])
             self.batches_processed += 1
             if self._obs_batches is not None:
                 self._obs_batches.inc()
@@ -198,9 +202,9 @@ class IngestPipeline:
                 if result is not None:
                     dp_results[d] = result
                 tp += 1
+            yield end - cur
             cur = end
             d0 = d1
-            yield end - sl.start
 
         end_ns = records[-1].deq_timestamp + 1
         pq.finish(end_ns)

@@ -15,12 +15,15 @@ This module compiles each :class:`~repro.core.analysis.TimeWindowSnapshot`
 kernels:
 
 * :func:`compile_snapshot` turns each filtered window into a sorted
-  ``int64`` TTS array plus an array of *interned* flow indices (flow
-  objects are replaced by small integers into a per-snapshot flow table).
-  The compiled form is cached on the snapshot object itself — snapshots
-  are immutable once stored, so one compilation serves every future plan.
-* :class:`CompiledQueryPlan` merges the per-snapshot flow tables into one
-  global interning and chains every snapshot's windows newest first.
+  ``int64`` TTS array plus its flow-index column, still indexing the
+  window's own flow table.  The compiled form is cached on the snapshot
+  object itself — snapshots are immutable once stored, so one
+  compilation serves every future plan.
+* :class:`CompiledQueryPlan` interns each distinct flow table once into
+  one plan-wide table — the first table is adopted as it is, so a plan
+  over one port's snapshots (which all index the port's table) does no
+  per-flow work at all — and chains every snapshot's windows newest
+  first.
   ``query_batch`` walks all victims down that chain in lock step (one
   ``np.searchsorted`` pair per window), expands the hit ranges once, and
   sums them with a single in-order ``np.bincount`` over
@@ -82,6 +85,9 @@ class PlanBuildStats:
 class CompiledWindow:
     """Columnar form of one :class:`~repro.core.filtering.FilteredWindow`.
 
+    ``flow_idx`` indexes ``table``: the window's own flow table in a
+    compiled snapshot, the plan's in a plan.
+
     ``cov_start``/``cov_end`` already carry the snapshot's
     ``valid_from_ns`` clamp *and* the newer-window clamp of the scalar
     walk, so at query time a window claims exactly the pieces the scalar
@@ -99,6 +105,7 @@ class CompiledWindow:
         "cov_end",
         "tts",
         "flow_idx",
+        "table",
         "coefficient",
         "inv_coefficient",
     )
@@ -111,6 +118,7 @@ class CompiledWindow:
         cov_end: int,
         tts: np.ndarray,
         flow_idx: np.ndarray,
+        table: Sequence,
         coefficient: float,
     ) -> None:
         self.window_index = window_index
@@ -119,6 +127,7 @@ class CompiledWindow:
         self.cov_end = cov_end
         self.tts = tts
         self.flow_idx = flow_idx
+        self.table = table
         self.coefficient = coefficient
         # The scalar path computes `1.0 / coefficient` per cell; the value
         # is cell-independent, so hoist the division out of the kernel.
@@ -126,18 +135,12 @@ class CompiledWindow:
 
 
 class CompiledSnapshot:
-    """One snapshot's compiled windows plus its local flow intern table."""
+    """One snapshot's compiled windows."""
 
-    __slots__ = ("read_time_ns", "flows", "windows", "num_cells")
+    __slots__ = ("read_time_ns", "windows", "num_cells")
 
-    def __init__(
-        self,
-        read_time_ns: int,
-        flows: List,
-        windows: List[CompiledWindow],
-    ) -> None:
+    def __init__(self, read_time_ns: int, windows: List[CompiledWindow]) -> None:
         self.read_time_ns = read_time_ns
-        self.flows = flows
         self.windows = windows
         self.num_cells = sum(len(w.tts) for w in windows)
 
@@ -164,8 +167,6 @@ def compile_snapshot(
     if stats is not None:
         stats.snapshot_misses += 1
 
-    flows: List = []
-    index_of: Dict = {}
     windows: List[CompiledWindow] = []
     newer_start: Optional[int] = None
     for fw in snapshot.windows:
@@ -182,24 +183,6 @@ def compile_snapshot(
         )
         if coefficient <= 0:
             continue
-        # Intern one dict lookup per *distinct* flow and remap the cell
-        # column vectorised: a window decoded off the mmap feeds the
-        # plan without any per-cell object decode.
-        window_fidx = fw.flow_idx
-        if len(window_fidx):
-            uniq = np.unique(np.asarray(window_fidx, dtype=np.int64))
-            lookup = np.empty(int(uniq[-1]) + 1, dtype=np.intp)
-            for t in uniq.tolist():
-                flow = fw.flow_table[t]
-                i = index_of.get(flow)
-                if i is None:
-                    i = len(flows)
-                    index_of[flow] = i
-                    flows.append(flow)
-                lookup[t] = i
-            flow_idx = lookup[window_fidx]
-        else:
-            flow_idx = np.empty(0, dtype=np.intp)
         windows.append(
             CompiledWindow(
                 fw.window_index,
@@ -207,11 +190,12 @@ def compile_snapshot(
                 cov_start,
                 cov_end,
                 fw.tts_array,
-                flow_idx,
+                fw.flow_idx,
+                fw.flow_table,
                 coefficient,
             )
         )
-    compiled = CompiledSnapshot(snapshot.read_time_ns, flows, windows)
+    compiled = CompiledSnapshot(snapshot.read_time_ns, windows)
     try:
         snapshot._columnar_cache = (key, compiled)
     except AttributeError:
@@ -287,10 +271,17 @@ class CompiledQueryPlan:
             [w.tts for w in self._windows] + [np.empty(0, dtype=np.int64)]
         )
         self._shift = np.array([w.shift for w in self._windows], dtype=np.int64)
+        #: per-window coverage columns: one overlap test picks the windows
+        #: a single victim can reach (:meth:`_walk_one`)
+        self._cov_start = np.array(
+            [w.cov_start for w in self._windows], dtype=np.int64
+        )
+        self._cov_end = np.array([w.cov_end for w in self._windows], dtype=np.int64)
         self._coefficient = np.array([w.coefficient for w in self._windows])
         self._inv_coefficient = np.array(
             [w.inv_coefficient for w in self._windows]
         )
+        self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: total victims answered through this plan
         self.queries_answered = 0
 
@@ -308,39 +299,58 @@ class CompiledQueryPlan:
         The caller provides the snapshots in *query order* (newest read
         time first, ties in the same order the scalar walk visits them);
         the plan preserves that order exactly.
+
+        Flow tables are interned once each, keyed by identity: the first
+        table met is adopted as the plan's, its indices standing as they
+        are, and every other table is translated into it once.  A plan
+        over one port's snapshots — which all index the port's one table
+        — therefore does no per-flow work; a reopened file's per-frame
+        tables cost one translation each.  Answers do not depend on the
+        interning, since cells are summed and ordered by position; a flow
+        table never lists a flow twice.
         """
-        global_flows: List = []
-        global_index: Dict = {}
+        flows: List = []
+        index_of: Optional[Dict] = None
+        #: id(table) -> its translation into ``flows`` (None: adopted)
+        lookups: Dict[int, Optional[np.ndarray]] = {}
         plan_snapshots: List[List[CompiledWindow]] = []
         for snapshot in snapshots_newest_first:
             cs = compile_snapshot(
                 snapshot, k, coefficients, apply_coefficients, stats=stats
             )
-            # Remap the snapshot-local interning into the plan-global one.
-            lookup = np.empty(len(cs.flows), dtype=np.intp)
-            for i, flow in enumerate(cs.flows):
-                g = global_index.get(flow)
-                if g is None:
-                    g = len(global_flows)
-                    global_index[flow] = g
-                    global_flows.append(flow)
-                lookup[i] = g
             windows: List[CompiledWindow] = []
             for w in cs.windows:
-                gidx = lookup[w.flow_idx] if len(w.flow_idx) else w.flow_idx
-                windows.append(
-                    CompiledWindow(
+                key = id(w.table)
+                if key not in lookups:
+                    if not lookups:
+                        flows = list(w.table)
+                        lookups[key] = None
+                    else:
+                        if index_of is None:
+                            index_of = {flow: i for i, flow in enumerate(flows)}
+                        lookup = np.empty(len(w.table), dtype=np.intp)
+                        for t, flow in enumerate(w.table):
+                            g = index_of.get(flow)
+                            if g is None:
+                                g = index_of[flow] = len(flows)
+                                flows.append(flow)
+                            lookup[t] = g
+                        lookups[key] = lookup
+                lookup = lookups[key]
+                if lookup is not None and len(w.flow_idx):
+                    w = CompiledWindow(
                         w.window_index,
                         w.shift,
                         w.cov_start,
                         w.cov_end,
                         w.tts,
-                        gidx,
+                        lookup[w.flow_idx],
+                        flows,
                         w.coefficient,
                     )
-                )
+                windows.append(w)
             plan_snapshots.append(windows)
-        return cls(global_flows, plan_snapshots)
+        return cls(flows, plan_snapshots)
 
     def __len__(self) -> int:
         return self._num_snapshots
@@ -387,7 +397,7 @@ class CompiledQueryPlan:
         cells_before = np.concatenate(
             ([0], np.cumsum(segments.b - segments.a))
         )[first_segment]
-        max_rows = max(1, _CELL_BUDGET // max(1, len(self.flows)))
+        max_rows = max(1, _CELL_BUDGET // max(1, len(self._dense_flows()[1])))
         out: List[FlowEstimate] = []
         v0 = 0
         while v0 < n:
@@ -408,6 +418,27 @@ class CompiledQueryPlan:
             )
             v0 = v1
         return out
+
+    def _dense_flows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The cell flow column renumbered over the flows the cells touch,
+        and those flows, built on the first multi-victim pass.
+
+        A batch's accumulator slots are victims x flows, and the plan's
+        table can hold many flows no retained cell touches (the port's
+        whole table, past retention): numbering only the touched ones
+        keeps that work and the victims a pass can hold proportional to
+        the flows the snapshots actually hold.  A single victim's slots
+        stay over the plan's table, which costs it less than this
+        renumbering would.
+        """
+        if self._dense is None:
+            seen = np.zeros(len(self.flows), dtype=bool)
+            seen[self._flow_idx] = True
+            kept = np.flatnonzero(seen)
+            dense = np.empty(len(self.flows), dtype=np.intp)
+            dense[kept] = np.arange(len(kept))
+            self._dense = (dense[self._flow_idx], self._flow_objects[kept])
+        return self._dense
 
     def _walk(self, start: np.ndarray, end: np.ndarray) -> _Segments:
         """Split every victim's interval down the window chain at once.
@@ -463,11 +494,18 @@ class CompiledQueryPlan:
         """:meth:`_walk` for a single victim, on Python ints.
 
         Mirrors the specification's piece split piece for piece; the
-        coverage clamps were already applied at compile time.
+        coverage clamps were already applied at compile time.  Only the
+        windows whose coverage overlaps the interval are visited: every
+        piece lies inside the interval, so a window that misses the whole
+        interval claims none of them.
         """
+        start, end = _int64_column([interval.start_ns, interval.end_ns])
+        reached = np.flatnonzero((self._cov_start < end) & (self._cov_end > start))
         pieces = [(interval.start_ns, interval.end_ns)]
         found: List[Tuple[int, ...]] = []
-        for win, w in enumerate(self._windows):
+        windows = self._windows
+        for win in reached.tolist():
+            w = windows[win]
             cov_start, cov_end, shift, tts = w.cov_start, w.cov_end, w.shift, w.tts
             leftovers: List[Tuple[int, int]] = []
             for piece_start, piece_end in pieces:
@@ -507,7 +545,6 @@ class CompiledQueryPlan:
         total = int(lengths.sum())
         if total == 0:
             return [FlowEstimate() for _ in range(rows)]
-        num_flows = len(self.flows)
         position = np.arange(total)
         win = segments.win
         cell = (
@@ -517,9 +554,14 @@ class CompiledQueryPlan:
             )
             + position
         )
+        if rows > 1:
+            flow_idx, flow_objects = self._dense_flows()
+        else:
+            flow_idx, flow_objects = self._flow_idx, self._flow_objects
+        num_flows = len(flow_objects)
         slot = (
             np.repeat((segments.vid - first_victim) * num_flows, lengths)
-            + self._flow_idx[cell]
+            + flow_idx[cell]
         )
         if fractional_cells:
             shift = np.repeat(self._shift[win], lengths)
@@ -544,7 +586,7 @@ class CompiledQueryPlan:
         touched = np.flatnonzero(first_touch < total)
         touched = touched[np.argsort(first_touch[touched])]
         row, flow = np.divmod(touched, num_flows)
-        flows = self._flow_objects[flow].tolist()
+        flows = flow_objects[flow].tolist()
         values = sums[touched].tolist()
         bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
         return [

@@ -2,7 +2,7 @@
 
 Everything the offline harness runs to completion, this package runs
 *continuously*: live ingest (a :class:`~repro.engine.ingest.IngestPipeline`
-driven chunk-by-chunk inside an asyncio task, snapshots landing in a
+driven one kernel phase per turn inside an asyncio task, snapshots landing in a
 shared :class:`~repro.store.SnapshotStore`) concurrent with query
 serving over a local socket.  The robustness core:
 

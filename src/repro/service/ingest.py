@@ -1,18 +1,20 @@
-"""Live ingest: chunked pipeline driving plus a restarting supervisor.
+"""Live ingest: phase-at-a-time pipeline driving plus a restarting supervisor.
 
 :class:`LiveIngest` wraps an ingest pipeline's ``steps()`` generator
-(:meth:`repro.engine.ingest.IngestPipeline.steps`) and pulls it in
-chunks of whole poll-aligned steps, so an asyncio task can interleave
-ingest with query serving without ever blocking the loop for the whole
-log.  :class:`IngestSupervisor` owns the drive loop, its place in the
-event loop's schedule and the restart contract.
+(:meth:`repro.engine.ingest.IngestPipeline.steps`) and pulls it one
+kernel phase per turn — a poll, a queue-monitor write-back or a window
+absorb — so an asyncio task can interleave ingest with query serving and
+never blocks the loop for longer than the largest phase.
+:class:`IngestSupervisor` owns the drive loop, its place in the event
+loop's schedule and the restart contract.
 
-Scheduling (queries before chunks): between chunks the supervisor yields
+Scheduling (queries before phases): between phases the supervisor yields
 behind the I/O already waiting on the loop, then awaits its
-``before_chunk`` barrier — in the service, "every query admitted so far
-has been answered" — so a request that arrives while a chunk runs waits
-for that chunk, not for one chunk per event-loop hop of its way through
-the service.
+``before_phase`` barrier — in the service, "every query admitted so far
+has been answered" — so a request that arrives while a phase runs waits
+for that phase, not for one phase per event-loop hop of its way through
+the service.  Queries read stored snapshots only, so an answer given
+between two phases is the answer it would be between two steps.
 
 Restarts:
 
@@ -40,32 +42,25 @@ from repro.obs.metrics import Metrics
 
 
 class LiveIngest:
-    """Chunked pull over a pipeline ``steps()`` generator.
+    """Phase-at-a-time pull over a pipeline ``steps()`` generator.
 
     With ``metrics`` it also keeps the **freshness** gauge
     ``pq_service_freshness_ms`` (mirrored in :attr:`freshness_ms`): the
     wall-clock age, at the store version bump that publishes them, of the
     oldest events absorbed since the previous publication.  Both instants
-    are read when a pipeline step returns — events when the step that
-    absorbed them returns, the bump when the step that made it returns,
-    which is also the first moment a query can read it.  Without
-    ``metrics`` no clock or version is read.
+    are read when a phase returns — events when the absorb that completed
+    them returns, the bump when the poll that made it returns, which is
+    also the first moment a query can read it.  Without ``metrics`` no
+    clock or version is read.
     """
 
-    def __init__(
-        self,
-        pipeline: object,
-        chunk_events: int = 8192,
-        metrics: Optional[Metrics] = None,
-    ) -> None:
-        if chunk_events < 1:
-            raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
+    def __init__(self, pipeline: object, metrics: Optional[Metrics] = None) -> None:
         self.pipeline = pipeline
-        self.chunk_events = chunk_events
         self._gen: Iterator[int] = pipeline.steps()  # type: ignore[attr-defined]
         #: ``idle`` → ``running`` → ``drained`` | ``failed``
         self.status = "idle"
         self.events_ingested = 0
+        #: phases run (every turn counts, a poll or a write-back too).
         self.chunks_ingested = 0
         #: the last publication's freshness (ms); None until one is seen.
         self.freshness_ms: Optional[float] = None
@@ -78,13 +73,12 @@ class LiveIngest:
         #: when the oldest unpublished events were absorbed (perf_counter s).
         self._unpublished_since: Optional[float] = None
 
-    def _note_step(self, absorbed: bool) -> None:
-        """Freshness bookkeeping after one pipeline step returned."""
+    def _note_phase(self, absorbed: bool) -> None:
+        """Freshness bookkeeping after one pipeline phase returned."""
         now = perf_counter()
         version = self._store.version
         if version != self._published:
-            # A step polls before it absorbs: the bump publishes what
-            # earlier steps absorbed, not this step's events.
+            # A poll publishes what earlier absorbs completed.
             self._published = version
             if self._unpublished_since is not None:
                 self.freshness_ms = (now - self._unpublished_since) * 1e3
@@ -93,9 +87,8 @@ class LiveIngest:
         if absorbed and self._unpublished_since is None:
             self._unpublished_since = now
 
-    def step_chunk(self) -> bool:
-        """Absorb at least ``chunk_events`` events (whole poll-aligned
-        steps, so at least one step); False when the log is done.
+    def step_phase(self) -> bool:
+        """Run one kernel phase; False when the log is done.
 
         A generator-internal crash poisons this ingest permanently
         (fail-stop): the exception is wrapped in
@@ -105,17 +98,13 @@ class LiveIngest:
         if self.status in ("drained", "failed"):
             return False
         self.status = "running"
-        absorbed = 0
-        freshness = self._obs_freshness is not None
+        self.chunks_ingested += 1
         try:
-            while absorbed < self.chunk_events:
-                absorbed += next(self._gen)
-                if freshness:
-                    self._note_step(True)
+            absorbed = next(self._gen)
         except StopIteration:
             # Exhaustion finishes the port, which may publish once more.
-            if freshness:
-                self._note_step(False)
+            if self._obs_freshness is not None:
+                self._note_phase(False)
             self.status = "drained"
             return False
         except Exception as exc:
@@ -123,10 +112,9 @@ class LiveIngest:
             raise IngestFailed(
                 f"ingest pipeline crashed mid-stream: {exc!r}"
             ) from exc
-        finally:
-            if absorbed:
-                self.events_ingested += absorbed
-                self.chunks_ingested += 1
+        self.events_ingested += absorbed
+        if self._obs_freshness is not None:
+            self._note_phase(absorbed > 0)
         return True
 
 
@@ -141,7 +129,7 @@ async def _yield_behind_io() -> None:
     ``asyncio.sleep(0)`` re-queues the task as a ready handle, and
     ``BaseEventLoop._run_once`` runs the ready handles it already holds
     before the callbacks of the I/O its selector has just reported — so
-    ingest would start its next chunk before a request line that arrived
+    ingest would start its next phase before a request line that arrived
     during this one is even read.  A due timer joins the ready queue
     *behind* those I/O callbacks, so the connection handlers they wake
     are scheduled ahead of this task.
@@ -155,11 +143,11 @@ async def _yield_behind_io() -> None:
 class IngestSupervisor:
     """Drive a :class:`LiveIngest` in an asyncio task; restart on crash.
 
-    ``chaos_hook`` (tests, CI chaos profiles) runs before every chunk
+    ``chaos_hook`` (tests, CI chaos profiles) runs before every phase
     and may raise — exactly the restartable crash class.  The restart
     budget is ``max_restarts``; past it the supervisor gives up with
-    :class:`~repro.errors.IngestFailed`.  ``before_chunk`` is awaited
-    between chunks, after the loop has read the I/O that arrived during
+    :class:`~repro.errors.IngestFailed`.  ``before_phase`` is awaited
+    between phases, after the loop has read the I/O that arrived during
     the previous one (the service's answered-queries barrier).
     """
 
@@ -171,7 +159,7 @@ class IngestSupervisor:
         backoff_cap_s: float = 2.0,
         metrics: Optional[Metrics] = None,
         chaos_hook: Optional[Callable[[], None]] = None,
-        before_chunk: Optional[Callable[[], Awaitable[None]]] = None,
+        before_phase: Optional[Callable[[], Awaitable[None]]] = None,
     ) -> None:
         self.ingest = ingest
         self.max_restarts = max_restarts
@@ -179,14 +167,14 @@ class IngestSupervisor:
         self.backoff_cap_s = backoff_cap_s
         self.metrics = metrics
         self.chaos_hook = chaos_hook
-        self.before_chunk = before_chunk
+        self.before_phase = before_phase
         self.restarts = 0
         #: ``idle`` → ``running`` → ``drained`` | ``stopped`` | ``failed``
         self.state = "idle"
         self._stop = asyncio.Event()
 
     def stop(self) -> None:
-        """Ask the drive loop to wind down after the current chunk."""
+        """Ask the drive loop to wind down after the current phase."""
         self._stop.set()
 
     def next_backoff_s(self) -> float:
@@ -201,14 +189,14 @@ class IngestSupervisor:
                 while not self._stop.is_set():
                     if self.chaos_hook is not None:
                         self.chaos_hook()
-                    if not self.ingest.step_chunk():
+                    if not self.ingest.step_phase():
                         self.state = self.ingest.status  # drained or failed
                         return
-                    # Queries before chunks (module doc): read what arrived
-                    # during the chunk, then wait until it is answered.
+                    # Queries before phases (module doc): read what arrived
+                    # during the phase, then wait until it is answered.
                     await _yield_behind_io()
-                    if self.before_chunk is not None:
-                        await self.before_chunk()
+                    if self.before_phase is not None:
+                        await self.before_phase()
                 self.state = "stopped"
                 return
             except asyncio.CancelledError:

@@ -1,8 +1,8 @@
 """The always-on diagnosis service: live ingest + concurrent serving.
 
 :class:`DiagnosisService` owns one :class:`~repro.core.printqueue.PrintQueuePort`
-being fed live by a supervised ingest task (chunked
-:class:`~repro.engine.ingest.IngestPipeline` steps) while query
+being fed live by a supervised ingest task (one
+:class:`~repro.engine.ingest.IngestPipeline` kernel phase per turn) while query
 requests arrive over a local JSON-lines socket.  The request path:
 
     connection handler → admission (bounded queue + token bucket)
@@ -10,14 +10,15 @@ requests arrive over a local JSON-lines socket.  The request path:
                        → single worker task → port query → response
 
 Ingest and serving share one event loop, and **queries come before
-chunks**: between chunks ingest first lets the loop read the request
-lines that arrived meanwhile, then waits until every query admitted so
-far has been answered (its response handed to the transport).  A live
-request therefore waits for the chunk in progress when it arrived and
-then takes its loop hops — read, worker, write — with no chunk between
-them, instead of waiting behind one chunk per hop.  The barrier covers
-only queries admitted before it began, so a flood delays a chunk by at
-most ``max_pending`` executions and cannot starve ingest;
+phases**: between ingest phases (a poll, a queue-monitor write-back, a
+window absorb) ingest first lets the loop read the request lines that
+arrived meanwhile, then waits until every query admitted so far has been
+answered (its response handed to the transport).  A live request
+therefore waits for the phase in progress when it arrived and then takes
+its loop hops — read, worker, write — with no phase between them,
+instead of waiting behind one phase per hop.  The barrier covers only
+queries admitted before it began, so a flood delays a phase by at most
+``max_pending`` executions and cannot starve ingest;
 ``status()["ingest"]["freshness_ms"]`` (gauge
 ``pq_service_freshness_ms``) is the publication lag that would show it
 if it did.
@@ -81,8 +82,6 @@ class ServiceConfig:
     #: a fault-profile name, FaultPlan, or injector (see repro.faults).
     faults: Optional[object] = None
     pq_config: Optional[PrintQueueConfig] = None
-    #: events per live ingest chunk (the drive cadence).
-    chunk_events: int = 8192
 
     # -- front door -------------------------------------------------------
     host: str = "127.0.0.1"
@@ -106,7 +105,7 @@ class ServiceConfig:
 
 
 class _AnsweredBarrier:
-    """Ingest's pre-chunk wait: every query admitted so far is answered.
+    """Ingest's pre-phase wait: every query admitted so far is answered.
 
     The service counts a query admitted after it is enqueued and answered
     once its future settles — result, error or cancellation — in the
@@ -202,11 +201,7 @@ class DiagnosisService:
             faults=cfg.faults,
             store=self.store,
         )
-        self.ingest = LiveIngest(
-            IngestPipeline(self.pq, records),
-            chunk_events=cfg.chunk_events,
-            metrics=self.metrics,
-        )
+        self.ingest = LiveIngest(IngestPipeline(self.pq, records), metrics=self.metrics)
         self.supervisor = IngestSupervisor(
             self.ingest,
             max_restarts=cfg.max_restarts,
@@ -214,7 +209,7 @@ class DiagnosisService:
             backoff_cap_s=cfg.backoff_cap_s,
             metrics=self.metrics,
             chaos_hook=self.chaos_hook,
-            before_chunk=self._barrier.wait,
+            before_phase=self._barrier.wait,
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -353,7 +348,7 @@ class DiagnosisService:
             return await future
         finally:
             # No await stands between here and _handle_conn's write, so
-            # ingest's next chunk starts after the response is handed over.
+            # ingest's next phase starts after the response is handed over.
             self._barrier.answer()
 
     async def _worker(self) -> None:

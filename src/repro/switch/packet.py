@@ -35,7 +35,8 @@ class FlowKey:
     Addresses are stored as 32-bit integers; use :meth:`from_strings` for
     the dotted-quad convenience constructor.  Keys live in dicts on every
     hot path (interning, result dicts), so the 5-tuple hash is computed
-    once at construction; it never travels in a pickle.
+    once at construction, and the wire text (``str(key)``) once on first
+    use; neither travels in a pickle.
     """
 
     src_ip: int
@@ -44,6 +45,7 @@ class FlowKey:
     dst_port: int
     proto: int = PROTO_TCP
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("src_ip", "dst_ip"):
@@ -108,10 +110,14 @@ class FlowKey:
         return FlowKey(self.dst_ip, self.src_ip, self.dst_port, self.src_port, self.proto)
 
     def __str__(self) -> str:
-        return (
-            f"{_format_ipv4(self.src_ip)}:{self.src_port}->"
-            f"{_format_ipv4(self.dst_ip)}:{self.dst_port}/{self.proto}"
-        )
+        text = self._text
+        if text is None:
+            text = (
+                f"{_format_ipv4(self.src_ip)}:{self.src_port}->"
+                f"{_format_ipv4(self.dst_ip)}:{self.dst_port}/{self.proto}"
+            )
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 #: Dotted-quad field geometry — the declared width every IPv4 shift and

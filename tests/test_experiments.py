@@ -89,19 +89,24 @@ class TestRunner:
 
         seen = []
         dequeues = []
-        original = pq.process_batch
+        batch_dequeue_flows = []
+        write_back, absorb = pq.write_back_batch, pq.absorb_batch
 
-        def spy(is_enq, flows, times, depths, deq_flows, deq_times):
+        def spy_write_back(is_enq, flows, depths):
             seen.extend(
                 int(d) for e, d in zip(is_enq, depths) if e
             )
-            # The dequeue side is the batch's dequeue events, in order.
-            assert list(deq_times) == [t for e, t in zip(is_enq, times) if not e]
-            assert list(deq_flows) == [f for e, f in zip(is_enq, flows) if not e]
-            dequeues.extend(zip(deq_flows, deq_times.tolist()))
-            original(is_enq, flows, times, depths, deq_flows, deq_times)
+            batch_dequeue_flows.append([f for e, f in zip(is_enq, flows) if not e])
+            write_back(is_enq, flows, depths)
 
-        pq.process_batch = spy
+        def spy_absorb(deq_flows, deq_times):
+            # The dequeue side is the batch's dequeue events, in order.
+            assert list(deq_flows) == batch_dequeue_flows[-1]
+            dequeues.extend(zip(deq_flows, deq_times.tolist()))
+            absorb(deq_flows, deq_times)
+
+        pq.write_back_batch = spy_write_back
+        pq.absorb_batch = spy_absorb
         drive_printqueue(records, pq)
         by_enq = sorted(records, key=lambda r: r.enq_timestamp)
         assert seen == [r.enq_qdepth + 1 for r in by_enq]

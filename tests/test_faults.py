@@ -207,6 +207,27 @@ class TestZeroOverhead:
             assert nulled.pq.faults.rng.random() == fresh.random()
 
 
+@pytest.mark.parametrize("model_dp_read_cost", [True, False])
+def test_data_plane_reads_time_their_filter(model_dp_read_cost):
+    """Both on-demand read branches run Algorithm 3 through the timed
+    filter path, as periodic reads do: one filter observation each."""
+    run = simulate_workload(
+        "ws", duration_ns=3_000_000, load=1.3, config=CFG, seed=5, metrics=Metrics()
+    )
+    run.pq.analysis.model_dp_read_cost = model_dp_read_cost
+    histogram = run.metrics.histogram("pq_ingest_stage_filter_ns")
+    before = histogram.count
+    assert before > 0
+    t = run.records[-1].deq_timestamp
+    for i in range(5):
+        at = t + 500_000 * (i + 1)  # spaced past the modelled read cost
+        result = run.pq.query(
+            interval=QueryInterval(at - 200_000, at), mode="data_plane", at_ns=at
+        )
+        assert result.accepted
+    assert histogram.count == before + 5
+
+
 @pytest.mark.parametrize("engine", ["scalar", "fused"])
 @pytest.mark.parametrize("faults", [None, "none", "chaos"])
 def test_max_seq_is_the_column_maximum(engine, faults, monkeypatch):

@@ -473,13 +473,12 @@ def test_foreign_flow_column_is_rejected():
     idx = np.zeros(1, dtype=np.int64)
     own = FlowColumn(pq.analysis.flow_table.flows, idx)
     foreign = FlowColumn([_flow(0)], idx)
-    for flows, deq_flows in ((foreign, own), (own, foreign)):
-        with pytest.raises(SimulationError):
-            pq.process_batch(
-                np.array([False]), flows, np.array([10]), np.array([0]),
-                deq_flows, np.array([10]),
-            )
+    with pytest.raises(SimulationError):
+        pq.write_back_batch(np.array([False]), foreign, np.array([0]))
+    with pytest.raises(SimulationError):
+        pq.absorb_batch(foreign, np.array([10]))
     assert pq.packets_seen == 0 and pq.analysis.queue_monitor.drains == 0
+    assert pq.analysis.tw_banks.active.updates == 0
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,18 @@ class TestFlowKey:
         # The hash is recomputed on load, never shipped.
         assert b"_hash" not in pickle.dumps(key)
 
+    def test_wire_text_is_cached_not_compared_or_shipped(self):
+        key = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80, PROTO_UDP)
+        text = str(key)
+        assert text == "10.0.0.1:5000->10.1.0.1:80/17"
+        assert str(key) is text  # computed once
+        fresh = FlowKey(key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.proto)
+        assert fresh == key and "_text" not in repr(key)
+        assert b"_text" not in pickle.dumps(key)
+        assert str(pickle.loads(pickle.dumps(key))) == text
+        moved = dataclasses.replace(key, src_port=5001)
+        assert str(moved) == "10.0.0.1:5001->10.1.0.1:80/17"
+
     def test_reversed(self):
         key = FlowKey.from_strings("10.0.0.1", "10.1.0.1", 5000, 80)
         rev = key.reversed()

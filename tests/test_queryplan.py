@@ -263,6 +263,21 @@ def test_snapshot_compilation_is_memoised():
     assert uncoeff is not first
 
 
+def test_one_table_plan_adopts_the_port_indices(run):
+    """Every memory-tier snapshot indexes the port's one flow table, so
+    the plan takes that table as its own and the windows' index columns
+    as they are: no translation is built."""
+    analysis = run.pq.analysis
+    plan = analysis.compiled_plan()
+    assert plan.flows == analysis.flow_table.flows
+    stored = {
+        id(fw.flow_idx)
+        for snapshot in analysis.tw_snapshots
+        for fw in snapshot.windows
+    }
+    assert plan._windows and all(id(w.flow_idx) in stored for w in plan._windows)
+
+
 def test_batch_counters_flow_into_report():
     analysis, t = fresh_analysis()
     iv = [QueryInterval(t // 4, t // 2), QueryInterval(t // 2, t - 1)]

@@ -217,20 +217,76 @@ def _tiny_pipeline():
 
 
 class TestLiveIngest:
-    def test_chunked_drive_drains(self):
-        ingest = LiveIngest(_tiny_pipeline(), chunk_events=1000)
-        while ingest.step_chunk():
+    def test_phased_drive_drains(self):
+        ingest = LiveIngest(_tiny_pipeline())
+        while ingest.step_phase():
             pass
         assert ingest.status == "drained"
-        assert ingest.events_ingested > 0
+        assert ingest.events_ingested == 2 * len(ingest.pipeline.batch)
         assert ingest.chunks_ingested >= 1
-        assert ingest.step_chunk() is False  # idempotent after drain
+        assert ingest.step_phase() is False  # idempotent after drain
+
+    def test_a_step_takes_at_least_two_turns(self):
+        """The monitor write-back and the window absorb of one step run in
+        separate turns, so a query waits for one phase, not one step."""
+        ingest = LiveIngest(_tiny_pipeline())
+        pipeline = ingest.pipeline
+        turns_per_step = []
+        while True:
+            steps, turns = pipeline.batches_processed, ingest.chunks_ingested
+            events = ingest.events_ingested
+            while ingest.step_phase() and ingest.events_ingested == events:
+                pass
+            if ingest.status == "drained":
+                break
+            assert pipeline.batches_processed == steps + 1
+            turns_per_step.append(ingest.chunks_ingested - turns)
+        assert len(turns_per_step) == pipeline.batches_processed > 1
+        assert min(turns_per_step) >= 2
+        # Polls are turns of their own too.
+        assert max(turns_per_step) >= 3
+
+    def test_live_drive_makes_the_offline_kernel_calls(self):
+        """Offline run() and a phase-at-a-time live drive call the same
+        kernels, with the same arguments, in the same order."""
+
+        def record(pipeline):
+            pq = pipeline.pq
+            calls = []
+
+            def spy(name, method, summary):
+                def wrapper(*args):
+                    calls.append((name,) + summary(*args))
+                    return method(*args)
+
+                return wrapper
+
+            pq.write_back_batch = spy(
+                "write_back",
+                pq.write_back_batch,
+                lambda e, f, d: (e.tobytes(), f.idx.tobytes(), d.tobytes()),
+            )
+            pq.absorb_batch = spy(
+                "absorb", pq.absorb_batch, lambda f, t: (f.idx.tobytes(), t.tobytes())
+            )
+            pq._poll_if_due = spy("poll", pq._poll_if_due, lambda now: (now,))
+            return calls
+
+        offline = _tiny_pipeline()
+        offline_calls = record(offline)
+        offline.run()
+        live = LiveIngest(_tiny_pipeline())
+        live_calls = record(live.pipeline)
+        while live.step_phase():
+            pass
+        assert live_calls == offline_calls
+        assert {call[0] for call in offline_calls} == {"write_back", "absorb", "poll"}
 
     def test_freshness_is_published_by_drain(self):
         metrics = Metrics()
-        ingest = LiveIngest(_tiny_pipeline(), chunk_events=1000, metrics=metrics)
+        ingest = LiveIngest(_tiny_pipeline(), metrics=metrics)
         assert ingest.freshness_ms is None
-        while ingest.step_chunk():
+        while ingest.step_phase():
             pass
         assert ingest.freshness_ms is not None and ingest.freshness_ms > 0
         assert metrics.gauge("pq_service_freshness_ms").value == ingest.freshness_ms
@@ -242,8 +298,8 @@ class TestLiveIngest:
             raise AssertionError("clock read with metrics off")
 
         monkeypatch.setattr(ingest_module, "perf_counter", no_clock)
-        ingest = LiveIngest(_tiny_pipeline(), chunk_events=1000)
-        while ingest.step_chunk():
+        ingest = LiveIngest(_tiny_pipeline())
+        while ingest.step_phase():
             pass
         assert ingest.status == "drained"
         assert ingest.freshness_ms is None
@@ -254,11 +310,13 @@ class TestLiveIngest:
                 yield 10
                 raise RuntimeError("register bank on fire")
 
-        ingest = LiveIngest(Boom(), chunk_events=1000)
+        ingest = LiveIngest(Boom())
+        assert ingest.step_phase() is True
         with pytest.raises(IngestFailed):
-            ingest.step_chunk()
+            ingest.step_phase()
         assert ingest.status == "failed"
-        assert ingest.step_chunk() is False  # poisoned permanently
+        assert ingest.events_ingested == 10
+        assert ingest.step_phase() is False  # poisoned permanently
 
     def test_supervisor_restarts_chaos_crashes(self):
         crashes = {"left": 2}
@@ -268,7 +326,7 @@ class TestLiveIngest:
                 crashes["left"] -= 1
                 raise OSError("injected task crash")
 
-        ingest = LiveIngest(_tiny_pipeline(), chunk_events=5_000)
+        ingest = LiveIngest(_tiny_pipeline())
         supervisor = IngestSupervisor(
             ingest,
             max_restarts=3,
@@ -285,7 +343,7 @@ class TestLiveIngest:
         def chaos():
             raise OSError("injected task crash")
 
-        ingest = LiveIngest(_tiny_pipeline(), chunk_events=5_000)
+        ingest = LiveIngest(_tiny_pipeline())
         supervisor = IngestSupervisor(
             ingest, max_restarts=2, backoff_base_s=0.001, chaos_hook=chaos
         )
@@ -380,6 +438,17 @@ def _service_config(**overrides):
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
+
+
+def _wait_first_snapshot(client, timeout_s=60.0):
+    """Wait until the service has a snapshot to answer from: ingest
+    publishes its first one a few phases after the socket is bound."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if client.status()["snapshots"] >= 1:
+            return
+        time.sleep(0.005)
+    raise AssertionError("no snapshot was published in time")
 
 
 def _wait_drained(client, timeout_s=60.0):
@@ -625,6 +694,8 @@ class TestServiceEndToEnd:
         # JSON reads 1e400 as inf, and int(inf) raises OverflowError.
         with ServiceHarness(config=_service_config()) as harness:
             host, port = harness.service.address
+            with ServiceClient(host, port) as client:
+                _wait_first_snapshot(client)
             with socket.create_connection((host, port), timeout=10.0) as sock:
                 hostile_line = '{"op":"query","id":1,"args":{"start_ns":1e400,"end_ns":1}}'
                 valid_line = protocol.encode(
@@ -654,6 +725,7 @@ class TestServiceEndToEnd:
             monkeypatch.setattr(service, "_execute", flaky)
             host, port = service.address
             with ServiceClient(host, port, timeout_s=10.0) as client:
+                _wait_first_snapshot(client)
                 with pytest.raises(ServiceError, match="ZeroDivisionError"):
                     client.query(0, SERVICE_DURATION_NS)
                 assert "estimate" in client.query(0, SERVICE_DURATION_NS)
@@ -676,18 +748,16 @@ class TestServiceEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# scheduling contract: queries before chunks (no timing assertions)
+# scheduling contract: queries before phases (no timing assertions)
 
 
 def _fast_poll_config(**overrides):
-    # Fast polls and one poll-aligned step per chunk: ~75 chunks a run,
-    # so plenty of requests land while ingest is running.
+    # Fast polls: ~75 poll-aligned steps a run, three phases each, so
+    # plenty of requests land while ingest is running.
     from repro.core.config import PrintQueueConfig
 
     return _service_config(
-        pq_config=PrintQueueConfig(m0=8, k=10, alpha=1, T=3),
-        chunk_events=1,
-        **overrides,
+        pq_config=PrintQueueConfig(m0=8, k=10, alpha=1, T=3), **overrides
     )
 
 
@@ -772,3 +842,108 @@ class TestSchedulingContract:
         assert status["ingest"]["freshness_ms"] > 0
         assert status["queue_depth"] <= config.max_pending
         assert sum(answer["ok"] for answer in answers) > 0
+
+
+# ---------------------------------------------------------------------------
+# slow and half-closed clients during live ingest
+
+
+async def _slow_client(service, host, port, answers):
+    """Send whole queries one byte per loop turn until ingest stops."""
+    reader, writer = await asyncio.open_connection(host, port)
+    end = SERVICE_DURATION_NS
+    line = protocol.encode(
+        {"op": "query", "args": {"start_ns": end - 1_000_000, "end_ns": end}}
+    )
+    while not service.status()["snapshots"]:
+        await asyncio.sleep(0)
+    while service.ingest.status in ("idle", "running"):
+        for i in range(len(line)):
+            writer.write(line[i : i + 1])
+            await writer.drain()
+            await asyncio.sleep(0)
+        answers.append(protocol.decode(await reader.readline()))
+    writer.close()
+    await writer.wait_closed()
+
+
+async def _half_closed_client(host, port):
+    """Send half a request line, shut the write side, read to EOF."""
+    reader, writer = await asyncio.open_connection(host, port)
+    line = protocol.encode({"op": "query", "args": {"start_ns": 0, "end_ns": 10}})
+    writer.write(line[: len(line) // 2])
+    await writer.drain()
+    writer.write_eof()
+    replies = []
+    while True:
+        reply = await reader.readline()
+        if not reply:
+            break
+        replies.append(protocol.decode(reply))
+    writer.close()
+    await writer.wait_closed()
+    return replies
+
+
+class TestSlowAndHalfClosedClients:
+    def test_service_survives_and_answers_like_in_process(self):
+        """A byte-at-a-time client and a half-closed one ride along with
+        live ingest: nothing crashes, ingest drains, and a third
+        connection's answers equal the in-process port's."""
+        unhandled = []
+        slow_answers = []
+        intervals = [
+            QueryInterval(SERVICE_DURATION_NS - span, SERVICE_DURATION_NS)
+            for span in (300_000, 1_000_000, 4_000_000)
+        ] + [QueryInterval(1, SERVICE_DURATION_NS // 2)]
+
+        async def client(service, host, port):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            slow = asyncio.create_task(
+                _slow_client(service, host, port, slow_answers)
+            )
+            half = await _half_closed_client(host, port)
+            half_during_ingest = service.ingest.status == "running"
+            await slow
+            status = service.status()
+            reader, writer = await asyncio.open_connection(host, port)
+            wire = []
+            for iv in intervals:
+                writer.write(
+                    protocol.encode(
+                        {
+                            "op": "query",
+                            "args": {"start_ns": iv.start_ns, "end_ns": iv.end_ns},
+                        }
+                    )
+                )
+                await writer.drain()
+                wire.append(protocol.decode(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            local = [service.pq.query(interval=iv) for iv in intervals]
+            worker_done = service._worker_task.done()
+            return status, half, half_during_ingest, wire, local, worker_done
+
+        status, half, half_during_ingest, wire, local, worker_done = _serve(
+            _fast_poll_config(), client
+        )
+        assert half_during_ingest
+        assert unhandled == []
+        assert not worker_done
+        assert status["ingest"]["status"] == "drained"
+        assert status["ingest"]["supervisor"] == "drained"
+        # The half line is answered with a typed error, or not at all.
+        assert all(
+            reply["ok"] is False and reply["error"]["type"] == "QueryError"
+            for reply in half
+        )
+        assert slow_answers and all(answer["ok"] for answer in slow_answers)
+        assert all(answer["ok"] for answer in wire)
+        assert [answer["result"]["estimate"] for answer in wire] == [
+            {str(flow): value for flow, value in result.estimate.items()}
+            for result in local
+        ]
+        assert any(answer["result"]["estimate"] for answer in wire)
