@@ -12,10 +12,9 @@ mechanisms on the UW workload:
 """
 
 
-from common import all_victim_indices, fmt, get_run, get_victims, print_table
+from common import fmt, ground_truth, port, print_table
 from repro.core.printqueue import PrintQueuePort
-from repro.experiments.evaluation import evaluate_async_queries
-from repro.experiments.runner import drive_printqueue, measured_d_ns
+from repro.experiments.runner import drive_printqueue
 from repro.metrics.accuracy import summarize_scores
 
 
@@ -28,26 +27,23 @@ def build_variant(records, config, d_ns, **analysis_flags):
 
 
 def run_ablations():
-    run, _ = get_run("uw")
-    config = run.pq.config
-    d_ns = measured_d_ns(run.records, config)
-    victims = sorted(all_victim_indices(get_victims("uw")))
+    truth = ground_truth("uw")
+    full, _ = port("uw")
+    records, config, d_ns = truth.records, full.config, truth.d_ns
 
     variants = {
-        "full system": run.pq,
+        "full system": full,
         "no coefficients": build_variant(
-            run.records, config, d_ns, apply_coefficients=False
+            records, config, d_ns, apply_coefficients=False
         ),
         "fractional cells": build_variant(
-            run.records, config, d_ns, fractional_cells=True
+            records, config, d_ns, fractional_cells=True
         ),
     }
     rows = []
     results = {}
     for name, pq in variants.items():
-        summary = summarize_scores(
-            evaluate_async_queries(pq, run.taxonomy, run.records, victims)
-        )
+        summary = summarize_scores(truth.score_async(pq, truth.union))
         rows.append(
             (name, fmt(summary["mean_precision"]), fmt(summary["mean_recall"]))
         )

@@ -13,20 +13,19 @@ ring.  The bench measures, on the UW workload:
 """
 
 
-from common import fmt, get_run, get_victims, print_table
+from common import fmt, ground_truth, port, print_table
 from repro.baselines.conquest import ConQuest
 from repro.core.queries import FlowEstimate
 from repro.experiments.sampling import band_label
-from repro.experiments.evaluation import victim_interval
-from repro.metrics.accuracy import precision_recall, summarize_scores
+from repro.metrics.accuracy import summarize_scores
 
 
-def conquest_estimate(cq, run, record):
-    """Culprit estimate from ConQuest's primitives: each flow seen in the
-    standing queue contributes its snapshot counts."""
+def conquest_estimate(cq, flows, record):
+    """Culprit estimate from ConQuest's primitives: each of the
+    operator-known candidate ``flows`` seen in the standing queue
+    contributes its snapshot counts."""
     estimate = FlowEstimate()
     delay = record.queuing_delay
-    flows = {r.flow for r in run.records}  # operator-known candidates
     for flow in flows:
         count = cq.queue_contribution(flow, record.deq_timestamp, delay)
         if count:
@@ -35,8 +34,10 @@ def conquest_estimate(cq, run, record):
 
 
 def run_comparison():
-    run, _ = get_run("uw")
-    victims = get_victims("uw")
+    truth = ground_truth("uw")
+    pq, _ = port("uw")
+    records, victims = truth.records, truth.victims
+    flows = {flow for flow, _ in truth.dequeues()}  # operator-known candidates
     # Resource-comparable ConQuest: 4 snapshots of 4096x2 CMS (32k
     # entries, same order as PrintQueue's 4x4096 cells x banks).
     cq = ConQuest(num_snapshots=4, slice_ns=1 << 16, sketch_width=4096, sketch_depth=2)
@@ -49,17 +50,17 @@ def run_comparison():
         for indices in victims.values()
         for i in indices[:10]  # ConQuest scoring scans the flow table
     }
-    by_enq = sorted(range(len(run.records)), key=lambda i: run.records[i].enq_timestamp)
-    by_deq = sorted(scoring, key=lambda i: run.records[i].deq_timestamp)
+    by_enq = sorted(range(len(records)), key=lambda i: records[i].enq_timestamp)
+    by_deq = sorted(scoring, key=lambda i: records[i].deq_timestamp)
     cq_estimates = {}
     e = 0
     for i in by_deq:
-        deq_ts = run.records[i].deq_timestamp
-        while e < len(by_enq) and run.records[by_enq[e]].enq_timestamp <= deq_ts:
-            record = run.records[by_enq[e]]
+        deq_ts = records[i].deq_timestamp
+        while e < len(by_enq) and records[by_enq[e]].enq_timestamp <= deq_ts:
+            record = records[by_enq[e]]
             cq.on_enqueue(record.flow, record.enq_timestamp)
             e += 1
-        cq_estimates[i] = conquest_estimate(cq, run, run.records[i])
+        cq_estimates[i] = conquest_estimate(cq, flows, records[i])
 
     rows = []
     stats = {}
@@ -69,21 +70,18 @@ def run_comparison():
         covered = sum(
             1
             for i in indices
-            if cq.can_cover_delay(run.records[i].queuing_delay)
+            if cq.can_cover_delay(records[i].queuing_delay)
         )
-        cq_scores = []
-        pq_scores = []
-        for i in indices[:10]:
-            record = run.records[i]
-            truth = run.taxonomy.direct(record)
-            cq_scores.append(precision_recall(cq_estimates[i], truth))
-            pq_scores.append(
-                precision_recall(
-                    run.pq.query(interval=victim_interval(record)).estimate, truth
-                )
+        scored = indices[:10]
+        cqs = summarize_scores(
+            truth.score(scored, (cq_estimates[i] for i in scored))
+        )
+        pqs = summarize_scores(
+            truth.score(
+                scored,
+                (pq.query(interval=truth.intervals[i]).estimate for i in scored),
             )
-        cqs = summarize_scores(cq_scores)
-        pqs = summarize_scores(pq_scores)
+        )
         rows.append(
             (
                 band_label(band),

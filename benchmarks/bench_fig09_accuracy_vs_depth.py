@@ -14,45 +14,34 @@ import pytest
 
 from common import (
     WORKLOADS,
-    all_victim_indices,
     assert_plan_matches_scalar,
     fmt,
-    get_run,
-    get_victims,
+    ground_truth,
+    port,
     print_table,
 )
 from repro.experiments.sampling import band_label
-from repro.experiments.evaluation import (
-    evaluate_async_queries,
-    evaluate_dataplane_queries,
-)
 from repro.metrics.accuracy import summarize_scores
 
 
 def run_fig9(workload: str):
-    victims = get_victims(workload)
-    clean, _ = get_run(workload)
-    triggered, _ = get_run(workload, dp_triggers=all_victim_indices(victims))
+    truth = ground_truth(workload)
+    clean, _ = port(workload)
+    triggered, dp_results = port(workload, triggers=True)
     rows = []
     spot_checked = False
-    for band, indices in victims.items():
+    for band, indices in truth.victims.items():
         if not indices:
             continue
         # AQ and DQ victims go through the compiled plan; spot-check one
-        # band's subsample on both runs against the scalar specification
+        # band's subsample on both ports against the scalar specification
         # (identical estimates, not just close).
         if not spot_checked:
-            for run in (clean, triggered):
-                assert_plan_matches_scalar(run, list(indices)[:5])
+            assert_plan_matches_scalar(clean, truth, indices[:5])
+            assert_plan_matches_scalar(triggered, truth, indices[:5], dp_results)
             spot_checked = True
-        aq = summarize_scores(
-            evaluate_async_queries(clean.pq, clean.taxonomy, clean.records, indices)
-        )
-        dq = summarize_scores(
-            evaluate_dataplane_queries(
-                triggered.dp_results, triggered.taxonomy, triggered.records, indices
-            )
-        )
+        aq = summarize_scores(truth.score_async(clean, indices))
+        dq = summarize_scores(truth.score_dataplane(dp_results, indices))
         rows.append(
             (
                 band_label(band),

@@ -13,12 +13,12 @@ occupancy; HashPipe and FlowRadar nearly overlap.
 
 from common import (
     assert_plan_matches_scalar,
+    baselines,
     fmt,
-    get_run,
-    get_victims,
+    ground_truth,
+    port,
     print_table,
 )
-from repro.experiments.evaluation import evaluate_async_queries, evaluate_baseline
 from repro.metrics.accuracy import cdf_points
 
 OCCUPANCY_BANDS = {
@@ -43,32 +43,26 @@ def decile_row(scores, metric):
 
 
 def run_fig10():
-    victims = get_victims("uw")
-    run, baselines = get_run("uw", with_baselines=True)
-    hashpipe, flowradar = baselines
+    truth = ground_truth("uw")
+    pq, _ = port("uw")
+    hashpipe, flowradar = baselines("uw", pq.config.set_period_ns)
     out = {}
     spot_checked = False
     for band_name, bands in OCCUPANCY_BANDS.items():
         indices = sorted(
-            i for band in bands for i in victims.get(tuple(band), [])
+            i for band in bands for i in truth.victims.get(tuple(band), [])
         )
         if not indices:
             continue
         # PrintQueue scores come from the compiled plan; assert a subsample
         # matches the scalar specification exactly before trusting it.
         if not spot_checked:
-            assert_plan_matches_scalar(run, indices[:5])
+            assert_plan_matches_scalar(pq, truth, indices[:5])
             spot_checked = True
         out[band_name] = {
-            "PrintQueue": evaluate_async_queries(
-                run.pq, run.taxonomy, run.records, indices
-            ),
-            "HashPipe": evaluate_baseline(
-                hashpipe, run.taxonomy, run.records, indices
-            ),
-            "FlowRadar": evaluate_baseline(
-                flowradar, run.taxonomy, run.records, indices
-            ),
+            "PrintQueue": truth.score_async(pq, indices),
+            "HashPipe": truth.score_baseline(hashpipe, indices),
+            "FlowRadar": truth.score_baseline(flowradar, indices),
         }
     return out
 

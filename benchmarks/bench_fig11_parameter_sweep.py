@@ -14,14 +14,14 @@ bands stay strong.
 import pytest
 
 from common import (
-    band_label,
+    baselines,
     fmt,
-    get_run,
-    get_victims,
+    ground_truth,
+    port,
     print_table,
     workload_config,
 )
-from repro.experiments.evaluation import evaluate_async_queries, evaluate_baseline
+from repro.experiments.sampling import band_label
 from repro.metrics.accuracy import summarize_scores
 
 PARAM_SETS = {
@@ -33,22 +33,16 @@ PARAM_SETS = {
 
 def run_fig11(params):
     config = workload_config("uw", **params)
-    victims = get_victims("uw", config=config)
-    run, baselines = get_run("uw", config=config, with_baselines=True)
-    hashpipe, flowradar = baselines
+    truth = ground_truth("uw")
+    printqueue, _ = port("uw", config)
+    hashpipe, flowradar = baselines("uw", config.set_period_ns)
     rows = []
-    for band, indices in victims.items():
+    for band, indices in truth.victims.items():
         if not indices:
             continue
-        pq = summarize_scores(
-            evaluate_async_queries(run.pq, run.taxonomy, run.records, indices)
-        )
-        hp = summarize_scores(
-            evaluate_baseline(hashpipe, run.taxonomy, run.records, indices)
-        )
-        fr = summarize_scores(
-            evaluate_baseline(flowradar, run.taxonomy, run.records, indices)
-        )
+        pq = summarize_scores(truth.score_async(printqueue, indices))
+        hp = summarize_scores(truth.score_baseline(hashpipe, indices))
+        fr = summarize_scores(truth.score_baseline(flowradar, indices))
         rows.append(
             (
                 band_label(band),

@@ -11,7 +11,7 @@ faster (mice overwhelm elephants in the UW long tail).
 """
 
 
-from common import fmt, get_run, print_table, workload_config
+from common import fmt, ground_truth, port, print_table, workload_config
 from repro.core.queries import QueryInterval
 from repro.experiments.runner import query_time_windows_scalar
 from repro.metrics.accuracy import precision_recall, topk_precision_recall
@@ -21,8 +21,9 @@ KS = [50, 100, 200, 500]
 
 def run_fig12():
     config = workload_config("uw", alpha=1, k=12, T=5)
-    run, _ = get_run("uw", config=config)
-    analysis = run.pq.analysis
+    records = ground_truth("uw").records
+    pq, _ = port("uw", config)
+    analysis = pq.analysis
     # Use the newest periodic snapshot whose bank was active for a full
     # set period (the final finish() flush covers only a sliver, leaving
     # deep windows empty).
@@ -45,7 +46,7 @@ def run_fig12():
             analysis, interval, snapshots=[snapshot]
         )
         truth = {}
-        for r in run.records:
+        for r in records:
             if start <= r.deq_timestamp < end:
                 truth[r.flow] = truth.get(r.flow, 0) + 1
         row = [fw.window_index]

@@ -12,15 +12,7 @@ configurations sit under the data-exchange limit.
 """
 
 
-from common import (
-    all_victim_indices,
-    fmt,
-    get_run,
-    get_victims,
-    print_table,
-    workload_config,
-)
-from repro.experiments.evaluation import evaluate_async_queries
+from common import fmt, ground_truth, port, print_table, workload_config
 from repro.metrics.accuracy import summarize_scores
 from repro.metrics.overhead import pcie_limit_mbps, printqueue_storage_mbps
 
@@ -34,16 +26,13 @@ CONFIGS = {
 
 
 def run_fig13():
+    truth = ground_truth("uw")
     rows = []
     measured = {}
     for name, params in CONFIGS.items():
         config = workload_config("uw", **params)
-        victims = get_victims("uw", config=config)
-        indices = sorted(all_victim_indices(victims))
-        run, _ = get_run("uw", config=config)
-        summary = summarize_scores(
-            evaluate_async_queries(run.pq, run.taxonomy, run.records, indices)
-        )
+        pq, _ = port("uw", config)
+        summary = summarize_scores(truth.score_async(pq, truth.union))
         mbps = printqueue_storage_mbps(config)
         rows.append(
             (

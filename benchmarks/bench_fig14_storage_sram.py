@@ -16,7 +16,7 @@ whole parameter family.
 
 import pytest
 
-from common import get_run, print_table, workload_config
+from common import ground_truth, print_table, workload_config
 from repro.metrics.overhead import (
     linear_storage_mbps,
     linear_to_exponential_ratio,
@@ -25,11 +25,9 @@ from repro.metrics.overhead import (
 
 
 def run_fig14():
-    run, _ = get_run("uw")
-    span_s = (
-        run.records[-1].deq_timestamp - run.records[0].deq_timestamp
-    ) / 1e9
-    pps = len(run.records) / span_s
+    records = ground_truth("uw").records
+    span_s = (records[-1].deq_timestamp - records[0].deq_timestamp) / 1e9
+    pps = len(records) / span_s
 
     ratio_rows = []
     ratios = {}

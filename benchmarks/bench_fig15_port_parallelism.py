@@ -9,10 +9,10 @@ for a port carrying the WS workload.
 
 Accuracy is scored on a full-load port (the paper measures one
 PrintQueue-enabled port carrying the workload).  Every sweep point uses
-the same WS trace and the same FIFO, so the dequeue log, the ground-truth
-taxonomy, the sampled victims and their direct-culprit truths are built
-once; each point then drives one port with its own configuration and
-scores its answers against those shared truths.  Every sweep point also
+the WS ground truth the other figures share (one trace, one FIFO log,
+one taxonomy, one set of sampled victims and direct-culprit truths);
+each point scores the answers of a port with its own configuration
+against those truths.  Every sweep point also
 partitions the WS trace by egress port (paper Section 6's register
 partitioning) and drives the ports one after another — ports share
 nothing, so a fleet is a loop — asserting every packet of the
@@ -24,23 +24,12 @@ r(#ports); around 10 ports the configuration reaches the practical
 limit.
 """
 
-from common import (
-    VICTIMS_PER_BAND,
-    WORKLOADS,
-    fmt,
-    print_table,
-    workload_config,
-)
-from repro.core.printqueue import PrintQueue, PrintQueuePort
-from repro.core.taxonomy import CulpritTaxonomy
-from repro.experiments.evaluation import victim_interval
-from repro.experiments.runner import drive_printqueue, measured_d_ns
-from repro.experiments.sampling import sample_victims_by_band
-from repro.metrics.accuracy import precision_recall, summarize_scores
+from common import fmt, ground_truth, port, print_table, workload_config
+from repro.core.printqueue import PrintQueue
+from repro.experiments.runner import drive_printqueue
+from repro.metrics.accuracy import summarize_scores
 from repro.metrics.overhead import sram_utilization
 from repro.switch.fastpath import fifo_record_batch
-from repro.traffic.distributions import distribution_by_name
-from repro.traffic.generator import PoissonWorkload, WorkloadConfig
 from repro.traffic.trace import partition_trace_by_port
 
 SWEEP = [
@@ -65,39 +54,19 @@ def _drive_fleet(trace, ports, config):
 
 
 def run_fig15():
-    spec = WORKLOADS["ws"]
-    # One WS trace, one FIFO pass, one ground truth for every sweep point;
-    # only the per-port configuration and the partition width change.
-    trace = PoissonWorkload(
-        distribution_by_name("ws"),
-        WorkloadConfig(load=spec["load"], duration_ns=spec["duration_ns"]),
-        seed=spec["seed"],
-    ).generate()
-    records, _ = fifo_record_batch(trace)
-    taxonomy = CulpritTaxonomy(records)
-    victims = sample_victims_by_band(records, per_band=VICTIMS_PER_BAND)
-    union = sorted({i for indices in victims.values() for i in indices})
-    intervals = [victim_interval(records[i]) for i in union]
-    truths = [taxonomy.direct(records[i]) for i in union]
+    # One WS ground truth for every sweep point; only the per-port
+    # configuration and the partition width change.
+    truth = ground_truth("ws")
     rows = []
     results = {}
     for ports, params in SWEEP:
         # Accuracy is per-port: the full-load port carries the structural
         # parameters only, the fleet carries the port count.
-        port_config = workload_config("ws", **params)
-        pq = PrintQueuePort(
-            port_config,
-            d_ns=measured_d_ns(records, port_config),
-            model_dp_read_cost=False,
-        )
-        drive_printqueue(records, pq)
-        estimates = pq.query(intervals=intervals).estimates
-        summary = summarize_scores(
-            [precision_recall(e, t) for e, t in zip(estimates, truths)]
-        )
+        pq, _ = port("ws", workload_config("ws", **params))
+        summary = summarize_scores(truth.score_async(pq, truth.union))
         config = workload_config("ws", num_ports=ports, **params)
         sram_pct = 100 * sram_utilization(config)
-        _drive_fleet(trace, ports, config)
+        _drive_fleet(truth.trace, ports, config)
         rows.append(
             (
                 ports,

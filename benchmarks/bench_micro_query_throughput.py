@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from common import SCALE, get_run, print_table, scalar_reference
+from common import SCALE, ground_truth, port, print_table, scalar_reference
 from repro.core.analysis import AnalysisProgram
 from repro.core.config import PrintQueueConfig
 from repro.core.queries import QueryInterval
@@ -43,8 +43,8 @@ BENCH_QUERY_PATH = os.path.join(os.path.dirname(__file__), "BENCH_query.json")
 
 
 def test_query_throughput(benchmark):
-    run, _ = get_run("uw")
-    records = run.records
+    records = ground_truth("uw").records
+    pq, _ = port("uw")
     rng = random.Random(7)
     indices = [rng.randrange(len(records)) for _ in range(50)]
     intervals = [
@@ -54,7 +54,7 @@ def test_query_throughput(benchmark):
 
     def do_queries():
         for interval in intervals:
-            run.pq.query(interval=interval)
+            pq.query(interval=interval)
 
     benchmark.pedantic(do_queries, rounds=3, iterations=1)
     per_query_s = benchmark.stats["mean"] / len(intervals)
@@ -76,8 +76,8 @@ def _invalidate_plan(analysis):
 
 def test_query_batch_speedup():
     """1000-victim batch vs the scalar specification: identical, >=5x."""
-    run, _ = get_run("uw")
-    records = run.records
+    records = ground_truth("uw").records
+    pq, _ = port("uw")
     rng = random.Random(13)
     indices = [rng.randrange(len(records)) for _ in range(BATCH_VICTIMS)]
     intervals = [
@@ -91,7 +91,7 @@ def test_query_batch_speedup():
     scalar_estimates = None
     for _ in range(rounds):
         start = time.perf_counter()
-        estimates = scalar_reference(run.pq, intervals)
+        estimates = scalar_reference(pq, intervals)
         scalar_s = min(scalar_s, time.perf_counter() - start)
         scalar_estimates = estimates
 
@@ -100,7 +100,7 @@ def test_query_batch_speedup():
     single_s = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        single_estimates = [run.pq.query(interval=iv).estimate for iv in intervals]
+        single_estimates = [pq.query(interval=iv).estimate for iv in intervals]
         single_s = min(single_s, time.perf_counter() - start)
 
     batch_s = float("inf")
@@ -108,9 +108,9 @@ def test_query_batch_speedup():
     for _ in range(rounds):
         # Each round pays the full compile, as after a fresh poll; the
         # measured speedup is the honest cold-plan number.
-        _invalidate_plan(run.pq.analysis)
+        _invalidate_plan(pq.analysis)
         start = time.perf_counter()
-        result = run.pq.query(intervals=intervals)
+        result = pq.query(intervals=intervals)
         batch_s = min(batch_s, time.perf_counter() - start)
         batch_estimates = result.estimates
 
@@ -127,7 +127,7 @@ def test_query_batch_speedup():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "victims": BATCH_VICTIMS,
-        "snapshots": len(run.pq.analysis.tw_snapshots),
+        "snapshots": len(pq.analysis.tw_snapshots),
         "scalar_s": round(scalar_s, 6),
         "batch_s": round(batch_s, 6),
         "speedup": round(speedup, 2),

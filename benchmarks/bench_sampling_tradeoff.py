@@ -13,33 +13,28 @@ collapsed.
 """
 
 
-from common import all_victim_indices, fmt, get_run, get_victims, print_table
+from common import fmt, ground_truth, port, print_table
 from repro.baselines.sampled import SampledTelemetry
-from repro.experiments.evaluation import evaluate_async_queries, victim_interval
-from repro.metrics.accuracy import precision_recall, summarize_scores
+from repro.metrics.accuracy import summarize_scores
 from repro.metrics.overhead import printqueue_storage_mbps
 
 RATES = [1, 8, 64, 512]
 
 
 def run_tradeoff():
-    run, _ = get_run("uw")
-    victims = sorted(all_victim_indices(get_victims("uw")))
+    truth = ground_truth("uw")
+    pq, _ = port("uw")
+    victims = truth.union
 
     telemetries = {rate: SampledTelemetry(rate) for rate in RATES}
-    for record in run.records:
+    for flow, deq_ts in truth.dequeues():
         for tel in telemetries.values():
-            tel.update(record.flow, record.deq_timestamp)
+            tel.update(flow, deq_ts)
 
     rows = []
     results = {}
     for rate, tel in telemetries.items():
-        scores = []
-        for i in victims:
-            record = run.records[i]
-            truth = run.taxonomy.direct(record)
-            scores.append(precision_recall(tel.query(victim_interval(record)), truth))
-        summary = summarize_scores(scores)
+        summary = summarize_scores(truth.score_baseline(tel, victims))
         rows.append(
             (
                 f"sampled 1/{rate}",
@@ -50,10 +45,8 @@ def run_tradeoff():
         )
         results[rate] = (tel.storage_mbps(), summary)
 
-    pq_summary = summarize_scores(
-        evaluate_async_queries(run.pq, run.taxonomy, run.records, victims)
-    )
-    pq_mbps = printqueue_storage_mbps(run.pq.config)
+    pq_summary = summarize_scores(truth.score_async(pq, victims))
+    pq_mbps = printqueue_storage_mbps(pq.config)
     rows.append(
         (
             "PrintQueue",

@@ -13,25 +13,17 @@ other; UW the hardest trace for everyone.
 
 import pytest
 
-from common import WORKLOADS, all_victim_indices, fmt, get_run, get_victims, print_table
-from repro.experiments.evaluation import evaluate_async_queries, evaluate_baseline
+from common import WORKLOADS, baselines, fmt, ground_truth, port, print_table
 from repro.metrics.accuracy import summarize_scores
 
 
 def run_table2(workload: str):
-    victims = get_victims(workload)
-    indices = sorted(all_victim_indices(victims))
-    run, baselines = get_run(workload, with_baselines=True)
-    hashpipe, flowradar = baselines
-    pq = summarize_scores(
-        evaluate_async_queries(run.pq, run.taxonomy, run.records, indices)
-    )
-    hp = summarize_scores(
-        evaluate_baseline(hashpipe, run.taxonomy, run.records, indices)
-    )
-    fr = summarize_scores(
-        evaluate_baseline(flowradar, run.taxonomy, run.records, indices)
-    )
+    truth = ground_truth(workload)
+    printqueue, _ = port(workload)
+    hashpipe, flowradar = baselines(workload, printqueue.config.set_period_ns)
+    pq = summarize_scores(truth.score_async(printqueue, truth.union))
+    hp = summarize_scores(truth.score_baseline(hashpipe, truth.union))
+    fr = summarize_scores(truth.score_baseline(flowradar, truth.union))
     return pq, hp, fr
 
 

@@ -34,11 +34,10 @@ suite, ``tests/test_fused_ingest.py``, asserts this record for record).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set
+from typing import Dict, Iterator, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.printqueue import DataPlaneQueryResult, PrintQueuePort
 from repro.core.queries import QueryInterval
 from repro.switch.fastpath import merge_event_streams
@@ -64,9 +63,6 @@ class IngestPipeline:
     dp_trigger_indices:
         Record positions at whose dequeue instant an on-demand
         read+query fires.
-    baselines:
-        Fixed-interval baseline estimators fed every dequeue (these stay
-        scalar; they are only used by the comparison benches).
     """
 
     def __init__(
@@ -74,12 +70,10 @@ class IngestPipeline:
         pq: PrintQueuePort,
         records: Sequence[DequeueRecord],
         dp_trigger_indices: Optional[Set[int]] = None,
-        baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
     ) -> None:
         self.pq = pq
         self.batch: RecordBatch = as_record_batch(records)
         self.triggers = set(dp_trigger_indices or ())
-        self.baselines = list(baselines or [])
         self.batches_processed = 0
         #: Completed on-demand queries; filled by :meth:`steps`/:meth:`run`.
         self.dp_results: Dict[int, DataPlaneQueryResult] = {}
@@ -187,11 +181,6 @@ class IngestPipeline:
             if self._obs_batches is not None:
                 self._obs_batches.inc()
                 self._obs_batch_events.observe(end - cur)
-            if self.baselines:
-                for d in range(d0, d1):
-                    record = records[d]
-                    for baseline in self.baselines:
-                        baseline.update(record.flow, record.deq_timestamp)
             if fire_trigger:
                 d = int(rec_idx[end - 1])
                 record = records[d]
@@ -208,5 +197,3 @@ class IngestPipeline:
 
         end_ns = records[-1].deq_timestamp + 1
         pq.finish(end_ns)
-        for baseline in self.baselines:
-            baseline.finish()

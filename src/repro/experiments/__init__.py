@@ -1,11 +1,11 @@
 """Shared experiment harness used by the benchmarks and examples.
 
 * :mod:`~repro.experiments.runner` — generate a workload, push it through
-  the FIFO fast path, drive PrintQueue (and optionally the baselines)
-  over the dequeue-event stream, and keep the lossless ground truth.
+  the FIFO fast path, drive PrintQueue over the dequeue-event stream,
+  and keep the lossless ground truth.
 * :mod:`~repro.experiments.sampling` — victim selection per queue-depth
   band (the 1k-2k ... >20k buckets of Figure 9).
-* :mod:`~repro.experiments.evaluation` — score AQ/DQ/baseline queries
+* :mod:`~repro.experiments.evaluation` — score asynchronous queries
   against the taxonomy oracle.
 """
 
@@ -16,11 +16,7 @@ from repro.experiments.runner import (
     simulate_workload,
 )
 from repro.experiments.sampling import DEPTH_BANDS, band_label, sample_victims_by_band
-from repro.experiments.evaluation import (
-    evaluate_async_queries,
-    evaluate_baseline,
-    evaluate_dataplane_queries,
-)
+from repro.experiments.evaluation import evaluate_async_queries
 
 __all__ = [
     "ExperimentRun",
@@ -31,6 +27,4 @@ __all__ = [
     "band_label",
     "sample_victims_by_band",
     "evaluate_async_queries",
-    "evaluate_dataplane_queries",
-    "evaluate_baseline",
 ]

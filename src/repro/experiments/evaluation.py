@@ -1,4 +1,4 @@
-"""Scoring of PrintQueue and baseline queries against the oracle.
+"""Scoring of PrintQueue queries against the oracle.
 
 For each sampled victim, the direct-culprit ground truth is the per-flow
 count of packets dequeued during the victim's queuing interval
@@ -8,10 +8,9 @@ identical", so direct queries are what all the accuracy figures score).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.baselines.interval import FixedIntervalEstimator
-from repro.core.printqueue import DataPlaneQueryResult, PrintQueuePort
+from repro.core.printqueue import PrintQueuePort
 from repro.core.queries import FlowEstimate, QueryInterval
 from repro.core.taxonomy import CulpritTaxonomy
 from repro.metrics.accuracy import AccuracyScore, precision_recall
@@ -50,39 +49,5 @@ def evaluate_async_queries(
     scores = []
     for index, estimate in zip(indices, estimates):
         truth = ground_truth_direct(taxonomy, records[index])
-        scores.append(precision_recall(estimate, truth))
-    return scores
-
-
-def evaluate_dataplane_queries(
-    dp_results: Dict[int, DataPlaneQueryResult],
-    taxonomy: CulpritTaxonomy,
-    records: Sequence[DequeueRecord],
-    victim_indices: Optional[Sequence[int]] = None,
-) -> List[AccuracyScore]:
-    """Score the completed on-demand queries for the chosen victims."""
-    indices = victim_indices if victim_indices is not None else sorted(dp_results)
-    scores = []
-    for index in indices:
-        result = dp_results.get(index)
-        if result is None:
-            continue  # trigger was rejected (read lock); skip, as on HW
-        truth = ground_truth_direct(taxonomy, records[index])
-        scores.append(precision_recall(result.estimate, truth))
-    return scores
-
-
-def evaluate_baseline(
-    estimator: FixedIntervalEstimator,
-    taxonomy: CulpritTaxonomy,
-    records: Sequence[DequeueRecord],
-    victim_indices: Sequence[int],
-) -> List[AccuracyScore]:
-    """Score a fixed-interval baseline's prorated estimates."""
-    scores = []
-    for index in victim_indices:
-        record = records[index]
-        estimate = estimator.query(victim_interval(record))
-        truth = ground_truth_direct(taxonomy, record)
         scores.append(precision_recall(estimate, truth))
     return scores

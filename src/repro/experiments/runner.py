@@ -1,4 +1,4 @@
-"""Workload → FIFO → PrintQueue/baselines experiment runner.
+"""Workload → FIFO → PrintQueue experiment runner.
 
 The main harness path is offline and fast: a trace's arrivals go through
 the vectorised FIFO fast path; the resulting dequeue records (sorted by
@@ -22,9 +22,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.analysis import AnalysisProgram, TimeWindowSnapshot, newest_first
 from repro.core.config import PrintQueueConfig
 from repro.core.filtering import FilteredWindow
@@ -79,15 +78,13 @@ def drive_printqueue(
     records: Sequence[DequeueRecord],
     pq: PrintQueuePort,
     dp_trigger_indices: Optional[Set[int]] = None,
-    baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
     engine: str = "fused",
 ) -> Dict[int, DataPlaneQueryResult]:
     """Replay a dequeue log as a merged enqueue/dequeue event stream.
 
     ``dp_trigger_indices`` marks record positions (in dequeue order) at
     whose dequeue instant an on-demand read+query fires, emulating a
-    data-plane trigger for exactly those victims.  Baseline estimators,
-    if given, are fed every dequeue too.
+    data-plane trigger for exactly those victims.
 
     ``engine`` selects ``"fused"`` (the default and the production path:
     poll-boundary-aligned array batches via
@@ -100,18 +97,17 @@ def drive_printqueue(
         from repro.engine.ingest import IngestPipeline
 
         return IngestPipeline(
-            pq, records, dp_trigger_indices=dp_trigger_indices, baselines=baselines
+            pq, records, dp_trigger_indices=dp_trigger_indices
         ).run()
     if engine != "scalar":
         raise ValueError(f"unknown ingest engine {engine!r}")
-    return drive_printqueue_scalar(records, pq, dp_trigger_indices, baselines)
+    return drive_printqueue_scalar(records, pq, dp_trigger_indices)
 
 
 def drive_printqueue_scalar(
     records: Sequence[DequeueRecord],
     pq: PrintQueuePort,
     dp_trigger_indices: Optional[Set[int]] = None,
-    baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
 ) -> Dict[int, DataPlaneQueryResult]:
     """The per-event reference implementation of :func:`drive_printqueue`.
 
@@ -121,7 +117,6 @@ def drive_printqueue_scalar(
     """
     triggers = dp_trigger_indices or set()
     dp_results: Dict[int, DataPlaneQueryResult] = {}
-    baseline_list = list(baselines or [])
 
     # Merged event iteration: enqueues ordered by enq_timestamp (arrival
     # order for a FIFO) and dequeues by deq_timestamp; enqueue wins ties.
@@ -147,8 +142,6 @@ def drive_printqueue_scalar(
             record = records[d]
             depth -= 1
             pq.process_dequeue(record.flow, record.deq_timestamp, depth)
-            for baseline in baseline_list:
-                baseline.update(record.flow, record.deq_timestamp)
             if d in triggers:
                 interval = QueryInterval.for_victim(
                     record.enq_timestamp, record.deq_timestamp
@@ -160,8 +153,6 @@ def drive_printqueue_scalar(
     if records:
         end_ns = records[-1].deq_timestamp + 1
         pq.finish(end_ns)
-        for baseline in baseline_list:
-            baseline.finish()
     return dp_results
 
 
@@ -364,7 +355,6 @@ def simulate_workload(
     config: Optional[PrintQueueConfig] = None,
     seed: int = 1,
     dp_trigger_indices: Optional[Set[int]] = None,
-    baselines: Optional[Iterable[FixedIntervalEstimator]] = None,
     trace: Optional[Trace] = None,
     engine: str = "fused",
     metrics: Optional[Metrics] = None,
@@ -394,9 +384,7 @@ def simulate_workload(
         faults=faults,
         store=store,
     )
-    dp_results = drive_printqueue(
-        records, pq, dp_trigger_indices, baselines, engine=engine
-    )
+    dp_results = drive_printqueue(records, pq, dp_trigger_indices, engine=engine)
     return ExperimentRun(
         trace=trace,
         records=records,

@@ -228,3 +228,34 @@ def test_build_path_aliases_and_stats_command_are_gone_not_aliased(capsys):
         build_parser().parse_args(["stats"])
     assert exc.value.code == 2
     assert "invalid choice: 'stats'" in capsys.readouterr().err
+
+
+def test_baselines_left_the_ingest_drivers_gone_not_aliased():
+    """Baselines read no PrintQueue state, so no ingest driver feeds them:
+    ``baselines=`` was deleted outright, with the evaluation helpers that
+    re-derived a truth per call, and the drivers no longer import
+    ``repro.baselines``."""
+    import ast
+    import inspect
+
+    import repro.engine.ingest as ingest
+    import repro.experiments
+    import repro.experiments.evaluation as evaluation
+    import repro.experiments.runner as runner
+
+    for fn in (
+        runner.simulate_workload,
+        runner.drive_printqueue,
+        runner.drive_printqueue_scalar,
+        ingest.IngestPipeline,
+    ):
+        assert "baselines" not in inspect.signature(fn).parameters, fn
+    for module in (repro.experiments, evaluation):
+        for name in ("evaluate_baseline", "evaluate_dataplane_queries"):
+            assert not hasattr(module, name), (module.__name__, name)
+    for module in (ingest, runner):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+        assert not any(m and m.startswith("repro.baselines") for m in imported)

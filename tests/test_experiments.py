@@ -6,11 +6,7 @@ from repro.baselines.interval import FixedIntervalEstimator
 from repro.core.coefficient import coefficients
 from repro.core.config import PrintQueueConfig
 from repro.core.printqueue import PrintQueuePort
-from repro.experiments.evaluation import (
-    evaluate_async_queries,
-    evaluate_baseline,
-    evaluate_dataplane_queries,
-)
+from repro.experiments.evaluation import evaluate_async_queries, victim_interval
 from repro.experiments.runner import (
     build_run,
     drive_printqueue,
@@ -19,6 +15,7 @@ from repro.experiments.runner import (
     simulate_workload,
 )
 from repro.experiments.sampling import band_label, sample_victims_by_band
+from repro.metrics.accuracy import precision_recall
 from repro.switch.packet import FlowKey
 from repro.switch.telemetry import DequeueRecord
 from repro.traffic.scenarios import microburst_scenario
@@ -196,9 +193,14 @@ class TestEvaluation:
             "ws", 8_000_000, 1.3, small_config(), seed=6, dp_trigger_indices=victims
         )
         clean = simulate_workload("ws", 8_000_000, 1.3, small_config(), seed=6)
-        dq = evaluate_dataplane_queries(
-            run.dp_results, run.taxonomy, run.records, sorted(victims)
-        )
+        dq = [
+            precision_recall(
+                run.dp_results[i].estimate, run.taxonomy.direct(run.records[i])
+            )
+            for i in sorted(victims)
+            if i in run.dp_results
+        ]
+        assert dq
         aq = evaluate_async_queries(
             clean.pq, clean.taxonomy, clean.records, sorted(victims)
         )
@@ -211,10 +213,19 @@ class TestEvaluation:
         hp = FixedIntervalEstimator(
             HashPipe(slots_per_stage=1024, stages=5), cfg.set_period_ns
         )
-        run = simulate_workload(
-            "ws", 8_000_000, 1.3, cfg, seed=6, baselines=[hp]
-        )
-        victims = list(range(1000, 1010))
-        scores = evaluate_baseline(hp, run.taxonomy, run.records, victims)
+        run = simulate_workload("ws", 8_000_000, 1.3, cfg, seed=6)
+        # Baselines never read PrintQueue state: feed the estimator from
+        # the dequeue log itself.
+        for record in run.records:
+            hp.update(record.flow, record.deq_timestamp)
+        hp.finish()
+        assert hp.packets_seen == len(run.records)
+        scores = [
+            precision_recall(
+                hp.query(victim_interval(run.records[i])),
+                run.taxonomy.direct(run.records[i]),
+            )
+            for i in range(1000, 1010)
+        ]
         assert len(scores) == 10
         assert all(0 <= s.precision <= 1.0001 for s in scores)
